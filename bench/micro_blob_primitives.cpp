@@ -126,35 +126,26 @@ void BM_BlobRead(benchmark::State& state) {
 }
 BENCHMARK(BM_BlobRead)->Arg(1024)->Arg(64 * 1024)->Arg(1 << 20);
 
-// --- striped scatter-gather scenarios (batched envelopes vs per-leg RPC) ---
+// --- striped scatter-gather scenarios --------------------------------------
 //
-// Arg 0 toggles `batched_striping` + `client_meta_cache`; Arg 1 is the blob
-// size; Arg 2 is the write quorum W (0 = classic all-live-replica acks,
-// 2 over replication 3 = read quorum R=2). 8 MiB over 1 MiB chunks = 8-way
-// striping, so the per-leg variant pays eight envelope/lock/version rounds,
-// a content hash per replica apply on writes, and a per-chunk staging
-// buffer on both sides, where the batched variant pays one envelope per
-// candidate replica set with client-computed checksums and zero-copy
-// vectored sub-ops. At R=2 the per-leg read adds a version-probe barrier
-// per chunk while the batched read ships one digest-only vote envelope per
-// group. Per-op simulated completion times are sampled individually so the
-// JSON rows carry exact p50/p99, not means.
+// Arg 0 is the blob size; Arg 1 is the write quorum W (0 = classic
+// all-live-replica acks, 2 over replication 3 = read quorum R=2). 8 MiB over
+// 1 MiB chunks = 8-way striping: the client pays one batch envelope per
+// candidate replica set, with client-computed checksums and zero-copy
+// vectored sub-ops. At R=2 a read also ships one digest-only vote envelope
+// per group. Per-op simulated completion times are sampled individually so
+// the JSON rows carry exact p50/p99, not means.
 
-blob::StoreConfig striped_cfg(bool batched, std::uint32_t write_quorum = 0) {
+blob::StoreConfig striped_cfg(std::uint32_t write_quorum) {
   blob::StoreConfig cfg;
-  cfg.batched_striping = batched;
-  cfg.client_meta_cache = batched;
   cfg.write_quorum = write_quorum;
   return cfg;
 }
 
 void report_striped(benchmark::State& state, std::uint64_t size,
-                    std::vector<double>& samples, bool batched,
-                    std::uint32_t write_quorum = 0) {
+                    std::vector<double>& samples, std::uint32_t write_quorum) {
   state.SetBytesProcessed(static_cast<std::int64_t>(size) * state.iterations());
-  std::string label = batched ? "batched" : "per-leg";
-  if (write_quorum != 0) label += strfmt("-W%u", write_quorum);
-  state.SetLabel(label);
+  if (write_quorum != 0) state.SetLabel(strfmt("W%u", write_quorum));
   if (samples.empty()) return;
   std::sort(samples.begin(), samples.end());
   double sum = 0.0;
@@ -168,11 +159,10 @@ void report_striped(benchmark::State& state, std::uint64_t size,
 }
 
 void BM_BlobStripedWrite(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
-  const auto size = static_cast<std::uint64_t>(state.range(1));
-  const auto wq = static_cast<std::uint32_t>(state.range(2));
+  const auto size = static_cast<std::uint64_t>(state.range(0));
+  const auto wq = static_cast<std::uint32_t>(state.range(1));
   sim::Cluster cluster;
-  blob::BlobStore store(cluster, striped_cfg(batched, wq));
+  blob::BlobStore store(cluster, striped_cfg(wq));
   sim::SimAgent agent;
   blob::BlobClient client(store, &agent);
   const Bytes data = make_payload(21, 0, size);
@@ -186,20 +176,15 @@ void BM_BlobStripedWrite(benchmark::State& state) {
     benchmark::DoNotOptimize(r.ok());
     samples.push_back(static_cast<double>(agent.now() - t0));
   }
-  report_striped(state, size, samples, batched, wq);
+  report_striped(state, size, samples, wq);
 }
-BENCHMARK(BM_BlobStripedWrite)
-    ->Args({0, 8 << 20, 0})
-    ->Args({1, 8 << 20, 0})
-    ->Args({0, 8 << 20, 2})
-    ->Args({1, 8 << 20, 2});
+BENCHMARK(BM_BlobStripedWrite)->Args({8 << 20, 0})->Args({8 << 20, 2});
 
 void BM_BlobStripedRead(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
-  const auto size = static_cast<std::uint64_t>(state.range(1));
-  const auto wq = static_cast<std::uint32_t>(state.range(2));
+  const auto size = static_cast<std::uint64_t>(state.range(0));
+  const auto wq = static_cast<std::uint32_t>(state.range(1));
   sim::Cluster cluster;
-  blob::BlobStore store(cluster, striped_cfg(batched, wq));
+  blob::BlobStore store(cluster, striped_cfg(wq));
   sim::SimAgent agent;
   blob::BlobClient client(store, &agent);
   (void)client.write("sr", 0, as_view(make_payload(22, 0, size)));
@@ -211,13 +196,9 @@ void BM_BlobStripedRead(benchmark::State& state) {
     benchmark::DoNotOptimize(r.ok());
     samples.push_back(static_cast<double>(agent.now() - t0));
   }
-  report_striped(state, size, samples, batched, wq);
+  report_striped(state, size, samples, wq);
 }
-BENCHMARK(BM_BlobStripedRead)
-    ->Args({0, 8 << 20, 0})
-    ->Args({1, 8 << 20, 0})
-    ->Args({0, 8 << 20, 2})
-    ->Args({1, 8 << 20, 2});
+BENCHMARK(BM_BlobStripedRead)->Args({8 << 20, 0})->Args({8 << 20, 2});
 
 void BM_BlobCreateRemove(benchmark::State& state) {
   BlobRig rig;

@@ -60,15 +60,11 @@ void BM_BlobFsChunkSize(benchmark::State& state) {
 }
 BENCHMARK(BM_BlobFsChunkSize)->Arg(64 << 10)->Arg(256 << 10)->Arg(1 << 20)->Arg(4 << 20);
 
-// R=2 quorum striped reads, batched vs per-leg. The per-leg path pays a
-// version-probe barrier plus a payload round per chunk; the batched path
-// ships one payload envelope plus one digest-only vote envelope per
-// candidate replica set, so only one payload per sub-op crosses the wire.
+// R=2 quorum striped reads. The client ships one payload envelope plus one
+// digest-only vote envelope per candidate replica set, so only one payload
+// per sub-op crosses the wire.
 void BM_QuorumStripedRead(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
   blob::StoreConfig cfg;
-  cfg.batched_striping = batched;
-  cfg.client_meta_cache = batched;
   cfg.write_quorum = 2;  // replication 3 -> read quorum R = 2
   SimMicros sim = 0;
   for (auto _ : state) {
@@ -84,10 +80,10 @@ void BM_QuorumStripedRead(benchmark::State& state) {
     }
     sim = agent.now() - t0;
   }
-  state.SetLabel(batched ? "R2-batched" : "R2-per-leg");
+  state.SetLabel("R2");
   state.counters["sim_ms_workload"] = benchmark::Counter(static_cast<double>(sim) / 1000.0);
 }
-BENCHMARK(BM_QuorumStripedRead)->Arg(0)->Arg(1);
+BENCHMARK(BM_QuorumStripedRead);
 
 void BM_EngineSegmentSize(benchmark::State& state) {
   const auto seg = static_cast<std::uint64_t>(state.range(0));

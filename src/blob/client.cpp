@@ -25,8 +25,8 @@ std::uint64_t req_bytes(std::string_view key, std::uint64_t payload = 0) {
 
 /// Exact wire bytes of one batch sub-op header (payload excluded). Coalesced
 /// runs of consecutive chunks share a single header (`span` chunks, one key);
-/// the payload itself is charged once per envelope at the largest-leg rate,
-/// matching the per-leg model's parallel-stream assumption.
+/// the payload itself is charged once per envelope at the largest-chunk
+/// rate: chunk payloads are modelled as parallel streams.
 std::uint64_t batch_header_bytes(std::string_view first_key, rpc::BatchOpKind kind,
                                  std::uint32_t span) {
   rpc::BatchOp op;
@@ -429,8 +429,8 @@ BlobClient::LegDelivery BlobClient::try_deliver(BlobServer& srv, SimMicros start
 
 Status BlobClient::mutation_leg(const std::string& ekey,
                                 const std::vector<BlobServer::TxnOp>& ops,
-                                bool force_create, SimMicros start,
-                                SimMicros* completion, LegInfo* info) {
+                                SimMicros start, SimMicros* completion,
+                                LegInfo* info) {
   *completion = start;
 
   // Placement loop: resolve (possibly from the placement cache), lock, then
@@ -525,7 +525,7 @@ Status BlobClient::mutation_leg(const std::string& ekey,
         if (!exists) precheck = {Errc::not_found, op.key};
         break;
       case BlobServer::TxnOp::Kind::write:
-        if (!exists && !force_create && !store_->config().write_creates) {
+        if (!exists && !store_->config().write_creates) {
           precheck = {Errc::not_found, op.key};
         }
         exists = true;
@@ -708,11 +708,10 @@ Status BlobClient::mutation_leg(const std::string& ekey,
 }
 
 Status BlobClient::replicated_mutation(std::string_view key,
-                                       const std::vector<BlobServer::TxnOp>& ops,
-                                       bool force_create) {
+                                       const std::vector<BlobServer::TxnOp>& ops) {
   const SimMicros start = agent_ ? agent_->now() : 0;
   SimMicros completion = start;
-  Status st = mutation_leg(std::string{key}, ops, force_create, start, &completion);
+  Status st = mutation_leg(std::string{key}, ops, start, &completion);
   if (agent_) agent_->advance_to(completion);
   return st;
 }
@@ -720,7 +719,6 @@ Status BlobClient::replicated_mutation(std::string_view key,
 // ----------------------------------------------- batched striping ------
 
 void BlobClient::cache_put(const std::string& key, MetaEntry e) {
-  if (!store_->config().client_meta_cache) return;
   if (meta_cache_.size() >= kMetaCacheCap &&
       meta_cache_.find(key) == meta_cache_.end()) {
     // Blunt cap: entries are tiny and stat-verified on use, so a full reset
@@ -801,11 +799,11 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
 
   // One MultiKeyLock per involved node (ascending id), covering every group
   // key replicated OR dual-targeted there: the same lexicographic
-  // (node, stripe) global order as per-leg lock_key rounds and transaction
-  // commits, so the three paths cannot deadlock — this is the "single
-  // striped-lock acquisition round". Placements are re-resolved under the
-  // held stripes (the rebalancer flips migration state under the same
-  // stripes), retrying the round when a cutover moved a key in between.
+  // (node, stripe) global order as mutation_leg's lock_key rounds and
+  // transaction commits, so the three paths cannot deadlock — this is the
+  // "single striped-lock acquisition round". Placements are re-resolved
+  // under the held stripes (the rebalancer flips migration state under the
+  // same stripes), retrying the round when a cutover moved a key in between.
   std::map<std::uint32_t, std::vector<std::string_view>> node_keys;
   std::vector<BlobServer::MultiKeyLock> locks;
   for (int pass = 0;; ++pass) {
@@ -855,7 +853,7 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
         st[i].skip = true;
         continue;
       }
-      // Pay one failed round trip, as the per-leg precheck path does.
+      // Pay one failed round trip, as mutation_leg's precheck does.
       const SimMicros done =
           primary.node().serve(start + net.transfer_us(req_bytes(sub.ekey)), 3);
       *completion = done + net.transfer_us(kEnvelope);
@@ -880,8 +878,8 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   if (run_idx.empty()) return Status::success();  // all holes: nothing to send
 
   // Envelope sizing: one header per coalesced run of consecutive same-kind
-  // chunks. Chunk payloads stream in parallel exactly as the per-leg model
-  // they replace — a vectored run is scattered at the NIC, so it is charged
+  // chunks. Chunk payloads stream in parallel, as independent single-chunk
+  // legs would — a vectored run is scattered at the NIC, so it is charged
   // at the largest single chunk, not the run's sum; what coalescing saves
   // is header bytes and per-sub fixed costs.
   std::uint64_t req_meta = kEnvelope;
@@ -957,9 +955,9 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   }
   // The batch is ONE queueing trip, but sub-ops stream out of the primary as
   // their slice of the service completes: sub j finishes at serve-start +
-  // marks[j] and its replica forwards launch right then — the same
-  // pipelining the per-leg path gets from independent legs, without paying
-  // per-leg envelopes. Chained serve() calls (same arrival, per-op deltas)
+  // marks[j] and its replica forwards launch right then — the pipelining
+  // independent mutation_legs would get, without paying one envelope per
+  // chunk. Chained serve() calls (same arrival, per-op deltas)
   // leave the node's FCFS busy-until identical to one serve(total).
   std::vector<SimMicros> prim_sub_done(run_idx.size(), prim_arrival);
   SimMicros prim_done = prim_arrival;
@@ -1005,7 +1003,7 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
         !breaker_allows(store_->server(rid).node().id(),
                         prim_sub_done[fwd.front()])) {
       // Open breaker on a quorum-mode forward: hint instead of burning the
-      // retry ladder (same gate as the per-leg path in mutation_leg).
+      // retry ladder (same gate as mutation_leg).
       for (std::size_t j : fwd) st[run_idx[j]].missed.push_back(rid);
       counters_.breaker_fast_hints.inc();
       client_metrics().breaker_fast_hints.inc();
@@ -1038,7 +1036,7 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
       }
       ++st[i].acks;
     }
-    // Pipelined forwarding, mirroring the per-leg path: sub j's payload
+    // Pipelined forwarding, mirroring mutation_leg: sub j's payload
     // leaves the primary at prim_sub_done[j] (not at the whole group's
     // prim_done), so later subs' primary serves overlap earlier subs'
     // replica serves. The replica applies each sub FCFS as it lands.
@@ -1103,7 +1101,7 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   }
   *completion = done;
 
-  // Hints + per-key quorum evaluation, exactly as the per-leg path.
+  // Hints + per-key quorum evaluation, exactly as in mutation_leg.
   const std::uint32_t W = store_->config().write_quorum;
   for (std::size_t i : run_idx) {
     if (W > 0) {
@@ -1235,7 +1233,7 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
   const std::uint64_t req = envelope_bytes(subs, &coalesced);
 
   // One batched envelope against one candidate: deliver (one whole-envelope
-  // re-send after a fresh backoff before giving up — the per-leg fallback
+  // re-send after a fresh backoff before giving up — the read_leg fallback
   // pays one round trip per sub, so a single extra envelope attempt is the
   // cheaper first response to a transient fault), serve the subs with
   // per-sub completion marks, charge the reply. Digest-mode envelopes are
@@ -1300,8 +1298,8 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
     srv.read_batch(ops.data(), ops.size(), run.results.data(), &svc, marks.data());
 
     // Reply: per-sub statuses, plus the largest single chunk's payload on a
-    // payload envelope (chunk payloads stream back in parallel, like the
-    // per-leg replies they replace — a vectored run gathers at the NIC, it
+    // payload envelope (chunk payloads stream back in parallel, like
+    // independent read_leg replies — a vectored run gathers at the NIC, it
     // does not serialize). Digest replies ship marks only.
     std::uint64_t reply =
         kEnvelope + list.size() * batch_substatus_bytes();
@@ -1328,11 +1326,12 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
     return run;
   };
 
-  // Whole-group degradation to per-leg legs (replica failover and quorum
-  // arbitration live inside read_leg/stat_leg). Only reachable with a fault
-  // injector installed — always sequential. Destinations are re-zeroed
-  // because an earlier candidate envelope may have partially gathered.
-  auto per_leg_fallback = [&](SimMicros t) -> Status {
+  // Whole-group degradation to per-chunk read_leg calls (replica failover
+  // and quorum arbitration live inside read_leg/stat_leg). Only reachable
+  // with a fault injector installed — always sequential. Destinations are
+  // re-zeroed because an earlier candidate envelope may have partially
+  // gathered.
+  auto read_leg_fallback = [&](SimMicros t) -> Status {
     SimMicros done = t;
     for (ReadSub* sub : subs) {
       SimMicros comp = t;
@@ -1380,7 +1379,7 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
   for (std::uint32_t j = 0; j < R; ++j) {
     cand[j] = run_envelope(candidates[j], subs, req, coalesced,
                            /*digest_mode=*/j > 0, /*want_digest=*/R > 1, start);
-    if (!cand[j].delivered) return per_leg_fallback(cand[j].failed_at);
+    if (!cand[j].delivered) return read_leg_fallback(cand[j].failed_at);
     if (j > 0) {
       counters_.quorum_probes.inc();
       client_metrics().quorum_probes.inc();
@@ -1552,7 +1551,7 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
                                 /*digest_mode=*/false, /*want_digest=*/false,
                                 done);
       if (!rr.delivered) {
-        // Injector-only: degrade the stale subs to per-leg reads.
+        // Injector-only: degrade the stale subs to read_leg calls.
         SimMicros t = rr.failed_at;
         for (ReadSub* sub : list) {
           std::fill(sub->dst.begin(), sub->dst.end(), std::byte{0});
@@ -1603,26 +1602,17 @@ Result<Bytes> BlobClient::batched_striped_read(std::string_view key,
                                                std::uint64_t len) {
   const std::uint64_t cb = store_->config().chunk_bytes;
   const std::string base{key};
-  const bool use_cache = store_->config().client_meta_cache;
 
   MetaEntry entry;
-  bool have = false;
-  if (use_cache) {
-    auto it = meta_cache_.find(base);
-    if (it != meta_cache_.end()) {
-      entry = it->second;
-      have = true;
-      counters_.metacache_hits.inc();
-      client_metrics().metacache_hits.inc();
-    } else {
-      counters_.metacache_misses.inc();
-      client_metrics().metacache_misses.inc();
-    }
-  }
-  if (!have) {
+  if (auto it = meta_cache_.find(base); it != meta_cache_.end()) {
+    entry = it->second;
+    counters_.metacache_hits.inc();
+    client_metrics().metacache_hits.inc();
+  } else {
+    counters_.metacache_misses.inc();
+    client_metrics().metacache_misses.inc();
     // One charged stat round primes the cache — and is the complete answer
-    // for an absent blob (a single round trip; the per-leg path used to pay
-    // a second, full-length probe leg on top).
+    // for an absent blob (a single round trip, no full-length probe leg).
     const SimMicros s0 = agent_ ? agent_->now() : 0;
     SimMicros comp = s0;
     auto s = stat_leg(base, s0, &comp);
@@ -2049,36 +2039,6 @@ Result<BlobStat> BlobClient::stat_leg(const std::string& ekey, SimMicros start,
   }
 }
 
-Result<std::uint64_t> BlobClient::peek_logical_size(const std::string& ekey) {
-  const auto replicas = store_->replicas_of(ekey);
-  if (replicas.empty()) return {Errc::no_space, "no storage nodes in ring"};
-  const auto acting = store_->first_up(replicas);
-  if (!acting) return {Errc::unavailable, "all replicas down: " + ekey};
-  if (store_->config().write_quorum == 0) {
-    // Classic mode: every live replica holds every acked op, the acting
-    // primary included.
-    return store_->server(*acting).peek_size(ekey);
-  }
-  // Quorum mode: the freshest live replica wins (a stale primary may have
-  // missed acked writes that went through a previous acting primary).
-  bool found = false;
-  Version best_v = 0;
-  std::uint64_t best_size = 0;
-  for (std::uint32_t rid : replicas) {
-    if (store_->is_down(rid)) continue;
-    BlobServer& srv = store_->server(rid);
-    auto v = srv.peek_version(ekey);
-    if (!v.ok()) continue;
-    if (!found || v.value() > best_v) {
-      found = true;
-      best_v = v.value();
-      best_size = srv.peek_size(ekey).value_or(0);
-    }
-  }
-  if (!found) return {Errc::not_found, ekey};
-  return best_size;
-}
-
 Status BlobClient::create(std::string_view key) {
   counters_.creates.inc();
   PrimTimer timer(client_metrics().create, agent_, key);
@@ -2096,65 +2056,33 @@ Status BlobClient::remove(std::string_view key) {
   const std::uint64_t cb = store_->config().chunk_bytes;
   const std::string base{key};
 
-  if (store_->config().batched_striping && cb > 0) {
-    // Batched path: remove chunk 0 first (its leg reports the pre-image
-    // logical size, replacing the peek round), then sweep the chunk keys in
-    // per-primary batch envelopes with tolerated not_found (hole chunks).
-    const SimMicros start = agent_ ? agent_->now() : 0;
-    SimMicros done = start;
-    SimMicros comp = start;
-    LegInfo li;
-    Status st = mutation_leg(
-        base, {{BlobServer::TxnOp::Kind::remove, base, 0, {}, 0}}, false, start,
-        &comp, &li);
-    done = std::max(done, comp);
-    if (st.ok() && li.pre_size > cb) {
-      std::vector<BatchSub> subs;
-      const std::uint64_t chunks = (li.pre_size + cb - 1) / cb;
-      for (std::uint64_t c = 1; c < chunks; ++c) {
-        BatchSub sub;
-        sub.ekey = chunk_engine_key(key, c);
-        sub.chunk = c;
-        sub.tolerate_not_found = true;
-        sub.op = {BlobServer::TxnOp::Kind::remove, nullptr, 0, {}, 0, 0};
-        subs.push_back(std::move(sub));
-      }
-      SimMicros wdone = start;
-      Status ws = batched_mutation_wave(subs, start, &wdone);
-      done = std::max(done, wdone);
-      st = ws;
-    }
-    if (agent_) agent_->advance_to(done);
-    cache_erase(base);
-    return st;
-  }
-
-  cache_erase(base);
-  std::uint64_t logical = 0;
-  if (cb > 0) {
-    if (auto sz = peek_logical_size(std::string{key}); sz.ok()) logical = sz.value();
-  }
-  if (cb == 0 || logical <= cb) {
-    return replicated_mutation(
-        key, {{BlobServer::TxnOp::Kind::remove, std::string{key}, 0, {}, 0}});
-  }
-  // Striped blob: drop chunk 0 and every existing chunk key, scatter-gather.
+  // Remove chunk 0 first (its leg reports the pre-image logical size,
+  // replacing a peek round), then sweep the chunk keys in per-primary batch
+  // envelopes with tolerated not_found (hole chunks).
   const SimMicros start = agent_ ? agent_->now() : 0;
   SimMicros done = start;
   SimMicros comp = start;
-  Status st = mutation_leg(std::string{key},
-                           {{BlobServer::TxnOp::Kind::remove, std::string{key}, 0, {}, 0}},
-                           false, start, &comp);
+  LegInfo li;
+  Status st = mutation_leg(base, {{BlobServer::TxnOp::Kind::remove, base, 0, {}, 0}},
+                           start, &comp, &li);
   done = std::max(done, comp);
-  const std::uint64_t chunks = (logical + cb - 1) / cb;
-  for (std::uint64_t c = 1; c < chunks && st.ok(); ++c) {
-    const std::string ekey = chunk_engine_key(key, c);
-    if (!peek_logical_size(ekey).ok()) continue;  // hole chunk: nothing stored
-    st = mutation_leg(ekey, {{BlobServer::TxnOp::Kind::remove, ekey, 0, {}, 0}}, false,
-                      start, &comp);
-    done = std::max(done, comp);
+  if (st.ok() && cb > 0 && li.pre_size > cb) {
+    std::vector<BatchSub> subs;
+    const std::uint64_t chunks = (li.pre_size + cb - 1) / cb;
+    for (std::uint64_t c = 1; c < chunks; ++c) {
+      BatchSub sub;
+      sub.ekey = chunk_engine_key(key, c);
+      sub.chunk = c;
+      sub.tolerate_not_found = true;
+      sub.op = {BlobServer::TxnOp::Kind::remove, nullptr, 0, {}, 0, 0};
+      subs.push_back(std::move(sub));
+    }
+    SimMicros wdone = start;
+    st = batched_mutation_wave(subs, start, &wdone);
+    done = std::max(done, wdone);
   }
   if (agent_) agent_->advance_to(done);
+  cache_erase(base);
   return st;
 }
 
@@ -2181,136 +2109,10 @@ Result<Bytes> BlobClient::read(std::string_view key, std::uint64_t offset,
     return std::move(r.value().data);
   }
 
-  // Batched scatter-gather path: per-candidate-set multi-op envelopes plus
-  // the client metadata cache. R > 1 and hedged reads stay on it too — the
-  // envelopes carry per-sub version votes (see read_group_leg).
-  const auto& cfg = store_->config();
-  if (cfg.batched_striping) {
-    return batched_striped_read(key, offset, len);
-  }
-
-  // Per-leg striped read: clip to the logical size (held by chunk 0), then
-  // issue one leg per touched chunk to its own acting primary. Legs fork
-  // from the same simulated instant; the call completes at the slowest leg.
-  // A version-validated metadata-cache entry replaces the serialized
-  // up-front stat round: the chunk legs fork immediately, and a
-  // verification stat leg runs in parallel with them — the round is still
-  // charged, it just no longer gates the data path (mismatch = relayout and
-  // re-read, same discipline as the batched path's piggybacked stat sub).
-  const std::string base{key};
-  const bool use_cache = cfg.client_meta_cache;
-  MetaEntry entry;
-  bool from_cache = false;
-  if (use_cache) {
-    auto it = meta_cache_.find(base);
-    if (it != meta_cache_.end()) {
-      entry = it->second;
-      from_cache = true;
-      counters_.metacache_hits.inc();
-      client_metrics().metacache_hits.inc();
-    } else {
-      counters_.metacache_misses.inc();
-      client_metrics().metacache_misses.inc();
-    }
-  }
-  if (!from_cache) {
-    const SimMicros start = agent_ ? agent_->now() : 0;
-    SimMicros comp = start;
-    auto s = stat_leg(base, start, &comp);
-    if (agent_) agent_->advance_to(comp);
-    // Absent blob: the stat round is the complete (failed) answer — one
-    // round trip, no second full-length probe leg.
-    if (!s.ok()) return s.error();
-    entry = {s.value().size, s.value().version};
-    cache_put(base, entry);
-  }
-
-  for (int attempt = 0;; ++attempt) {
-    const std::uint64_t logical = entry.logical;
-    const std::uint64_t rlen = offset < logical ? std::min(len, logical - offset) : 0;
-    if (rlen == 0) {
-      // At/after EOF per the (possibly cached) size. A cache hit still
-      // verifies with one charged stat round — there is no data leg to
-      // overlap it with — retrying once if the cached size was stale-low.
-      if (!from_cache) return Bytes{};
-      const SimMicros start = agent_ ? agent_->now() : 0;
-      SimMicros comp = start;
-      auto s = stat_leg(base, start, &comp);
-      if (agent_) agent_->advance_to(comp);
-      if (!s.ok()) {
-        cache_erase(base);
-        return s.error();
-      }
-      cache_put(base, {s.value().size, s.value().version});
-      if (attempt < 2 && offset < s.value().size) {
-        entry = {s.value().size, s.value().version};
-        from_cache = false;  // entry is now authoritative
-        continue;
-      }
-      return Bytes{};
-    }
-
-    const SimMicros t0 = agent_ ? agent_->now() : 0;
-    SimMicros done = t0;
-    Bytes out(rlen, std::byte{0});  // unwritten holes (and absent chunks) read as zero
-    const std::uint64_t end = offset + rlen;
-    std::uint64_t covered_total = 0;
-    Status fail = Status::success();
-    // Cache-hit verification stat, overlapped with the chunk legs.
-    Result<BlobStat> vstat = BlobStat{};
-    if (from_cache) {
-      SimMicros comp2 = t0;
-      vstat = stat_leg(base, t0, &comp2);
-      done = std::max(done, comp2);
-    }
-    for (std::uint64_t c = offset / cb; c * cb < end; ++c) {
-      const std::uint64_t lo = std::max(offset, c * cb);
-      const std::uint64_t hi = std::min(end, (c + 1) * cb);
-      const std::string ekey = chunk_engine_key(key, c);
-      SimMicros comp2 = t0;
-      auto r = read_leg(ekey, lo - c * cb, hi - lo, t0, &comp2);
-      done = std::max(done, comp2);
-      if (r.ok()) {
-        // The leg may return fewer bytes than requested (hole at the chunk's
-        // tail): the remainder stays zero.
-        const Bytes& part = r.value().data;
-        std::copy(part.begin(), part.end(),
-                  out.begin() + static_cast<std::ptrdiff_t>(lo - offset));
-        covered_total += r.value().covered;
-      } else if (r.error().code != Errc::not_found) {
-        fail = r.error();
-        break;
-      }
-      // not_found: the whole chunk is a hole — zeros are already in place.
-    }
-    if (agent_) agent_->advance_to(done);
-    if (!fail.ok()) return fail.error();
-    if (from_cache) {
-      if (!vstat.ok()) {
-        cache_erase(base);
-        return vstat.error();
-      }
-      if (vstat.value().size != logical && attempt < 2) {
-        // Size drifted (concurrent truncate/recreate): the layout the legs
-        // used is wrong — relayout and re-read.
-        counters_.metacache_invalidations.inc();
-        client_metrics().metacache_invalidations.inc();
-        entry = {vstat.value().size, vstat.value().version};
-        cache_put(base, entry);
-        continue;
-      }
-      if (vstat.value().version != entry.v0 || vstat.value().size != logical) {
-        // Version-only drift (or a still-moving size on the final attempt):
-        // the chunk data just read is current as of its serve; refresh.
-        cache_put(base, {vstat.value().size, vstat.value().version});
-      }
-    }
-    counters_.bytes_read.add(covered_total);
-    counters_.read_hole_bytes.add(rlen - covered_total);
-    client_metrics().read_bytes.add(rlen);
-    client_metrics().read_hole_bytes.add(rlen - covered_total);
-    return out;
-  }
+  // Striped read: per-candidate-set multi-op envelopes plus the client
+  // metadata cache. R > 1 and hedged reads stay on it too — the envelopes
+  // carry per-sub version votes (see read_group_leg).
+  return batched_striped_read(key, offset, len);
 }
 
 Result<BlobStat> BlobClient::cached_stat(const std::string& base) {
@@ -2320,16 +2122,13 @@ Result<BlobStat> BlobClient::cached_stat(const std::string& base) {
   // against a replica by every striped read); a miss pays one charged stat
   // round and primes the cache. Absent blobs are not cached — a stat after
   // a failed stat pays the round again, matching read-path probe economy.
-  if (store_->config().client_meta_cache) {
-    auto it = meta_cache_.find(base);
-    if (it != meta_cache_.end()) {
-      counters_.metacache_hits.inc();
-      client_metrics().metacache_hits.inc();
-      return BlobStat{base, it->second.logical, it->second.v0};
-    }
-    counters_.metacache_misses.inc();
-    client_metrics().metacache_misses.inc();
+  if (auto it = meta_cache_.find(base); it != meta_cache_.end()) {
+    counters_.metacache_hits.inc();
+    client_metrics().metacache_hits.inc();
+    return BlobStat{base, it->second.logical, it->second.v0};
   }
+  counters_.metacache_misses.inc();
+  client_metrics().metacache_misses.inc();
   const SimMicros start = agent_ ? agent_->now() : 0;
   SimMicros comp = start;
   auto s = stat_leg(base, start, &comp);
@@ -2388,70 +2187,42 @@ Result<std::uint64_t> BlobClient::write(std::string_view key, std::uint64_t offs
   SimMicros done = start;
   SimMicros comp = start;
 
-  const bool batched = store_->config().batched_striping;
+  // The chunk-0 slice ships as a zero-copy iovec view plus a client-computed
+  // end-to-end checksum, so the base leg neither marshals a payload copy nor
+  // makes replicas re-hash it.
   std::vector<BlobServer::TxnOp> base_ops;
   if (offset < cb) {
-    const std::uint64_t hi = std::min(end, cb);
-    if (batched) {
-      // Batched mode ships the chunk-0 slice as a zero-copy iovec view plus
-      // a client-computed end-to-end checksum, so the base leg neither
-      // marshals a payload copy nor makes replicas re-hash it.
-      const ByteView slice = data.subspan(0, hi - offset);
-      BlobServer::TxnOp op{BlobServer::TxnOp::Kind::write, base, offset, {}, 0,
-                           content_checksum(slice)};
-      op.view = slice;
-      base_ops.push_back(std::move(op));
-    } else {
-      base_ops.push_back(
-          {BlobServer::TxnOp::Kind::write, base, offset,
-           Bytes(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(hi - offset)),
-           0});
-    }
+    const ByteView slice = data.subspan(0, std::min(end, cb) - offset);
+    BlobServer::TxnOp op{BlobServer::TxnOp::Kind::write, base, offset, {}, 0,
+                         content_checksum(slice)};
+    op.view = slice;
+    base_ops.push_back(std::move(op));
   } else {
     base_ops.push_back({BlobServer::TxnOp::Kind::write, base, 0, {}, 0});
   }
   base_ops.push_back({BlobServer::TxnOp::Kind::grow, base, 0, {}, end});
   LegInfo li;
-  Status st = mutation_leg(base, base_ops, false, start, &comp, &li);
+  Status st = mutation_leg(base, base_ops, start, &comp, &li);
   done = std::max(done, comp);
 
-  if (batched) {
-    // Chunk legs c >= 1 travel as per-primary batch envelopes: one queueing
-    // trip, one lock round, one fault decision per acting primary.
-    if (st.ok() && end > cb) {
-      std::vector<BatchSub> subs;
-      for (std::uint64_t c = std::max<std::uint64_t>(1, offset / cb); c * cb < end;
-           ++c) {
-        const std::uint64_t lo = std::max(offset, c * cb);
-        const std::uint64_t hi = std::min(end, (c + 1) * cb);
-        const ByteView slice = data.subspan(lo - offset, hi - lo);
-        BatchSub sub;
-        sub.ekey = chunk_engine_key(key, c);
-        sub.chunk = c;
-        sub.op = {BlobServer::TxnOp::Kind::write, nullptr, lo - c * cb, slice, 0,
-                  content_checksum(slice)};
-        subs.push_back(std::move(sub));
-      }
-      SimMicros wdone = start;
-      st = batched_mutation_wave(subs, start, &wdone);
-      done = std::max(done, wdone);
-    }
-  } else {
-    for (std::uint64_t c = std::max<std::uint64_t>(1, offset / cb);
-         c * cb < end && st.ok(); ++c) {
+  // Chunk legs c >= 1 travel as per-primary batch envelopes: one queueing
+  // trip, one lock round, one fault decision per acting primary.
+  if (st.ok()) {
+    std::vector<BatchSub> subs;
+    for (std::uint64_t c = std::max<std::uint64_t>(1, offset / cb); c * cb < end; ++c) {
       const std::uint64_t lo = std::max(offset, c * cb);
       const std::uint64_t hi = std::min(end, (c + 1) * cb);
-      const std::string ekey = chunk_engine_key(key, c);
-      std::vector<BlobServer::TxnOp> ops;
-      ops.push_back({BlobServer::TxnOp::Kind::write, ekey, lo - c * cb,
-                     Bytes(data.begin() + static_cast<std::ptrdiff_t>(lo - offset),
-                           data.begin() + static_cast<std::ptrdiff_t>(hi - offset)),
-                     0});
-      // Chunk keys of an existing blob are created on demand regardless of the
-      // write_creates policy (the application-visible blob already exists).
-      st = mutation_leg(ekey, ops, /*force_create=*/true, start, &comp);
-      done = std::max(done, comp);
+      const ByteView slice = data.subspan(lo - offset, hi - lo);
+      BatchSub sub;
+      sub.ekey = chunk_engine_key(key, c);
+      sub.chunk = c;
+      sub.op = {BlobServer::TxnOp::Kind::write, nullptr, lo - c * cb, slice, 0,
+                content_checksum(slice)};
+      subs.push_back(std::move(sub));
     }
+    SimMicros wdone = start;
+    st = batched_mutation_wave(subs, start, &wdone);
+    done = std::max(done, wdone);
   }
   if (agent_) agent_->advance_to(done);
   if (!st.ok()) {
@@ -2473,99 +2244,47 @@ Status BlobClient::truncate(std::string_view key, std::uint64_t new_size) {
   const std::uint64_t cb = store_->config().chunk_bytes;
   const std::string base{key};
 
-  if (store_->config().batched_striping && cb > 0) {
-    // Batched path: the base leg is a plain truncate to new_size (chunk 0's
-    // record carries the logical size) and reports the pre-image size, so no
-    // peek round is needed to plan the chunk wave. Chunks entirely past the
-    // new end become tolerated removes; the straddling chunk is trimmed.
-    const SimMicros start = agent_ ? agent_->now() : 0;
-    SimMicros done = start;
-    SimMicros comp = start;
-    LegInfo li;
-    Status st = mutation_leg(
-        base, {{BlobServer::TxnOp::Kind::truncate, base, 0, {}, new_size}}, false,
-        start, &comp, &li);
-    done = std::max(done, comp);
-    if (st.ok()) {
-      const std::uint64_t chunks = (std::max(li.pre_size, new_size) + cb - 1) / cb;
-      if (chunks > 1) {
-        std::vector<BatchSub> subs;
-        for (std::uint64_t c = 1; c < chunks; ++c) {
-          const std::uint64_t cstart = c * cb;
-          BatchSub sub;
-          sub.ekey = chunk_engine_key(key, c);
-          sub.chunk = c;
-          sub.tolerate_not_found = true;  // hole chunks have no stored key
-          if (cstart >= new_size) {
-            sub.op = {BlobServer::TxnOp::Kind::remove, nullptr, 0, {}, 0, 0};
-          } else if (new_size < cstart + cb) {
-            sub.op = {BlobServer::TxnOp::Kind::truncate, nullptr, 0, {},
-                      new_size - cstart, 0};
-          } else {
-            continue;  // chunk fully below the new end
-          }
-          subs.push_back(std::move(sub));
-        }
-        SimMicros wdone = start;
-        Status ws = batched_mutation_wave(subs, start, &wdone);
-        done = std::max(done, wdone);
-        if (st.ok()) st = ws;
-      }
-    }
-    if (agent_) agent_->advance_to(done);
-    if (!st.ok()) {
-      cache_erase(base);
-      return st;
-    }
-    cache_put(base, {new_size, li.new_version});
-    return st;
-  }
-
-  std::uint64_t logical = 0;
-  bool known = false;
-  cache_erase(base);
-  if (cb > 0) {
-    if (auto sz = peek_logical_size(std::string{key}); sz.ok()) {
-      logical = sz.value();
-      known = true;
-    }
-  }
-  if (cb == 0 || !known || (logical <= cb && new_size <= cb)) {
-    // Unchunked blob (or absent: the leg reports not_found with the usual
-    // failed-round-trip timing).
-    return replicated_mutation(
-        key, {{BlobServer::TxnOp::Kind::truncate, std::string{key}, 0, {}, new_size}});
-  }
-
-  // Striped truncate. Chunk 0's record carries the logical size, so its leg
-  // is a plain truncate to new_size: shrinking below chunk_bytes drops data
-  // extents, any other target only moves the logical length (chunk 0 never
-  // holds data past chunk_bytes). Chunks entirely past the new end are
-  // removed; the chunk straddling it is trimmed locally.
+  // The base leg is a plain truncate to new_size (chunk 0's record carries
+  // the logical size) and reports the pre-image size, so no peek round is
+  // needed to plan the chunk wave. Chunks entirely past the new end become
+  // tolerated removes; the straddling chunk is trimmed.
   const SimMicros start = agent_ ? agent_->now() : 0;
   SimMicros done = start;
   SimMicros comp = start;
+  LegInfo li;
   Status st = mutation_leg(
-      base, {{BlobServer::TxnOp::Kind::truncate, base, 0, {}, new_size}}, false, start,
-      &comp);
+      base, {{BlobServer::TxnOp::Kind::truncate, base, 0, {}, new_size}}, start, &comp,
+      &li);
   done = std::max(done, comp);
-  const std::uint64_t chunks = (std::max(logical, new_size) + cb - 1) / cb;
-  for (std::uint64_t c = 1; c < chunks && st.ok(); ++c) {
-    const std::uint64_t cstart = c * cb;
-    const std::string ekey = chunk_engine_key(key, c);
-    if (!peek_logical_size(ekey).ok()) continue;  // hole chunk: nothing stored
-    std::vector<BlobServer::TxnOp> ops;
-    if (cstart >= new_size) {
-      ops.push_back({BlobServer::TxnOp::Kind::remove, ekey, 0, {}, 0});
-    } else if (new_size < cstart + cb) {
-      ops.push_back({BlobServer::TxnOp::Kind::truncate, ekey, 0, {}, new_size - cstart});
-    } else {
-      continue;  // chunk fully below the new end
+  const std::uint64_t chunks =
+      cb > 0 ? (std::max(li.pre_size, new_size) + cb - 1) / cb : 1;
+  if (st.ok() && chunks > 1) {
+    std::vector<BatchSub> subs;
+    for (std::uint64_t c = 1; c < chunks; ++c) {
+      const std::uint64_t cstart = c * cb;
+      BatchSub sub;
+      sub.ekey = chunk_engine_key(key, c);
+      sub.chunk = c;
+      sub.tolerate_not_found = true;  // hole chunks have no stored key
+      if (cstart >= new_size) {
+        sub.op = {BlobServer::TxnOp::Kind::remove, nullptr, 0, {}, 0, 0};
+      } else if (new_size < cstart + cb) {
+        sub.op = {BlobServer::TxnOp::Kind::truncate, nullptr, 0, {}, new_size - cstart, 0};
+      } else {
+        continue;  // chunk fully below the new end
+      }
+      subs.push_back(std::move(sub));
     }
-    st = mutation_leg(ekey, ops, false, start, &comp);
-    done = std::max(done, comp);
+    SimMicros wdone = start;
+    st = batched_mutation_wave(subs, start, &wdone);
+    done = std::max(done, wdone);
   }
   if (agent_) agent_->advance_to(done);
+  if (!st.ok()) {
+    cache_erase(base);
+    return st;
+  }
+  cache_put(base, {new_size, li.new_version});
   return st;
 }
 

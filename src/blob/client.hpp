@@ -21,9 +21,11 @@
 //
 // Striping: I/O past StoreConfig::chunk_bytes is split into chunk legs, one
 // per chunk, each placed independently on the ring (chunk 0 under the
-// application key itself, carrying the full logical size). Legs fork from
-// the same simulated instant and the call completes at the slowest leg
-// (scatter-gather). Blobs at or below one chunk never pay for striping.
+// application key itself, carrying the full logical size). Chunk legs that
+// share a replica candidate set travel as one multi-op batch envelope;
+// envelopes fork from the same simulated instant and the call completes at
+// the slowest one (scatter-gather). Blobs at or below one chunk never pay
+// for striping: they take the single-chunk legs (mutation_leg / read_leg).
 #pragma once
 
 #include <cstdint>
@@ -197,11 +199,9 @@ class BlobClient {
   /// (coordinator); further replicas ack until the configured write quorum
   /// is met, and replicas that are down, stale, or unreachable through the
   /// fault injector are recorded as hinted-handoff entries on the primary.
-  /// `force_create` lets a write leg create the key regardless of
-  /// StoreConfig::write_creates (chunk keys of an existing blob).
   /// Pre-leg state of the mutated key, observed under the leg's own lock
-  /// round (one version exchange — no extra stat round). The batched striped
-  /// paths use it for chunk layout (pre_size) and the metadata cache
+  /// round (one version exchange — no extra stat round). The striped
+  /// primitives use it for chunk layout (pre_size) and the metadata cache
   /// (new_version) instead of a separate peek.
   struct LegInfo {
     bool pre_exists = false;
@@ -209,14 +209,12 @@ class BlobClient {
     Version new_version = 0;     ///< key's version after a successful leg
   };
   Status mutation_leg(const std::string& ekey, const std::vector<BlobServer::TxnOp>& ops,
-                      bool force_create, SimMicros start, SimMicros* completion,
-                      LegInfo* info = nullptr);
+                      SimMicros start, SimMicros* completion, LegInfo* info = nullptr);
 
   /// Single-leg convenience wrapper: runs the leg at the agent's current
   /// time and advances the agent to its completion.
   Status replicated_mutation(std::string_view key,
-                             const std::vector<BlobServer::TxnOp>& ops,
-                             bool force_create = false);
+                             const std::vector<BlobServer::TxnOp>& ops);
 
   /// One read leg, forked from `start`. With read quorum 1 the leg fails
   /// over through the live replica set (retrying per policy) and optionally
@@ -228,11 +226,6 @@ class BlobClient {
   /// Charged stat with the same failover/quorum arbitration as read_leg.
   Result<BlobStat> stat_leg(const std::string& ekey, SimMicros start,
                             SimMicros* completion);
-
-  /// Uncharged logical-size peek for layout decisions. Classic mode asks
-  /// the acting primary (always freshest); quorum mode arbitrates by
-  /// version across live replicas.
-  Result<std::uint64_t> peek_logical_size(const std::string& ekey);
 
   // --- elastic membership (placement cache + epoch protocol) ---------------
 
@@ -308,7 +301,7 @@ class BlobClient {
   void demote_suspects(std::vector<std::uint32_t>& candidates);
   [[nodiscard]] NodeHealth::Breaker breaker_state(std::uint32_t node);
 
-  // --- batched scatter-gather (StoreConfig::batched_striping) --------------
+  // --- batched scatter-gather (every striped primitive) --------------------
 
   /// One chunk-granular mutation of a batched wave. `op.key` is fixed up to
   /// point at `ekey` once the wave's sub vector is final (short keys live in
@@ -357,7 +350,7 @@ class BlobClient {
   /// candidate, arbitrated per sub-op by version (digest tie-break), with
   /// stale sub-ops re-fetched from the winning replica. Hedging composes: a
   /// slow payload envelope arms a delayed duplicate to candidates[1]. When
-  /// an envelope cannot be delivered (fault injector), falls back to legacy
+  /// an envelope cannot be delivered (fault injector), falls back to
   /// per-chunk read_leg calls for this group's subs.
   Status read_group_leg(std::vector<ReadSub*>& subs,
                         const std::vector<std::uint32_t>& candidates,
@@ -365,7 +358,7 @@ class BlobClient {
 
   /// Striped read over batch envelopes + the metadata cache. Handles every
   /// read configuration — R > 1 arbitrates per-sub versions inside the
-  /// batch envelopes (see read_group_leg) instead of degrading to per-leg.
+  /// batch envelopes (see read_group_leg).
   Result<Bytes> batched_striped_read(std::string_view key, std::uint64_t offset,
                                      std::uint64_t len);
 
@@ -375,7 +368,7 @@ class BlobClient {
   /// charged stat round that primes the cache.
   Result<BlobStat> cached_stat(const std::string& base);
 
-  // --- client metadata cache (StoreConfig::client_meta_cache) --------------
+  // --- client metadata cache ----------------------------------------------
 
   /// Cached chunk-0 metadata: logical blob size + chunk-0 version. Verified
   /// by the stat sub piggybacked on every batched read round and invalidated

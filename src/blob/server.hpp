@@ -153,8 +153,8 @@ class BlobServer {
     std::uint64_t new_size = 0;   ///< truncate target / grow minimum size
     std::uint64_t checksum = 0;   ///< sender-computed content checksum (0 = none)
     /// When non-empty, the payload lives in the caller's buffer and `data`
-    /// stays empty — the batched client ships iovec slices instead of
-    /// marshalling per-leg copies. The buffer must outlive the leg.
+    /// stays empty — the striped client ships iovec slices instead of
+    /// marshalling payload copies. The buffer must outlive the leg.
     ByteView view{};
     ByteView payload() const noexcept {
       return view.empty() ? ByteView{data.data(), data.size()} : view;
@@ -164,7 +164,7 @@ class BlobServer {
 
   /// Zero-copy view of one mutation op: the batched scatter-gather client
   /// references the caller's buffer slices directly instead of materializing
-  /// per-leg Bytes copies. `key` and `data` must outlive the call.
+  /// per-chunk Bytes copies. `key` and `data` must outlive the call.
   struct OpRef {
     TxnOp::Kind kind;
     const std::string* key;
@@ -296,7 +296,8 @@ class BlobServer {
   /// set of stripes covering `keys`, acquired in ascending stripe order. A
   /// batched client acquires one MultiKeyLock per replica in ascending node
   /// order — the same node-major/stripe-minor global order as repeated
-  /// lock_key() calls, so batched and per-leg mutators cannot deadlock.
+  /// lock_key() calls, so batched mutators and single-key mutation legs
+  /// cannot deadlock.
   [[nodiscard]] MultiKeyLock lock_keys(const std::vector<std::string_view>& keys);
 
   [[nodiscard]] static std::size_t stripe_of(std::string_view key) noexcept;

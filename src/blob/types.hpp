@@ -93,24 +93,6 @@ struct StoreConfig {
   std::uint32_t vnodes_per_node = 64; ///< ring virtual nodes
   bool write_creates = true;          ///< RADOS-style implicit create on write
 
-  /// Batched scatter-gather striping: chunk legs destined for the same
-  /// replica candidate set travel as one multi-op batch envelope (one
-  /// queueing trip, one fault-injection decision, per-sub-op status in the
-  /// reply) instead of fully independent per-chunk RPCs. Read quorum > 1
-  /// and hedging stay batched too: the envelope carries per-sub version
-  /// votes (digest-only replies from the non-payload candidates) so the
-  /// client arbitrates freshness per sub-op without shipping R payloads.
-  /// Off = the per-leg path (kept for A/B benches and fault fallback).
-  bool batched_striping = true;
-
-  /// Client-side metadata cache of {logical size, chunk-0 version} per blob,
-  /// verified by a piggybacked stat sub-op (batched path) or an overlapped
-  /// stat leg (per-leg path) and invalidated on any local mutation or
-  /// version/size drift in a reply. Eliminates the stat round that
-  /// otherwise precedes every striped read; size()/stat() answer from it
-  /// with zero rounds. Consulted by both striped read paths.
-  bool client_meta_cache = true;
-
   /// Write quorum W. 0 (default) keeps the classic behavior: every *live*
   /// replica must ack (down replicas are repaired by resync). A non-zero
   /// W <= replication makes a mutation succeed once W replicas ack; missed

@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -83,6 +85,16 @@ struct Error {
   }
 };
 
+namespace detail {
+/// Taking the value of an error Result is a caller bug in every build type:
+/// print the error and abort rather than let std::get throw an anonymous
+/// bad_variant_access. Kept out of line so value() inlines to one branch.
+[[noreturn, gnu::cold, gnu::noinline]] inline void value_of_error(const Error& err) {
+  std::fprintf(stderr, "bsc: Result::value() on error: %s\n", err.message().c_str());
+  std::abort();
+}
+}  // namespace detail
+
 /// Result<T>: either a value or an Error. Deliberately minimal — only what
 /// the storage stack needs; no monadic chaining beyond value_or/map.
 template <typename T>
@@ -97,16 +109,16 @@ class [[nodiscard]] Result {
   explicit operator bool() const noexcept { return ok(); }
 
   [[nodiscard]] const T& value() const& {
-    assert(ok());
-    return std::get<T>(state_);
+    if (!ok()) detail::value_of_error(std::get<Error>(state_));
+    return *std::get_if<T>(&state_);
   }
   [[nodiscard]] T& value() & {
-    assert(ok());
-    return std::get<T>(state_);
+    if (!ok()) detail::value_of_error(std::get<Error>(state_));
+    return *std::get_if<T>(&state_);
   }
   [[nodiscard]] T&& take() && {
-    assert(ok());
-    return std::get<T>(std::move(state_));
+    if (!ok()) detail::value_of_error(std::get<Error>(state_));
+    return std::move(*std::get_if<T>(&state_));
   }
   [[nodiscard]] T value_or(T fallback) const& {
     return ok() ? std::get<T>(state_) : std::move(fallback);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "common/hash.hpp"
 #include "common/strings.hpp"
@@ -43,16 +44,22 @@ Result<KvStore::Entries> KvStore::load_bucket(blob::BlobClient& client,
   // commit), so retry before concluding the bucket is damaged. A same-size
   // overwrite decodes fine with a stale version and is caught later by the
   // transaction's expect_version.
+  //
+  // Each retry re-stats through a fresh client: `client`'s metadata cache
+  // was primed by the torn attempt, and stat() answers from that cache in
+  // zero rounds, so reusing it would re-read the same stale size forever.
   constexpr std::uint32_t kTornLoadRetries = 8;
   Error torn{Errc::io_error, "corrupt bucket"};
   for (std::uint32_t attempt = 0; attempt < kTornLoadRetries; ++attempt) {
-    auto st = client.stat(bucket_key(bucket));
+    std::optional<blob::BlobClient> fresh;
+    blob::BlobClient& c = attempt == 0 ? client : fresh.emplace(*store_, client.agent());
+    auto st = c.stat(bucket_key(bucket));
     if (!st.ok()) {
       if (version) *version = 0;  // bucket blob not created yet
       return Entries{};
     }
     if (version) *version = st.value().version;
-    auto data = client.read(bucket_key(bucket), 0, st.value().size);
+    auto data = c.read(bucket_key(bucket), 0, st.value().size);
     if (!data.ok()) return data.error();
     rpc::WireReader r(as_view(data.value()));
     auto count = r.get_u32();

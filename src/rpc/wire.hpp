@@ -78,7 +78,7 @@ class WireReader {
 // consecutive chunks starting at `key` (chunk keys are derivable), sharing
 // one sub-header instead of repeating key + header per chunk. Coalescing is
 // a descriptor optimization: the segments still scatter-gather per chunk at
-// the endpoints, matching the per-leg model's parallel-stream assumption.
+// the endpoints, as independent parallel streams.
 
 enum class BatchOpKind : std::uint8_t {
   read = 1,

@@ -1,8 +1,8 @@
-// Batched scatter-gather striping: wire envelope round-trips, batched vs
-// per-leg equivalence (byte contents, sizes, replica convergence), chunk
-// coalescing, hole accounting in the read counters, the client metadata
-// cache under concurrent truncate/remove/recreate, and the single-round
-// behavior of absent / at-EOF striped reads.
+// Batched scatter-gather striping: wire envelope round-trips, equivalence
+// with an unstriped reference store (byte contents, sizes, replica
+// convergence), chunk coalescing, hole accounting in the read counters, the
+// client metadata cache under concurrent truncate/remove/recreate, and the
+// single-round behavior of absent / at-EOF striped reads.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -20,17 +20,13 @@ namespace {
 
 constexpr std::uint64_t kChunk = 1ULL << 20;
 
-StoreConfig batched_cfg() {
+/// The reference store: chunk_bytes = 0 never stripes, so every op is one
+/// single-chunk leg (mutation_leg / read_leg) on one replica set. The
+/// striped default config must be observably identical to it. (Test names
+/// still say "PerLeg": the reference runs each op as one leg.)
+StoreConfig unstriped_cfg() {
   StoreConfig cfg;
-  cfg.batched_striping = true;
-  cfg.client_meta_cache = true;
-  return cfg;
-}
-
-StoreConfig per_leg_cfg() {
-  StoreConfig cfg;
-  cfg.batched_striping = false;
-  cfg.client_meta_cache = false;
+  cfg.chunk_bytes = 0;
   return cfg;
 }
 
@@ -103,7 +99,7 @@ TEST(BatchWire, RejectsUnknownKindAndTruncation) {
   EXPECT_FALSE(rpc::decode_batch_request(as_view(buf)).ok());
 }
 
-// --- batched vs per-leg equivalence ---------------------------------------
+// --- striped vs unstriped equivalence -------------------------------------
 
 /// Runs one scripted striped workload against a fresh store and returns the
 /// full observable state: every app-level read plus final sizes.
@@ -167,7 +163,7 @@ ScriptResult run_script(const StoreConfig& cfg) {
   // Absent blob: striped-range read of a key that never existed.
   record_read("ghost", 0, 5 * kChunk);
 
-  // Replica convergence: scrub must be clean in both modes.
+  // Replica convergence: scrub must be clean in both stores.
   const auto report = store.scrub(/*repair=*/false, &agent);
   EXPECT_EQ(report.divergent_replicas, 0u);
   EXPECT_EQ(report.checksum_errors, 0u);
@@ -186,36 +182,30 @@ void expect_equivalent(const ScriptResult& on, const ScriptResult& off) {
 }
 
 TEST(BatchEquivalence, BatchedAndPerLegProduceIdenticalResults) {
-  expect_equivalent(run_script(batched_cfg()), run_script(per_leg_cfg()));
-}
-
-TEST(BatchEquivalence, PerLegWithMetaCacheMatchesUncached) {
-  StoreConfig cached = per_leg_cfg();
-  cached.client_meta_cache = true;
-  expect_equivalent(run_script(cached), run_script(per_leg_cfg()));
+  expect_equivalent(run_script(StoreConfig{}), run_script(unstriped_cfg()));
 }
 
 TEST(QuorumBatchEquivalence, R2BatchedMatchesPerLeg) {
-  StoreConfig on = batched_cfg();
+  StoreConfig on;
   on.write_quorum = 2;  // replication 3 -> R = 2: every read arbitrates
-  StoreConfig off = per_leg_cfg();
+  StoreConfig off = unstriped_cfg();
   off.write_quorum = 2;
   expect_equivalent(run_script(on), run_script(off));
 }
 
 TEST(QuorumBatchEquivalence, R3BatchedMatchesPerLeg) {
-  StoreConfig on = batched_cfg();
+  StoreConfig on;
   on.write_quorum = 1;  // replication 3 -> R = 3: full-set arbitration
-  StoreConfig off = per_leg_cfg();
+  StoreConfig off = unstriped_cfg();
   off.write_quorum = 1;
   expect_equivalent(run_script(on), run_script(off));
 }
 
 TEST(QuorumBatchEquivalence, HedgedBatchedMatchesPerLeg) {
-  StoreConfig on = batched_cfg();
+  StoreConfig on;
   on.hedge.enabled = true;
   on.hedge.fixed_delay_us = 1;  // hedge aggressively; results must not change
-  StoreConfig off = per_leg_cfg();
+  StoreConfig off = unstriped_cfg();
   expect_equivalent(run_script(on), run_script(off));
 }
 
@@ -226,7 +216,7 @@ TEST(BatchCoalescing, AdjacentChunksOnOnePrimaryShareASubHeader) {
   // the chunk legs of a striped write form a single batch whose consecutive
   // chunks coalesce into one vectored sub-op.
   sim::Cluster cluster{sim::ClusterSpec::with_storage_nodes(1)};
-  StoreConfig cfg = batched_cfg();
+  StoreConfig cfg;
   cfg.replication = 1;
   BlobStore store(cluster, cfg);
   sim::SimAgent agent;
@@ -247,32 +237,28 @@ TEST(BatchCoalescing, AdjacentChunksOnOnePrimaryShareASubHeader) {
 // --- hole accounting (satellite: bytes_read counted zero-filled bytes) ----
 
 TEST(BatchHoleAccounting, BytesReadCountsExtentBackedBytesOnly) {
-  for (const bool batched : {true, false}) {
-    sim::Cluster cluster;
-    BlobStore store(cluster, batched ? batched_cfg() : per_leg_cfg());
-    sim::SimAgent agent;
-    BlobClient client(store, &agent);
+  sim::Cluster cluster;
+  BlobStore store(cluster, StoreConfig{});
+  sim::SimAgent agent;
+  BlobClient client(store, &agent);
 
-    // 4 KiB of real data deep in chunk 3; chunks 0-2 are pure holes.
-    ASSERT_TRUE(client.write("h", 3 * kChunk + 11, as_view(make_payload(6, 0, 4096))).ok());
-    const std::uint64_t logical = 3 * kChunk + 11 + 4096;
-    auto r = client.read("h", 0, 4 * kChunk);
-    ASSERT_TRUE(r.ok());
-    ASSERT_EQ(r.value().size(), logical);
-    EXPECT_EQ(client.counters().bytes_read, 4096u) << "batched=" << batched;
-    EXPECT_EQ(client.counters().read_hole_bytes, logical - 4096u)
-        << "batched=" << batched;
+  // 4 KiB of real data deep in chunk 3; chunks 0-2 are pure holes.
+  ASSERT_TRUE(client.write("h", 3 * kChunk + 11, as_view(make_payload(6, 0, 4096))).ok());
+  const std::uint64_t logical = 3 * kChunk + 11 + 4096;
+  auto r = client.read("h", 0, 4 * kChunk);
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r.value().size(), logical);
+  EXPECT_EQ(client.counters().bytes_read, 4096u);
+  EXPECT_EQ(client.counters().read_hole_bytes, logical - 4096u);
 
-    // Single-chunk path: truncate-up creates a tail hole inside chunk 0.
-    ASSERT_TRUE(client.write("s", 0, as_view(make_payload(7, 0, 100))).ok());
-    ASSERT_TRUE(client.truncate("s", 50000).ok());
-    auto sr = client.read("s", 0, 50000);
-    ASSERT_TRUE(sr.ok());
-    ASSERT_EQ(sr.value().size(), 50000u);
-    EXPECT_EQ(client.counters().bytes_read, 4096u + 100u) << "batched=" << batched;
-    EXPECT_EQ(client.counters().read_hole_bytes, (logical - 4096u) + 49900u)
-        << "batched=" << batched;
-  }
+  // Single-chunk path: truncate-up creates a tail hole inside chunk 0.
+  ASSERT_TRUE(client.write("s", 0, as_view(make_payload(7, 0, 100))).ok());
+  ASSERT_TRUE(client.truncate("s", 50000).ok());
+  auto sr = client.read("s", 0, 50000);
+  ASSERT_TRUE(sr.ok());
+  ASSERT_EQ(sr.value().size(), 50000u);
+  EXPECT_EQ(client.counters().bytes_read, 4096u + 100u);
+  EXPECT_EQ(client.counters().read_hole_bytes, (logical - 4096u) + 49900u);
 }
 
 // --- metadata cache -------------------------------------------------------
@@ -280,7 +266,7 @@ TEST(BatchHoleAccounting, BytesReadCountsExtentBackedBytesOnly) {
 class MetaCacheTest : public ::testing::Test {
  protected:
   sim::Cluster cluster_;
-  BlobStore store_{cluster_, batched_cfg()};
+  BlobStore store_{cluster_, StoreConfig{}};
   sim::SimAgent agent_a_, agent_b_;
   BlobClient a_{store_, &agent_a_};
   BlobClient b_{store_, &agent_b_};
@@ -351,7 +337,7 @@ TEST_F(MetaCacheTest, LocalMutationsInvalidate) {
 
 TEST(QuorumBatchedReads, SixteenChunkReadShipsOneEnvelopePerGroupReplica) {
   sim::Cluster cluster;
-  StoreConfig cfg = batched_cfg();
+  StoreConfig cfg;
   cfg.write_quorum = 2;  // replication 3 -> R = 2
   BlobStore store(cluster, cfg);
   sim::SimAgent agent;
@@ -393,7 +379,7 @@ TEST(QuorumBatchedReads, SixteenChunkReadShipsOneEnvelopePerGroupReplica) {
 
 TEST(QuorumBatchedReads, StaleReplicaPayloadLosesTheVoteAndIsRefetched) {
   sim::Cluster cluster;
-  StoreConfig cfg = batched_cfg();
+  StoreConfig cfg;
   cfg.write_quorum = 2;  // R = 2
   BlobStore store(cluster, cfg);
   sim::SimAgent agent;
@@ -426,7 +412,7 @@ TEST(QuorumBatchedReads, StaleReplicaPayloadLosesTheVoteAndIsRefetched) {
 
 TEST(QuorumBatchedReads, OlderVersionIdenticalPayloadAcceptedByDigest) {
   sim::Cluster cluster;
-  StoreConfig cfg = batched_cfg();
+  StoreConfig cfg;
   cfg.write_quorum = 2;  // R = 2
   BlobStore store(cluster, cfg);
   sim::SimAgent agent;
@@ -459,7 +445,7 @@ TEST(QuorumBatchedReads, HolesArbitrateAtR2) {
   // Sparse blob at R = 2: chunks 0-2 are absent on every replica (a hole is
   // "absent everywhere", not a stale divergence) and must stay zero.
   sim::Cluster cluster;
-  StoreConfig cfg = batched_cfg();
+  StoreConfig cfg;
   cfg.write_quorum = 2;
   BlobStore store(cluster, cfg);
   sim::SimAgent agent;
@@ -479,7 +465,7 @@ TEST(QuorumBatchedReads, HolesArbitrateAtR2) {
 
 TEST(HedgedBatchedReads, HedgeComposesWithBatchedStriping) {
   sim::Cluster cluster;
-  StoreConfig cfg = batched_cfg();
+  StoreConfig cfg;
   cfg.hedge.enabled = true;
   cfg.hedge.fixed_delay_us = 1;        // hedge on every group
   cfg.hedge.min_samples = 1u << 30;    // stay on the fixed delay
@@ -509,13 +495,13 @@ TEST(HedgedBatchedReads, HedgeComposesWithBatchedStriping) {
   EXPECT_EQ(client2.counters().quorum_refetches, 0u);
 }
 
-// --- read accounting across the three read paths (satellite) --------------
+// --- read accounting across the read paths (satellite) --------------------
 
 TEST(ReadAccounting, AllReadPathsDecomposeIdentically) {
   // The same logical content and read script must yield byte-identical
   // results AND identical {bytes_read, read_hole_bytes} decompositions on
-  // every read path: single-chunk (chunk_bytes = 0), per-leg striped
-  // (cached and uncached), and batched striped (R = 1 and R = 2).
+  // every read path: single-chunk (chunk_bytes = 0) and batched striped
+  // (R = 1 and R = 2).
   struct Totals {
     std::uint64_t bytes_read = 0;
     std::uint64_t holes = 0;
@@ -549,18 +535,13 @@ TEST(ReadAccounting, AllReadPathsDecomposeIdentically) {
     return t;
   };
 
-  StoreConfig single = batched_cfg();
-  single.chunk_bytes = 0;  // never stripes: the single-chunk read path
-  StoreConfig cached_leg = per_leg_cfg();
-  cached_leg.client_meta_cache = true;
-  StoreConfig quorum = batched_cfg();
+  StoreConfig quorum;
   quorum.write_quorum = 2;
 
-  const Totals base = run(single);
+  const Totals base = run(unstriped_cfg());  // the single-chunk read path
   // Decomposition identity: every returned byte is extent-backed or hole.
   EXPECT_EQ(base.bytes_read + base.holes, base.returned);
-  for (const StoreConfig& cfg :
-       {per_leg_cfg(), cached_leg, batched_cfg(), quorum}) {
+  for (const StoreConfig& cfg : {StoreConfig{}, quorum}) {
     const Totals t = run(cfg);
     EXPECT_EQ(t.bytes_read, base.bytes_read);
     EXPECT_EQ(t.holes, base.holes);
@@ -610,44 +591,11 @@ TEST_F(MetaCacheTest, SizeAndStatAnswerFromTheCache) {
   EXPECT_EQ(b_.counters().metacache_misses, misses + 1);
 }
 
-TEST(PerLegMetaCache, StripedReadsCountHitsAndMisses) {
-  // Satellite: the per-leg striped path uses the same cache + counters as
-  // the batched path. A stale entry is detected by the overlapped
-  // verification stat and the read is re-issued with the fresh layout.
-  sim::Cluster cluster;
-  StoreConfig cfg = per_leg_cfg();
-  cfg.client_meta_cache = true;
-  BlobStore store(cluster, cfg);
-  sim::SimAgent agent_a, agent_b;
-  BlobClient a(store, &agent_a);
-  BlobClient b(store, &agent_b);
-
-  const Bytes data = make_payload(15, 0, 3 * kChunk);
-  ASSERT_TRUE(a.write("k", 0, as_view(data)).ok());  // write primes the cache
-  ASSERT_TRUE(a.read("k", 0, 3 * kChunk).ok());
-  ASSERT_TRUE(a.read("k", kChunk, kChunk).ok());
-  EXPECT_EQ(a.counters().metacache_hits, 2u);
-  EXPECT_EQ(a.counters().metacache_misses, 0u);
-
-  ASSERT_TRUE(b.read("k", 0, 3 * kChunk).ok());
-  ASSERT_TRUE(b.read("k", 0, 3 * kChunk).ok());
-  EXPECT_EQ(b.counters().metacache_misses, 1u);
-  EXPECT_EQ(b.counters().metacache_hits, 1u);
-
-  // Concurrent truncate behind a's cache: detected, relayouted, re-read.
-  ASSERT_TRUE(b.truncate("k", kChunk + 5).ok());
-  auto r = a.read("k", 0, 3 * kChunk);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().size(), kChunk + 5);
-  EXPECT_TRUE(equal(as_view(r.value()), subview(as_view(data), 0, kChunk + 5)));
-  EXPECT_GE(a.counters().metacache_invalidations, 1u);
-}
-
 // --- absent / at-EOF striped reads (satellite: full-len probe legs) -------
 
 TEST(BatchProbeEconomy, AbsentStripedReadCostsOneStatRound) {
   sim::Cluster cluster;
-  BlobStore store(cluster, batched_cfg());
+  BlobStore store(cluster, StoreConfig{});
   sim::SimAgent agent;
   BlobClient client(store, &agent);
 
@@ -667,7 +615,7 @@ TEST(BatchProbeEconomy, AbsentStripedReadCostsOneStatRound) {
 
 TEST(BatchProbeEconomy, AtEofStripedReadShipsNoData) {
   sim::Cluster cluster;
-  BlobStore store(cluster, batched_cfg());
+  BlobStore store(cluster, StoreConfig{});
   sim::SimAgent agent;
   BlobClient client(store, &agent);
   ASSERT_TRUE(client.write("k", 0, as_view(make_payload(13, 0, 2 * kChunk))).ok());

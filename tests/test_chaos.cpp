@@ -178,15 +178,10 @@ struct ChaosOutcome {
 
 class ChaosRun {
  public:
-  explicit ChaosRun(std::uint64_t seed, bool batched = true)
+  explicit ChaosRun(std::uint64_t seed)
       : rng_(seed), injector_(seed ^ 0x9e3779b97f4a7c15ULL) {
     StoreConfig cfg;
     cfg.write_quorum = 2;  // W=2 over replication 3 -> R=2, R+W > N
-    // Batched striping must not perturb the fault/timing schedule: every
-    // chaos blob is far below one chunk, so both modes take byte-identical
-    // single-leg paths and the traces must match exactly (asserted below).
-    cfg.batched_striping = batched;
-    cfg.client_meta_cache = batched;
     out_.read_quorum = cfg.read_quorum();
     store_ = std::make_unique<BlobStore>(cluster_, cfg);
     client_ = std::make_unique<BlobClient>(*store_, &agent_);
@@ -336,8 +331,8 @@ class ChaosRun {
     // workload and finalized OUT of opening order (the decommission, opened
     // last, closes first — force-completing the older epochs' entries that
     // still treat the leaving node as authoritative). The plans'
-    // std::map ordering keeps the whole phase bit-deterministic, batched or
-    // not, and the oracle keeps proving zero acked-write loss throughout.
+    // std::map ordering keeps the whole phase bit-deterministic, and the
+    // oracle keeps proving zero acked-write loss throughout.
     {
       rpc::FaultPlan flaky;
       flaky.drop_probability = 0.05;
@@ -581,16 +576,6 @@ TEST(Chaos, MixedWorkloadSurvivesFaultScheduleDeterministically) {
   ASSERT_EQ(first.trace.size(), second.trace.size());
   for (std::size_t i = 0; i < first.trace.size(); ++i) {
     ASSERT_EQ(first.trace[i], second.trace[i]) << "trace diverged at op " << i;
-  }
-
-  // Same seed with batched striping disabled: sub-chunk ops take the same
-  // legacy legs in both modes, so enabling batching must not shift a single
-  // fault verdict, retry, or simulated timestamp anywhere in the schedule.
-  ChaosOutcome per_leg = ChaosRun(seed, /*batched=*/false).run();
-  ASSERT_EQ(first.trace.size(), per_leg.trace.size());
-  for (std::size_t i = 0; i < first.trace.size(); ++i) {
-    ASSERT_EQ(first.trace[i], per_leg.trace[i])
-        << "batching on/off trace diverged at op " << i;
   }
 
   // The schedule must actually exercise the machinery it claims to test.

@@ -30,6 +30,14 @@ TEST(Result, ValueAndError) {
   EXPECT_EQ(err_r.value_or(7), 7);
 }
 
+TEST(ResultDeathTest, ValueOfErrorAbortsWithTheErrorMessage) {
+  // Every build type, not just assert-enabled ones: the failure names the
+  // error instead of surfacing as an anonymous bad_variant_access.
+  Result<int> err_r(Errc::not_found, "blob-k");
+  EXPECT_DEATH((void)err_r.value(), "on error: not_found: blob-k");
+  EXPECT_DEATH((void)std::move(err_r).take(), "not_found: blob-k");
+}
+
 TEST(Result, StatusDefaultIsSuccess) {
   Status s;
   EXPECT_TRUE(s.ok());
