@@ -281,6 +281,61 @@ void BM_EngineCompaction(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineCompaction);
 
+// Host cost of one small engine call on one object holding range(0) 2 KiB
+// extents: it should not grow with the extent count.
+constexpr std::uint64_t kEngineExtentBytes = 2048;
+
+blob::StorageEngine engine_with_extents(std::uint64_t extents) {
+  blob::StorageEngine engine;
+  const Bytes data = make_payload(8, 0, kEngineExtentBytes);
+  for (std::uint64_t i = 0; i < extents; ++i) {
+    (void)engine.write("obj", i * kEngineExtentBytes, as_view(data), true);
+  }
+  return engine;
+}
+
+void BM_EngineAppend(benchmark::State& state) {
+  // range(0) - 2 sequential appends, then a tail the timed loop rewrites.
+  // Each 2 KiB write appends to the log and supersedes part of the tail,
+  // alternating between two offsets 1 KiB apart: the tail then always holds
+  // two extents, so the object stays at range(0) extents however many
+  // iterations run (a plain append past the end would grow it by one each).
+  const auto extents = static_cast<std::uint64_t>(state.range(0));
+  blob::StorageEngine engine = engine_with_extents(extents - 2);
+  const Bytes data = make_payload(9, 0, kEngineExtentBytes);
+  const std::uint64_t tail = (extents - 2) * kEngineExtentBytes;
+  (void)engine.write("obj", tail, as_view(data), true);
+  std::uint64_t i = 1;
+  for (auto _ : state) {
+    auto r = engine.write("obj", tail + (i++ & 1) * (kEngineExtentBytes / 2), as_view(data),
+                          true);
+    benchmark::DoNotOptimize(r.ok());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(kEngineExtentBytes) * state.iterations());
+}
+BENCHMARK(BM_EngineAppend)->Arg(16)->Arg(128)->Arg(1024)->Arg(8192);
+
+void BM_EngineReadSmall(benchmark::State& state) {
+  // 1 KiB reads sweeping, in order, the last 16 extents (32 KiB) of an
+  // object of range(0) 2 KiB extents. The window is the same at every
+  // extent count, so the rows differ only in the extent index they search:
+  // sweeping the whole object would add cache misses that grow with its
+  // 2 KiB x range(0) bytes of data, not with the cost of finding an extent.
+  const auto extents = static_cast<std::uint64_t>(state.range(0));
+  const blob::StorageEngine engine = engine_with_extents(extents);
+  constexpr std::uint64_t kRead = 1024;
+  constexpr std::uint64_t kWindow = 16 * kEngineExtentBytes;
+  const std::uint64_t size = extents * kEngineExtentBytes;
+  std::uint64_t off = size - kWindow;
+  for (auto _ : state) {
+    auto r = engine.read("obj", off, kRead);
+    benchmark::DoNotOptimize(r.ok());
+    off = off + kRead < size ? off + kRead : size - kWindow;
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(kRead) * state.iterations());
+}
+BENCHMARK(BM_EngineReadSmall)->Arg(16)->Arg(128)->Arg(1024)->Arg(8192);
+
 // Ablation: replication factor vs simulated write latency.
 void BM_ReplicationLatency(benchmark::State& state) {
   sim::Cluster cluster;

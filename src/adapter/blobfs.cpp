@@ -1,6 +1,7 @@
 #include "adapter/blobfs.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <mutex>
 #include <set>
 
@@ -16,8 +17,16 @@ std::string BlobFs::meta_key(std::string_view norm_path) {
 }
 
 std::string BlobFs::chunk_key(std::string_view norm_path, std::uint64_t chunk) {
-  return strfmt("d!%.*s!%08llu", static_cast<int>(norm_path.size()), norm_path.data(),
-                static_cast<unsigned long long>(chunk));
+  // "d!<path>!" + the chunk index zero-padded to at least 8 digits. Built
+  // directly: this runs once per chunk of every data call.
+  char digits[20];  // UINT64_MAX has 20 decimal digits
+  const auto len = static_cast<std::size_t>(
+      std::to_chars(digits, digits + sizeof digits, chunk).ptr - digits);
+  const std::size_t pad = len < 8 ? 8 - len : 0;
+  std::string key;
+  key.reserve(3 + norm_path.size() + pad + len);
+  key.append("d!").append(norm_path).append(1, '!').append(pad, '0').append(digits, len);
+  return key;
 }
 
 std::string BlobFs::child_meta_prefix(std::string_view norm_dir) {
@@ -168,8 +177,10 @@ Result<Bytes> BlobFs::read(const vfs::IoCtx& ctx, vfs::FileHandle fh, std::uint6
 
   // Chunk reads fan out in parallel: each chunk is an independent blob on
   // its own replica set, so we fork a sim agent per chunk and join on the
-  // slowest one — the same overlap a striped CephFS read gets.
-  Bytes out(len, std::byte{0});
+  // slowest one — the same overlap a striped CephFS read gets. The result
+  // takes the first piece as-is and appends later ones; resize() zero-fills
+  // missing chunks (holes) and pieces cut short by a chunk's end.
+  Bytes out;
   const std::uint64_t cb = cfg_.chunk_bytes;
   sim::SimAgent join_point = ctx.agent ? ctx.agent->fork() : sim::SimAgent{};
   std::uint64_t cur = offset;
@@ -182,8 +193,13 @@ Result<Bytes> BlobFs::read(const vfs::IoCtx& ctx, vfs::FileHandle fh, std::uint6
     blob::BlobClient cc(*store_, ctx.agent ? &worker : nullptr);
     auto piece = cc.read(chunk_key(of.path, chunk), in_chunk, n);
     if (piece.ok()) {
-      std::copy(piece.value().begin(), piece.value().end(),
-                out.begin() + static_cast<std::ptrdiff_t>(cur - offset));
+      if (cur == offset) {
+        out = std::move(piece).take();
+      } else {
+        out.reserve(len);  // one allocation, however many chunks follow
+        out.resize(cur - offset);
+        append(out, as_view(piece.value()));
+      }
     } else if (piece.error().code != Errc::not_found) {
       return piece.error();  // missing chunk = hole (reads as zeros)
     }
@@ -191,6 +207,7 @@ Result<Bytes> BlobFs::read(const vfs::IoCtx& ctx, vfs::FileHandle fh, std::uint6
     cur += n;
   }
   if (ctx.agent) ctx.agent->join(join_point);
+  out.resize(len);
   return out;
 }
 

@@ -106,7 +106,11 @@ class BlobFs final : public vfs::FileSystem {
   Result<Meta> load_meta(blob::BlobClient& client, std::string_view norm_path);
   Status store_meta(blob::BlobClient& client, std::string_view norm_path, const Meta& m);
 
-  /// A per-call client bound to the caller's agent (clients are cheap).
+  /// A per-call client bound to the caller's agent. Not free: a fresh
+  /// client's first call pays a ring placement lookup and allocates its
+  /// placement and health maps, about 0.3 µs of host time per 1 KiB read or
+  /// write over a reused client (measured on a 4-core x86 host). A
+  /// long-lived client per I/O context is ROADMAP direction 2.
   [[nodiscard]] blob::BlobClient client_for(const vfs::IoCtx& ctx) {
     return blob::BlobClient(*store_, ctx.agent);
   }

@@ -378,20 +378,27 @@ BlobClient::LegDelivery BlobClient::try_deliver(BlobServer& srv, SimMicros start
   LegDelivery out;
   // Each fresh leg earns retry tokens; each retry below spends one. The
   // bucket is client-wide, so a correlated failure drains it and retries
-  // stop fleet-wide instead of amplifying the overload.
+  // stop fleet-wide instead of amplifying the overload. Batched legs run
+  // try_deliver on pool threads, so the bucket is updated under health_mu_.
   const bool bucket_on = dp.retry_token_cap > 0.0;
   if (bucket_on) {
+    std::lock_guard<std::mutex> lk(health_mu_);
     if (retry_tokens_ < 0.0) retry_tokens_ = dp.retry_token_cap;  // initial fill
     retry_tokens_ = std::min(dp.retry_token_cap, retry_tokens_ + dp.retry_token_ratio);
   }
   for (std::uint32_t a = 0; a < attempts; ++a) {
     if (a > 0) {
-      if (bucket_on && retry_tokens_ < 1.0) {
+      bool suppressed = false;
+      if (bucket_on) {
+        std::lock_guard<std::mutex> lk(health_mu_);
+        suppressed = retry_tokens_ < 1.0;
+        if (!suppressed) retry_tokens_ -= 1.0;
+      }
+      if (suppressed) {
         counters_.retries_suppressed.inc();
         client_metrics().retries_suppressed.inc();
         break;
       }
-      if (bucket_on) retry_tokens_ -= 1.0;
       t += next_backoff(&prev);
       counters_.retries.inc();
     }

@@ -397,7 +397,7 @@ class BlobClient {
   // Overload resilience state.
   SimMicros op_deadline_at_ = 0;  ///< absolute budget of the op in flight (0 = none)
   double retry_tokens_ = -1.0;    ///< client-wide bucket; <0 = fill on first use
-  std::mutex health_mu_;          ///< guards health_ (pool fan-out, fault-free runs)
+  std::mutex health_mu_;          ///< guards retry_tokens_ and health_ (pool fan-out)
   std::unordered_map<std::uint32_t, NodeHealth> health_;
   double fleet_ewma_us_ = 0.0;    ///< all-node latency EWMA (suspect baseline)
   std::uint64_t fleet_samples_ = 0;

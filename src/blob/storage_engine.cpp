@@ -1,6 +1,7 @@
 #include "blob/storage_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 
 #include "common/hash.hpp"
@@ -38,6 +39,16 @@ EngineMetrics& engine_metrics() {
       reg.counter("engine.bytes_written"), reg.counter("engine.bytes_read"),
       reg.counter("engine.compactions")};
   return m;
+}
+
+/// First extent of a sorted, disjoint extent list that ends past `off`.
+/// Disjoint extents sorted by start have sorted ends too, so a binary search
+/// finds where the run overlapping [off, ...) begins; the run ends at the
+/// first extent starting at or past the range's end.
+template <typename It>
+It first_ending_after(It first, It last, std::uint64_t off) {
+  return std::partition_point(first, last,
+                              [off](const auto& e) { return e.log_off + e.len <= off; });
 }
 }  // namespace
 
@@ -140,22 +151,25 @@ void StorageEngine::maybe_recycle(std::uint32_t segment) {
 
 void StorageEngine::supersede_range(ObjectRec& rec, std::uint64_t off, std::uint64_t len) {
   const std::uint64_t end = off + len;
-  std::vector<Extent> kept;
-  kept.reserve(rec.extents.size() + 2);
-  for (const Extent& e : rec.extents) {
+  auto& xs = rec.extents;
+  const auto first = first_ending_after(xs.begin(), xs.end(), off);
+  auto last = first;
+  while (last != xs.end() && last->log_off < end) ++last;
+  if (first == last) return;  // nothing overlaps
+  // Overlap: keep the non-overlapping left/right slices, kill the middle.
+  // Only the run's first extent can stick out on the left and only its last
+  // on the right, so at most two trimmed pieces replace the run.
+  std::array<Extent, 2> pieces;
+  std::size_t n = 0;
+  for (auto it = first; it != last; ++it) {
+    const Extent& e = *it;
     const std::uint64_t e_end = e.log_off + e.len;
-    if (e_end <= off || e.log_off >= end) {
-      kept.push_back(e);
-      continue;
-    }
-    // Overlap: keep the non-overlapping left/right slices, kill the middle.
-    std::uint64_t killed = std::min(e_end, end) - std::max(e.log_off, off);
-    retire_bytes(e.segment, killed);
+    retire_bytes(e.segment, std::min(e_end, end) - std::max(e.log_off, off));
     if (e.log_off < off) {
       Extent left = e;
       left.len = off - e.log_off;
       left.checksum = 0;  // partial extents lose their whole-extent checksum
-      kept.push_back(left);
+      pieces[n++] = left;
     }
     if (e_end > end) {
       Extent right = e;
@@ -164,10 +178,11 @@ void StorageEngine::supersede_range(ObjectRec& rec, std::uint64_t off, std::uint
       right.seg_off = e.seg_off + skip;
       right.len = e_end - end;
       right.checksum = 0;
-      kept.push_back(right);
+      pieces[n++] = right;
     }
   }
-  rec.extents = std::move(kept);
+  xs.insert(xs.erase(first, last), pieces.begin(),
+            pieces.begin() + static_cast<std::ptrdiff_t>(n));
 }
 
 Result<WriteOutcome> StorageEngine::write(const std::string& key, std::uint64_t offset,
@@ -188,19 +203,13 @@ Result<WriteOutcome> StorageEngine::write(const std::string& key, std::uint64_t 
     // append churn, no dead-byte growth, and under steady-state full-chunk
     // overwrites (the striped-write pattern) the destination stays
     // cache-warm instead of streaming into a fresh cold slot every round.
-    bool in_place = false;
-    for (Extent& e : rec.extents) {
-      if (e.log_off > offset) break;  // sorted by log_off: no match possible
-      if (e.log_off == offset && e.len == data.size()) {
-        Bytes& seg = segments_[e.segment];
-        std::copy(data.begin(), data.end(),
-                  seg.begin() + static_cast<std::ptrdiff_t>(e.seg_off));
-        e.checksum = checksum != 0 ? checksum : content_checksum(data);
-        in_place = true;
-        break;
-      }
-    }
-    if (!in_place) {
+    const auto hit = first_ending_after(rec.extents.begin(), rec.extents.end(), offset);
+    if (hit != rec.extents.end() && hit->log_off == offset && hit->len == data.size()) {
+      Bytes& seg = segments_[hit->segment];
+      std::copy(data.begin(), data.end(),
+                seg.begin() + static_cast<std::ptrdiff_t>(hit->seg_off));
+      hit->checksum = checksum != 0 ? checksum : content_checksum(data);
+    } else {
       supersede_range(rec, offset, data.size());
       auto [seg, seg_off] = append_to_log(data);
       Extent e{.log_off = offset, .segment = seg, .seg_off = seg_off,
@@ -242,9 +251,10 @@ Result<ReadOutcome> StorageEngine::read(const std::string& key, std::uint64_t of
   ReadOutcome out;
   out.data.assign(len, std::byte{0});  // holes read as zero
   const std::uint64_t end = offset + len;
-  for (const Extent& e : rec.extents) {
+  for (auto it = first_ending_after(rec.extents.begin(), rec.extents.end(), offset);
+       it != rec.extents.end() && it->log_off < end; ++it) {
+    const Extent& e = *it;
     const std::uint64_t e_end = e.log_off + e.len;
-    if (e_end <= offset || e.log_off >= end) continue;
     const std::uint64_t lo = std::max(e.log_off, offset);
     const std::uint64_t hi = std::min(e_end, end);
     const Bytes& seg = segments_[e.segment];
@@ -268,9 +278,10 @@ Result<ReadIntoOutcome> StorageEngine::read_into(const std::string& key,
   if (offset >= rec.length || dst.empty()) return out;
   out.data_len = std::min<std::uint64_t>(dst.size(), rec.length - offset);
   const std::uint64_t end = offset + out.data_len;
-  for (const Extent& e : rec.extents) {
+  for (auto it = first_ending_after(rec.extents.begin(), rec.extents.end(), offset);
+       it != rec.extents.end() && it->log_off < end; ++it) {
+    const Extent& e = *it;
     const std::uint64_t e_end = e.log_off + e.len;
-    if (e_end <= offset || e.log_off >= end) continue;
     const std::uint64_t lo = std::max(e.log_off, offset);
     const std::uint64_t hi = std::min(e_end, end);
     const Bytes& seg = segments_[e.segment];
@@ -295,9 +306,10 @@ Result<SpanProbeOutcome> StorageEngine::span_probe(const std::string& key,
   if (offset >= rec.length || len == 0) return out;
   out.data_len = std::min(len, rec.length - offset);
   const std::uint64_t end = offset + out.data_len;
-  for (const Extent& e : rec.extents) {
+  for (auto it = first_ending_after(rec.extents.begin(), rec.extents.end(), offset);
+       it != rec.extents.end() && it->log_off < end; ++it) {
+    const Extent& e = *it;
     const std::uint64_t e_end = e.log_off + e.len;
-    if (e_end <= offset || e.log_off >= end) continue;
     const std::uint64_t lo = std::max(e.log_off, offset);
     const std::uint64_t hi = std::min(e_end, end);
     // The fold pins the window's position in the span, its position inside

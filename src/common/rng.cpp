@@ -1,6 +1,8 @@
 #include "common/rng.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "common/hash.hpp"
 
@@ -9,6 +11,14 @@ namespace bsc {
 namespace {
 constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));
+}
+
+/// The payload word holding stream offsets [8 * index, 8 * index + 8), laid
+/// out little-endian: byte k of the word is the byte at offset 8 * index + k.
+std::uint64_t payload_word(std::uint64_t seed, std::uint64_t index) noexcept {
+  const std::uint64_t word = mix64(hash_combine(seed, index));
+  if constexpr (std::endian::native == std::endian::big) return __builtin_bswap64(word);
+  return word;
 }
 }  // namespace
 
@@ -97,13 +107,31 @@ std::byte payload_byte(std::uint64_t seed, std::uint64_t off) noexcept {
 }
 
 Bytes make_payload(std::uint64_t seed, std::uint64_t offset, std::size_t len) {
+  // Unaligned head and tail bytes go one at a time; every whole word in
+  // between costs one mix and one 8-byte store.
   Bytes out(len);
-  for (std::size_t i = 0; i < len; ++i) out[i] = payload_byte(seed, offset + i);
+  std::size_t i = 0;
+  for (; i < len && ((offset + i) & 7) != 0; ++i) out[i] = payload_byte(seed, offset + i);
+  for (; i + 8 <= len; i += 8) {
+    const std::uint64_t word = payload_word(seed, (offset + i) >> 3);
+    std::memcpy(out.data() + i, &word, 8);
+  }
+  for (; i < len; ++i) out[i] = payload_byte(seed, offset + i);
   return out;
 }
 
 bool check_payload(std::uint64_t seed, std::uint64_t offset, ByteView data) noexcept {
-  for (std::size_t i = 0; i < data.size(); ++i) {
+  const std::size_t len = data.size();
+  std::size_t i = 0;
+  for (; i < len && ((offset + i) & 7) != 0; ++i) {
+    if (data[i] != payload_byte(seed, offset + i)) return false;
+  }
+  for (; i + 8 <= len; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, data.data() + i, 8);
+    if (word != payload_word(seed, (offset + i) >> 3)) return false;
+  }
+  for (; i < len; ++i) {
     if (data[i] != payload_byte(seed, offset + i)) return false;
   }
   return true;

@@ -1,7 +1,9 @@
 // Unit + property tests for the per-node log-structured blob engine.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <vector>
 
 #include "blob/storage_engine.hpp"
 #include "common/rng.hpp"
@@ -217,15 +219,102 @@ TEST(Engine, RemoveAccountsDeadBytes) {
   EXPECT_EQ(e.dead_bytes(), 512u);
 }
 
+// Reference model of an engine: per key the logical bytes plus which of them
+// are extent-backed (written and not cut off since), and the engine-wide
+// count of backed bytes, which is what live_bytes() must report.
+class EngineModel {
+ public:
+  void write(const std::string& key, std::uint64_t off, ByteView data) {
+    Object& o = objects_[key];
+    write_at(o.data, off, data);
+    o.covered.resize(o.data.size(), false);
+    for (std::uint64_t i = off; i < off + data.size(); ++i) {
+      if (!o.covered[i]) {
+        o.covered[i] = true;
+        ++live_;
+      }
+    }
+  }
+
+  /// False when `key` does not exist.
+  bool truncate(const std::string& key, std::uint64_t size) {
+    auto it = objects_.find(key);
+    if (it == objects_.end()) return false;
+    Object& o = it->second;
+    for (std::uint64_t i = size; i < o.covered.size(); ++i) live_ -= o.covered[i] ? 1 : 0;
+    o.data.resize(size);  // grow zero-fills, shrink cuts
+    o.covered.resize(size, false);
+    return true;
+  }
+
+  bool remove(const std::string& key) {
+    auto it = objects_.find(key);
+    if (it == objects_.end()) return false;
+    for (bool c : it->second.covered) live_ -= c ? 1 : 0;
+    objects_.erase(it);
+    return true;
+  }
+
+  [[nodiscard]] bool empty() const { return objects_.empty(); }
+  [[nodiscard]] std::uint64_t live() const { return live_; }
+  [[nodiscard]] std::uint64_t size(const std::string& key) const {
+    return objects_.at(key).data.size();
+  }
+  [[nodiscard]] const std::string& key_at(std::size_t i) const {
+    return std::next(objects_.begin(), static_cast<long>(i))->first;
+  }
+  [[nodiscard]] std::size_t keys() const { return objects_.size(); }
+
+  /// Assert that read() and read_into() of [off, off + len) of `key` return
+  /// the model's bytes and backed-byte count.
+  void expect_read_matches(const StorageEngine& e, const std::string& key,
+                           std::uint64_t off, std::uint64_t len) const {
+    const Object& o = objects_.at(key);
+    const ByteView expect = subview(as_view(o.data), off, len);
+    std::uint64_t covered = 0;
+    for (std::uint64_t i = 0; i < expect.size(); ++i) covered += o.covered[off + i] ? 1 : 0;
+
+    auto r = e.read(key, off, len);
+    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(equal(as_view(r.value().data), expect))
+        << "read key=" << key << " off=" << off << " len=" << len;
+    ASSERT_EQ(r.value().covered, covered) << "read key=" << key << " off=" << off;
+
+    // read_into writes extent-backed bytes only: holes and the part past
+    // the object's end keep the sentinel.
+    constexpr std::byte kSentinel{0xa5};
+    Bytes dst(len, kSentinel);
+    auto ri = e.read_into(key, off, MutableByteView(dst.data(), dst.size()));
+    ASSERT_TRUE(ri.ok());
+    ASSERT_EQ(ri.value().data_len, expect.size());
+    ASSERT_EQ(ri.value().covered, covered) << "read_into key=" << key << " off=" << off;
+    for (std::uint64_t i = 0; i < len; ++i) {
+      const bool backed = i < expect.size() && o.covered[off + i];
+      ASSERT_EQ(dst[i], backed ? expect[i] : kSentinel)
+          << "read_into key=" << key << " off=" << off << " i=" << i;
+    }
+  }
+
+ private:
+  struct Object {
+    Bytes data;
+    std::vector<bool> covered;
+  };
+  std::map<std::string, Object> objects_;
+  std::uint64_t live_ = 0;
+};
+
 // Property sweep: random offset/length write programs agree with an
-// in-memory reference model, across segment-boundary regimes.
+// in-memory reference model, across segment-boundary regimes. A second phase
+// grows one key to over a thousand extents so lookups in a long extent list
+// (first/last extent, exact-match overwrites, gaps after truncation) are hit.
 class EngineRandomProgram : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EngineRandomProgram, MatchesReferenceModel) {
   const std::uint64_t seed = GetParam();
   StorageEngine e(EngineConfig{.segment_bytes = 2048, .compact_dead_ratio = 0.5});
   Rng rng(seed);
-  std::map<std::string, Bytes> model;
+  EngineModel model;
   for (int step = 0; step < 300; ++step) {
     const std::string key = "k" + std::to_string(rng.next_below(5));
     const int action = static_cast<int>(rng.next_below(10));
@@ -234,35 +323,73 @@ TEST_P(EngineRandomProgram, MatchesReferenceModel) {
       const auto len = 1 + rng.next_below(700);
       const Bytes data = make_payload(seed ^ step, off, len);
       ASSERT_TRUE(e.write(key, off, as_view(data), true).ok());
-      write_at(model[key], off, as_view(data));
+      model.write(key, off, as_view(data));
     } else if (action < 8) {
       const auto nsz = rng.next_below(4500);
       auto r = e.truncate(key, nsz);
-      auto it = model.find(key);
-      if (it == model.end()) {
-        EXPECT_EQ(r.code(), Errc::not_found);
-      } else {
+      if (model.truncate(key, nsz)) {
         ASSERT_TRUE(r.ok());
-        it->second.resize(nsz);  // grow zero-fills, shrink cuts
+      } else {
+        EXPECT_EQ(r.code(), Errc::not_found);
       }
     } else if (action < 9) {
       auto st = e.remove(key);
-      EXPECT_EQ(st.ok(), model.erase(key) > 0);
+      EXPECT_EQ(st.ok(), model.remove(key));
     } else if (e.needs_compaction()) {
       e.compact();
     }
+    ASSERT_EQ(e.live_bytes(), model.live()) << "step=" << step;
     // Spot-check a random range of a random object.
     if (!model.empty()) {
-      auto it = model.begin();
-      std::advance(it, static_cast<long>(rng.next_below(model.size())));
-      const auto off = rng.next_below(it->second.size() + 10);
-      const auto len = rng.next_below(1000);
-      auto r = e.read(it->first, off, len);
-      ASSERT_TRUE(r.ok());
-      const ByteView expect = subview(as_view(it->second), off, len);
-      ASSERT_TRUE(equal(as_view(r.value().data), expect))
-          << "key=" << it->first << " off=" << off << " len=" << len;
+      const std::string& k = model.key_at(rng.next_below(model.keys()));
+      const auto off = rng.next_below(model.size(k) + 10);
+      model.expect_read_matches(e, k, off, rng.next_below(1000));
+      if (HasFatalFailure()) return;
     }
+  }
+  EXPECT_TRUE(e.verify_integrity().ok());
+
+  // Many-extent regime: 1 KiB sequential appends, then random overwrites
+  // (some exactly one surviving append, the in-place path) and truncates.
+  constexpr std::uint64_t kKiB = 1024;
+  constexpr std::uint64_t kAppends = 1100;
+  const std::string big = "big";
+  for (std::uint64_t i = 0; i < kAppends; ++i) {
+    const Bytes data = make_payload(seed + i, i * kKiB, kKiB);
+    ASSERT_TRUE(e.write(big, i * kKiB, as_view(data), true).ok());
+    model.write(big, i * kKiB, as_view(data));
+    ASSERT_EQ(e.live_bytes(), model.live()) << "append=" << i;
+    model.expect_read_matches(e, big, rng.next_below((i + 1) * kKiB), rng.next_below(4 * kKiB));
+    if (HasFatalFailure()) return;
+  }
+  for (int step = 0; step < 400; ++step) {
+    const std::uint64_t size = model.size(big);
+    const int action = static_cast<int>(rng.next_below(10));
+    if (action < 4) {
+      const auto off = rng.next_below(size + kKiB);
+      const auto len = 1 + rng.next_below(3 * kKiB);
+      const Bytes data = make_payload(seed ^ (step << 8), off, len);
+      ASSERT_TRUE(e.write(big, off, as_view(data), true).ok());
+      model.write(big, off, as_view(data));
+    } else if (action < 7) {
+      const auto off = rng.next_below(kAppends) * kKiB;
+      const Bytes data = make_payload(seed ^ (step << 16), off, kKiB);
+      ASSERT_TRUE(e.write(big, off, as_view(data), true).ok());
+      model.write(big, off, as_view(data));
+    } else if (action < 9) {
+      // Mostly small cuts so the key keeps its many extents; sometimes a
+      // grow, which leaves a hole at the end.
+      const auto nsz = size - std::min(size, rng.next_below(8 * kKiB)) +
+                       (action == 8 ? rng.next_below(4 * kKiB) : 0);
+      ASSERT_TRUE(e.truncate(big, nsz).ok());
+      ASSERT_TRUE(model.truncate(big, nsz));
+    } else if (e.needs_compaction()) {
+      e.compact();
+    }
+    ASSERT_EQ(e.live_bytes(), model.live()) << "big step=" << step;
+    const auto off = rng.next_below(model.size(big) + 10);
+    model.expect_read_matches(e, big, off, rng.next_below(8 * kKiB));
+    if (HasFatalFailure()) return;
   }
   EXPECT_TRUE(e.verify_integrity().ok());
 }

@@ -139,6 +139,44 @@ TEST(Payload, DeterministicAndOffsetConsistent) {
   EXPECT_FALSE(check_payload(10, 100, as_view(tail)));
 }
 
+// make_payload/check_payload work a word at a time; payload_byte is the
+// byte-at-a-time definition they must agree with at every alignment.
+TEST(Payload, WordKernelMatchesBytewiseDefinition) {
+  const auto matches_bytewise = [](std::uint64_t seed, std::uint64_t off, std::size_t len) {
+    const Bytes p = make_payload(seed, off, len);
+    if (p.size() != len) return false;
+    for (std::size_t i = 0; i < len; ++i) {
+      if (p[i] != payload_byte(seed, off + i)) return false;
+    }
+    return check_payload(seed, off, as_view(p));
+  };
+  for (std::uint64_t head = 0; head < 8; ++head) {
+    for (std::size_t len = 0; len <= 40; ++len) {
+      EXPECT_TRUE(matches_bytewise(7, 64 + head, len)) << "head=" << head << " len=" << len;
+    }
+  }
+  Rng r(11);
+  for (int i = 0; i < 50; ++i) {
+    const std::uint64_t seed = r.next();
+    const std::uint64_t off = r.next_below(1ULL << 40);
+    const std::size_t len = r.next_below((64u << 10) + 1);
+    EXPECT_TRUE(matches_bytewise(seed, off, len)) << "off=" << off << " len=" << len;
+  }
+}
+
+TEST(Payload, CheckRejectsOneFlippedByteInHeadBodyAndTail) {
+  // From offset 5, positions [0,3) are the unaligned head, [3,27) three
+  // whole words and [27,30) the tail.
+  const std::uint64_t off = 5;
+  const Bytes good = make_payload(3, off, 30);
+  ASSERT_TRUE(check_payload(3, off, as_view(good)));
+  for (std::size_t pos : {0u, 2u, 3u, 14u, 26u, 27u, 29u}) {
+    Bytes bad = good;
+    bad[pos] ^= std::byte{0x01};
+    EXPECT_FALSE(check_payload(3, off, as_view(bad))) << "pos=" << pos;
+  }
+}
+
 TEST(Stats, SummaryMergeMatchesSingle) {
   StatSummary a;
   StatSummary b;
