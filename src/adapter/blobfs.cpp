@@ -110,6 +110,9 @@ Result<BlobFs::OpenFile*> BlobFs::lookup_handle(vfs::FileHandle fh) {
 
 Status BlobFs::flush_size(blob::BlobClient& client, OpenFile& of) {
   if (!of.size_dirty) return Status::success();
+  // Two ranks flushing at once would both read the old size, and the later
+  // store would drop the larger one.
+  std::lock_guard<std::mutex> lk(meta_mu_);
   auto current = load_meta(client, of.path);
   Meta merged = current.ok() ? current.value() : of.meta;
   merged.size = std::max(merged.size, of.meta.size);

@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -119,7 +120,7 @@ class BlobFs final : public vfs::FileSystem {
   /// returning a raw pointer into the map is safe until that thread closes.
   Result<OpenFile*> lookup_handle(vfs::FileHandle fh);
   /// Persist cached size growth: read-merge-write so a flush never shrinks
-  /// the size another handle already persisted.
+  /// the size another handle already persisted. Serialized on meta_mu_.
   Status flush_size(blob::BlobClient& client, OpenFile& of);
   Status remove_file_blobs(blob::BlobClient& client, std::string_view norm_path,
                            std::uint64_t size);
@@ -129,6 +130,11 @@ class BlobFs final : public vfs::FileSystem {
 
   std::shared_mutex handles_mu_;
   std::unordered_map<vfs::FileHandle, OpenFile> handles_;
+  /// Guards flush_size's read-merge-write of metadata blobs. A host lock
+  /// with no simulated charge: it only orders flushes through this
+  /// instance. Writers through separate BlobFs instances can still lose a
+  /// size until metadata updates carry a versioned compare-and-swap.
+  std::mutex meta_mu_;
   std::atomic<vfs::FileHandle> next_handle_{1};
 };
 

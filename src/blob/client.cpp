@@ -39,13 +39,13 @@ std::uint64_t batch_header_bytes(std::string_view first_key, rpc::BatchOpKind ki
 /// Wire bytes of one per-sub status in a batch reply (payload excluded).
 std::uint64_t batch_substatus_bytes() { return rpc::wire_size(rpc::BatchSubStatus{}); }
 
-/// Registry series of one client primitive. The category counter is the
-/// paper's §IV taxonomy roll-up, reached through the closest POSIX OpKind:
+/// Registry-only series of one client primitive (its call count is the
+/// primitive's ClientCounters event). The category counter is the paper's
+/// §IV taxonomy roll-up, reached through the closest POSIX OpKind:
 /// create→open, remove→unlink, size/stat→stat, scan→readdir, txn→sync
 /// (read/write/truncate map to themselves).
 struct PrimSeries {
   std::string label;  ///< slow-op op name, e.g. "client.read"
-  obs::Counter& calls;
   obs::Counter& category;
   obs::ShardedHistogram& latency_us;
 };
@@ -53,15 +53,30 @@ struct PrimSeries {
 PrimSeries make_series(const char* prim, trace::OpKind kind) {
   auto& reg = obs::MetricsRegistry::global();
   const std::string base = std::string{"client."} + prim;
-  return PrimSeries{base, reg.counter(base + ".calls"),
+  return PrimSeries{base,
                     reg.counter(std::string{"client.category."} +
                                 std::string{trace::to_string(trace::classify(kind))}),
                     reg.histogram(base + ".latency_us")};
 }
 
 /// All client series, resolved once per process (registry references are
-/// stable for the process lifetime).
+/// stable for the process lifetime): the event series of kClientEventSeries
+/// plus the series no per-client event counts.
 struct ClientMetrics {
+  ClientMetrics() {
+    auto& reg = obs::MetricsRegistry::global();
+    for (std::size_t i = 0; i < std::size(kClientEventSeries); ++i) {
+      const ClientEventSeries& e = kClientEventSeries[i];
+      if (e.sink == ClientEventSink::counter) {
+        event_counters[i] = &reg.counter(e.series);
+      } else {
+        event_histograms[i] = &reg.histogram(e.series);
+      }
+    }
+  }
+
+  obs::Counter* event_counters[std::size(kClientEventSeries)] = {};
+  obs::ShardedHistogram* event_histograms[std::size(kClientEventSeries)] = {};
   PrimSeries create = make_series("create", trace::OpKind::open);
   PrimSeries remove = make_series("remove", trace::OpKind::unlink);
   PrimSeries read = make_series("read", trace::OpKind::read);
@@ -71,67 +86,11 @@ struct ClientMetrics {
   PrimSeries stat = make_series("stat", trace::OpKind::stat);
   PrimSeries scan = make_series("scan", trace::OpKind::readdir);
   PrimSeries txn = make_series("txn", trace::OpKind::sync);
+  /// Bytes a read returns, holes included (bytes_read + read_hole_bytes).
   obs::ShardedHistogram& read_bytes =
       obs::MetricsRegistry::global().histogram("client.read.bytes");
-  obs::ShardedHistogram& write_bytes =
-      obs::MetricsRegistry::global().histogram("client.write.bytes");
-  // Batched scatter-gather + metadata cache series.
-  obs::ShardedHistogram& read_hole_bytes =
-      obs::MetricsRegistry::global().histogram("client.read.hole_bytes");
   obs::ShardedHistogram& batch_size =
       obs::MetricsRegistry::global().histogram("client.batch.size");
-  obs::Counter& batch_envelopes =
-      obs::MetricsRegistry::global().counter("client.batch.envelopes");
-  obs::Counter& batch_coalesced =
-      obs::MetricsRegistry::global().counter("client.batch.coalesced");
-  obs::Counter& metacache_hits =
-      obs::MetricsRegistry::global().counter("client.metacache.hits");
-  obs::Counter& metacache_misses =
-      obs::MetricsRegistry::global().counter("client.metacache.misses");
-  obs::Counter& metacache_invalidations =
-      obs::MetricsRegistry::global().counter("client.metacache.invalidations");
-  // Quorum-aware batched reads: per-sub version voting in the envelope.
-  obs::Counter& quorum_probes =
-      obs::MetricsRegistry::global().counter("client.batch.quorum_probes");
-  obs::Counter& quorum_winners =
-      obs::MetricsRegistry::global().counter("client.batch.quorum_winners");
-  obs::Counter& quorum_digest_savings =
-      obs::MetricsRegistry::global().counter("client.batch.quorum_digest_savings_bytes");
-  obs::Counter& quorum_refetches =
-      obs::MetricsRegistry::global().counter("client.batch.quorum_refetches");
-  // Elastic membership: the epoch protocol and dual writes. dual_writes is
-  // the same registry series the rebalancer interns — one counter tells the
-  // whole story of a migration window regardless of which side mirrored.
-  obs::Counter& epoch_refreshes =
-      obs::MetricsRegistry::global().counter("client.epoch.refreshes");
-  obs::Counter& stale_retries =
-      obs::MetricsRegistry::global().counter("client.epoch.stale_retries");
-  obs::Counter& batch_retries =
-      obs::MetricsRegistry::global().counter("client.batch.retries");
-  obs::Counter& dual_writes =
-      obs::MetricsRegistry::global().counter("rebalance.dual_writes");
-  obs::Counter& chain_dual_writes =
-      obs::MetricsRegistry::global().counter("rebalance.chain_dual_writes");
-  // Overload resilience: end-to-end deadline budgets, the client-wide retry
-  // token bucket, and the per-node circuit breakers.
-  obs::Counter& deadline_exceeded =
-      obs::MetricsRegistry::global().counter("client.deadline.exceeded");
-  obs::Counter& deadline_clamped =
-      obs::MetricsRegistry::global().counter("client.deadline.clamped_attempts");
-  obs::Counter& retries_suppressed =
-      obs::MetricsRegistry::global().counter("client.deadline.retries_suppressed");
-  obs::Counter& sheds_observed =
-      obs::MetricsRegistry::global().counter("client.breaker.sheds_observed");
-  obs::Counter& breaker_opens =
-      obs::MetricsRegistry::global().counter("client.breaker.opens");
-  obs::Counter& breaker_closes =
-      obs::MetricsRegistry::global().counter("client.breaker.closes");
-  obs::Counter& breaker_probes =
-      obs::MetricsRegistry::global().counter("client.breaker.probes");
-  obs::Counter& breaker_fast_hints =
-      obs::MetricsRegistry::global().counter("client.breaker.fast_hints");
-  obs::Counter& breaker_demotions =
-      obs::MetricsRegistry::global().counter("client.breaker.demotions");
   obs::Gauge& breaker_open_nodes =
       obs::MetricsRegistry::global().gauge("client.breaker.open_nodes");
 };
@@ -141,19 +100,29 @@ ClientMetrics& client_metrics() {
   return m;
 }
 
-/// Publishes one primitive call on every return path: calls + category
-/// counters, the simulated-latency histogram (the agent-clock delta this
-/// call cost, scatter-gather legs included), and slow-op admission.
-class PrimTimer {
+}  // namespace
+
+/// Installs the call's deadline budget (see the declaration) and, on every
+/// return path, publishes the call: the primitive's call event, the
+/// category counter, the simulated-latency histogram (the agent-clock delta
+/// this call cost, scatter-gather legs included), and slow-op admission.
+class BlobClient::PrimCall {
  public:
-  PrimTimer(const PrimSeries& s, sim::SimAgent* agent, std::string_view key)
-      : s_(s), agent_(agent), key_(key), start_(agent ? agent->now() : 0) {}
-  PrimTimer(const PrimTimer&) = delete;
-  PrimTimer& operator=(const PrimTimer&) = delete;
-  ~PrimTimer() {
-    const SimMicros end = agent_ ? agent_->now() : start_;
+  PrimCall(BlobClient& c, ClientEvent& calls, const PrimSeries& s, std::string_view key)
+      : c_(c), calls_(calls), s_(s), key_(key), start_(c.agent_ ? c.agent_->now() : 0) {
+    const SimMicros budget = c.store_->config().deadline.op_deadline_us;
+    if (budget > 0 && c.op_deadline_at_ == 0) {
+      c.op_deadline_at_ = start_ + budget;
+      installed_ = true;
+    }
+  }
+  PrimCall(const PrimCall&) = delete;
+  PrimCall& operator=(const PrimCall&) = delete;
+  ~PrimCall() {
+    if (installed_) c_.op_deadline_at_ = 0;
+    const SimMicros end = c_.agent_ ? c_.agent_->now() : start_;
     const auto latency = static_cast<std::uint64_t>(end - start_);
-    s_.calls.inc();
+    calls_.inc();
     s_.category.inc();
     s_.latency_us.add(latency);
     obs::MetricsRegistry::global().slow_ops().observe(s_.label, key_, latency,
@@ -161,12 +130,22 @@ class PrimTimer {
   }
 
  private:
+  BlobClient& c_;
+  ClientEvent& calls_;
   const PrimSeries& s_;
-  sim::SimAgent* agent_;
   std::string_view key_;  // outlived by the caller's key argument
   SimMicros start_;
+  bool installed_ = false;
 };
-}  // namespace
+
+ClientCounters::ClientCounters() {
+  const ClientMetrics& m = client_metrics();
+  for (std::size_t i = 0; i < std::size(kClientEventSeries); ++i) {
+    ClientEvent& e = this->*kClientEventSeries[i].field;
+    e.counter_ = m.event_counters[i];
+    e.histogram_ = m.event_histograms[i];
+  }
+}
 
 BlobClient::AttemptPlan BlobClient::plan_attempt(BlobServer& srv, SimMicros attempt_start,
                                                  std::uint64_t request_bytes,
@@ -211,7 +190,6 @@ BlobClient::AttemptPlan BlobClient::plan_attempt(BlobServer& srv, SimMicros atte
       plan.failed_at = attempt_start + 2 * net.transfer_us(request_bytes);
       plan.err = Errc::overloaded;
       counters_.sheds_observed.inc();
-      client_metrics().sheds_observed.inc();
       return plan;
   }
   plan.failed_at = attempt_start;
@@ -232,18 +210,6 @@ SimMicros BlobClient::next_backoff(SimMicros* prev) {
 }
 
 // --- overload resilience helpers -------------------------------------------
-
-BlobClient::OpBudget::OpBudget(BlobClient& c, SimMicros start) : c_(&c) {
-  const SimMicros budget = c.store_->config().deadline.op_deadline_us;
-  if (budget > 0 && c.op_deadline_at_ == 0) {
-    c.op_deadline_at_ = start + budget;
-    installed_ = true;
-  }
-}
-
-BlobClient::OpBudget::~OpBudget() {
-  if (installed_) c_->op_deadline_at_ = 0;
-}
 
 SimMicros BlobClient::attempt_deadline_at(SimMicros t) const noexcept {
   const SimMicros policy = store_->config().retry.attempt_deadline_us;
@@ -279,7 +245,6 @@ void BlobClient::health_on_success(std::uint32_t node, SimMicros latency_us) {
       h.state = NodeHealth::Breaker::closed;
       h.half_open_successes = 0;
       counters_.breaker_closes.inc();
-      client_metrics().breaker_closes.inc();
       client_metrics().breaker_open_nodes.add(-1);
     }
   }
@@ -301,7 +266,6 @@ void BlobClient::health_on_failure(std::uint32_t node, SimMicros now) {
     h.opened_at = now;
     h.half_open_successes = 0;
     counters_.breaker_opens.inc();
-    client_metrics().breaker_opens.inc();
   }
 }
 
@@ -320,13 +284,11 @@ bool BlobClient::breaker_allows(std::uint32_t node, SimMicros now) {
         h.state = NodeHealth::Breaker::half_open;
         h.half_open_successes = 0;
         counters_.breaker_probes.inc();
-        client_metrics().breaker_probes.inc();
         return true;  // this caller is the first probe
       }
       return false;
     case NodeHealth::Breaker::half_open:
       counters_.breaker_probes.inc();
-      client_metrics().breaker_probes.inc();
       return true;  // half-open admits single probes
   }
   return true;
@@ -357,7 +319,6 @@ void BlobClient::demote_suspects(std::vector<std::uint32_t>& candidates) {
       candidates.begin(), candidates.end(),
       [&suspect_idx](std::uint32_t n) { return !suspect_idx(n); });
   counters_.breaker_demotions.inc();
-  client_metrics().breaker_demotions.inc();
 }
 
 BlobClient::NodeHealth::Breaker BlobClient::breaker_state(std::uint32_t node) {
@@ -396,7 +357,6 @@ BlobClient::LegDelivery BlobClient::try_deliver(BlobServer& srv, SimMicros start
       }
       if (suppressed) {
         counters_.retries_suppressed.inc();
-        client_metrics().retries_suppressed.inc();
         break;
       }
       t += next_backoff(&prev);
@@ -408,14 +368,13 @@ BlobClient::LegDelivery BlobClient::try_deliver(BlobServer& srv, SimMicros start
     if (op_deadline_at_ > 0 && t >= op_deadline_at_) {
       out.err = Errc::deadline_exceeded;
       counters_.deadline_exceeded.inc();
-      client_metrics().deadline_exceeded.inc();
       break;
     }
     SimMicros attempt_deadline = 0;
     if (op_deadline_at_ > 0) {
       attempt_deadline = attempt_deadline_at(t);
       if (attempt_deadline < rp.attempt_deadline_us) {
-        client_metrics().deadline_clamped.inc();
+        counters_.deadline_clamped.inc();
       }
     }
     AttemptPlan p = plan_attempt(srv, t, request_bytes, batch_subs, attempt_deadline);
@@ -448,7 +407,9 @@ Status BlobClient::mutation_leg(const std::string& ekey,
   // round trip, and retry against the authoritative placement. The final
   // pass proceeds on whatever it locked: finalize()'s verify sweep repairs
   // any drift a pathological race could leave behind.
-  Placement p;
+  KeyLeg k;
+  k.ekey = &ekey;
+  Placement& p = k.place;
   std::vector<BlobServer::KeyLock> locks;
   for (int pass = 0;; ++pass) {
     p = pass == 0 ? locate(ekey) : store_->placement_of(ekey);
@@ -469,12 +430,8 @@ Status BlobClient::mutation_leg(const std::string& ekey,
 
     const Placement fresh = store_->placement_of(ekey);
     if (fresh.replicas == p.replicas && fresh.pending == p.pending) break;
-    place_flush(ekey);
-    counters_.epoch_refreshes.inc();
-    client_metrics().epoch_refreshes.inc();
+    flush_stale_placement(ekey, pass < 2);
     if (pass >= 2) break;
-    counters_.stale_epoch_retries.inc();
-    client_metrics().stale_retries.inc();
     start += 2 * store_->cluster().net().transfer_us(kProbeReq);
   }
   const std::vector<std::uint32_t>& replicas = p.replicas;
@@ -492,7 +449,6 @@ Status BlobClient::mutation_leg(const std::string& ekey,
     // replica — the striped paths use it for chunk layout instead of a
     // separate stat round. In quorum mode the freshest live replica is
     // authoritative (a stale primary may have missed acked writes).
-    info->pre_exists = pre_exists;
     info->pre_size = 0;
     if (pre_exists) {
       if (store_->config().write_quorum == 0) {
@@ -515,7 +471,6 @@ Status BlobClient::mutation_leg(const std::string& ekey,
   }
   Status precheck = Status::success();
   std::uint64_t payload = 0;
-  bool ends_removed = exists;
   for (const auto& op : ops) {
     payload += op.payload().size();
     switch (op.kind) {
@@ -540,7 +495,7 @@ Status BlobClient::mutation_leg(const std::string& ekey,
     }
     if (!precheck.ok()) break;
   }
-  ends_removed = !exists;
+  k.ends_removed = !exists;
 
   const auto& net = store_->cluster().net();
   const std::uint64_t req = req_bytes(ekey, payload);
@@ -553,23 +508,13 @@ Status BlobClient::mutation_leg(const std::string& ekey,
     return precheck;
   }
 
-  // Replica-version bookkeeping. `pre_version` is the authoritative base a
-  // replica must be at to apply this leg (else it missed earlier ops and
-  // would diverge — it gets a hint instead). `base` is the highest version
-  // any live replica holds: the post-apply version continues above it so
-  // versions never regress across remove/recreate cycles, keeping
-  // "max version = freshest" true for quorum arbitration. The version
-  // exchange piggybacks on the lock round already holding every replica.
-  const Version pre_version =
-      pre_exists ? primary.peek_version(ekey).value_or(0) : 0;
-  Version base = pre_version;
-  for (std::uint32_t rid : replicas) {
-    if (store_->is_down(rid)) continue;
-    base = std::max(base, store_->server(rid).peek_version(ekey).value_or(0));
+  plan_versions(primary, pre_exists, ops.size(), k);
+  if (info != nullptr) info->new_version = k.new_version;
+  std::vector<BlobServer::OpRef> refs;
+  refs.reserve(ops.size());
+  for (const auto& op : ops) {
+    refs.push_back({op.kind, &op.key, op.offset, op.payload(), op.new_size, op.checksum});
   }
-  const Version new_version = base + ops.size();
-  const bool continue_versions = base > pre_version;
-  if (info != nullptr) info->new_version = new_version;
 
   // Coordinator leg: the acting primary must ack, with retries. Nothing has
   // been applied anywhere if this fails — the mutation is atomically absent.
@@ -579,10 +524,8 @@ Status BlobClient::mutation_leg(const std::string& ekey,
     return {prim.err, "primary unreachable: " + ekey};
   }
   SimMicros svc0 = 0;
-  Status st = primary.apply_txn_ops(ops, &svc0);
-  if (continue_versions && st.ok() && !ends_removed) {
-    (void)primary.force_version(ekey, new_version);
-  }
+  Status st = primary.apply_ops(refs.data(), refs.size(), &svc0);
+  if (st.ok()) k.lift(primary);
   const SimMicros prim_arrival =
       prim.attempt_start + net.transfer_us(req) + prim.extra_latency_us;
   const SimMicros prim_done = primary.node().serve(prim_arrival, svc0);
@@ -595,48 +538,45 @@ Status BlobClient::mutation_leg(const std::string& ekey,
 
   // Forward to the remaining replicas in parallel (pipelined off the
   // primary's apply). Down, stale, or unreachable replicas are misses.
-  std::uint32_t acks = 1;
-  std::vector<std::uint32_t> missed;
   Errc miss_err = Errc::unavailable;
   for (std::uint32_t rid : replicas) {
     if (rid == *acting) continue;
     if (store_->is_down(rid)) {
-      missed.push_back(rid);
+      k.missed.push_back(rid);
       continue;
     }
     BlobServer& rep = store_->server(rid);
-    if (!rep.version_matches(ekey, pre_version)) {
+    if (!rep.version_matches(ekey, k.pre_version)) {
       // Behind (missed earlier ops): applying would interleave histories.
-      missed.push_back(rid);
+      k.missed.push_back(rid);
       continue;
     }
     if (store_->config().write_quorum > 0 &&
         !breaker_allows(store_->server(rid).node().id(), prim_done)) {
       // Open breaker on a quorum-mode forward: convert straight to a hint
-      // (recorded with the other misses below) instead of burning the
-      // retry/timeout ladder against a replica already known to be failing.
-      // Classic mode (W=0) keeps trying — there every live replica must ack
-      // and there is no hint repair path to absorb the miss.
-      missed.push_back(rid);
+      // (recorded with the other misses in settle_replicas) instead of
+      // burning the retry/timeout ladder against a replica already known to
+      // be failing. Classic mode (W=0) keeps trying — there every live
+      // replica must ack and there is no hint repair path to absorb the miss.
+      k.missed.push_back(rid);
       counters_.breaker_fast_hints.inc();
-      client_metrics().breaker_fast_hints.inc();
       continue;
     }
     LegDelivery d = try_deliver(rep, prim_done, req);
     if (!d.ok) {
-      missed.push_back(rid);
+      k.missed.push_back(rid);
       miss_err = d.err;
       done = std::max(done, d.failed_at);
       continue;
     }
     SimMicros svc = 0;
-    Status rs = rep.apply_txn_ops(ops, &svc);
+    Status rs = rep.apply_ops(refs.data(), refs.size(), &svc);
     if (!rs.ok()) {
       st = {Errc::io_error, "replica divergence: " + rs.message()};
       break;
     }
-    if (continue_versions && !ends_removed) (void)rep.force_version(ekey, new_version);
-    ++acks;
+    k.lift(rep);
+    ++k.acks;
     const SimMicros arr = prim_done + net.transfer_us(req) + d.extra_latency_us;
     done = std::max(done,
                     rep.node().serve(arr, svc) + net.transfer_us(kEnvelope) +
@@ -647,70 +587,86 @@ Status BlobClient::mutation_leg(const std::string& ekey,
     return st;
   }
 
-  // Dual-write targets (open migration window): the new-only owners get the
-  // leg's ops too, version-gated exactly like forwarding replicas so an
-  // out-of-order migration copy can never interleave histories. They are
-  // NOT acks — the old set stays authoritative for quorum — and a missed or
-  // down target gets a hint; finalize()'s verify sweep repairs whatever the
-  // hints don't. This is what makes the write-vs-copy race safe in both
-  // orders: copy-then-write lands here, write-then-copy is picked up by the
-  // copy itself.
-  for (std::uint32_t tid : p.pending) {
+  mirror_pending(primary, k, refs.data(), refs.size(), req, prim_done, &done);
+  *completion = done;
+  KeyLeg* const settled[] = {&k};
+  return settle_replicas(primary, settled, miss_err);
+}
+
+void BlobClient::plan_versions(BlobServer& primary, bool pre_exists, std::uint64_t nops,
+                               KeyLeg& k) {
+  k.pre_version = pre_exists ? primary.peek_version(*k.ekey).value_or(0) : 0;
+  Version base = k.pre_version;
+  for (std::uint32_t rid : k.place.replicas) {
+    if (store_->is_down(rid)) continue;
+    base = std::max(base, store_->server(rid).peek_version(*k.ekey).value_or(0));
+  }
+  k.new_version = base + nops;
+  k.continue_versions = base > k.pre_version;
+}
+
+void BlobClient::mirror_pending(BlobServer& primary, const KeyLeg& k,
+                                const BlobServer::OpRef* ops, std::size_t count,
+                                std::uint64_t req, SimMicros launch, SimMicros* done) {
+  const auto& net = store_->cluster().net();
+  for (std::uint32_t tid : k.place.pending) {
     if (store_->is_down(tid)) {
-      if (primary.add_hint(tid, ekey)) counters_.hints_written.inc();
+      if (primary.add_hint(tid, *k.ekey)) counters_.hints_written.inc();
       continue;
     }
     BlobServer& tgt = store_->server(tid);
-    if (!tgt.version_matches(ekey, pre_version)) continue;  // copy not landed yet
-    LegDelivery dd = try_deliver(tgt, prim_done, req);
+    if (!tgt.version_matches(*k.ekey, k.pre_version)) continue;  // copy not landed yet
+    LegDelivery dd = try_deliver(tgt, launch, req);
     if (!dd.ok) {
-      if (primary.add_hint(tid, ekey)) counters_.hints_written.inc();
-      done = std::max(done, dd.failed_at);
+      if (primary.add_hint(tid, *k.ekey)) counters_.hints_written.inc();
+      *done = std::max(*done, dd.failed_at);
       continue;
     }
     SimMicros dsvc = 0;
-    if (!tgt.apply_txn_ops(ops, &dsvc).ok()) continue;
-    if (continue_versions && !ends_removed) (void)tgt.force_version(ekey, new_version);
+    if (!tgt.apply_ops(ops, count, &dsvc).ok()) continue;
+    k.lift(tgt);
     counters_.dual_writes.inc();
-    client_metrics().dual_writes.inc();
-    if (p.windows >= 2) {
-      counters_.chain_dual_writes.inc();
-      client_metrics().chain_dual_writes.inc();
-    }
-    const SimMicros arr = prim_done + net.transfer_us(req) + dd.extra_latency_us;
-    done = std::max(done, tgt.node().serve(arr, dsvc) + net.transfer_us(kEnvelope) +
-                              dd.extra_latency_us);
+    if (k.place.windows >= 2) counters_.chain_dual_writes.inc();
+    const SimMicros arr = launch + net.transfer_us(req) + dd.extra_latency_us;
+    *done = std::max(*done, tgt.node().serve(arr, dsvc) + net.transfer_us(kEnvelope) +
+                                dd.extra_latency_us);
   }
-  *completion = done;
+}
 
-  // The op is now applied at the primary regardless of the quorum outcome;
-  // in quorum mode, hint every miss so the repair path knows exactly what
-  // to fix. Classic mode (W=0) keeps its original contract: the full
-  // digest resync repairs a recovered replica, no hints involved.
+Status BlobClient::settle_replicas(BlobServer& primary, std::span<KeyLeg* const> keys,
+                                   Errc miss_err) {
+  // Every op is now applied at the primary regardless of the quorum
+  // outcome; in quorum mode, hint every miss of every key — before any key
+  // is judged — so the repair path knows exactly what to fix. Classic mode
+  // (W=0) keeps its original contract: the full digest resync repairs a
+  // recovered replica, no hints involved.
   const std::uint32_t W = store_->config().write_quorum;
   if (W > 0) {
-    for (std::uint32_t rid : missed) {
-      if (primary.add_hint(rid, ekey)) counters_.hints_written.inc();
+    for (const KeyLeg* k : keys) {
+      for (std::uint32_t rid : k->missed) {
+        if (primary.add_hint(rid, *k->ekey)) counters_.hints_written.inc();
+      }
     }
   }
 
   // Quorum evaluation. W=0 — classic all-live-replicas semantics. W>0 —
-  // W acks suffice, except for legs that END with the key removed: a
-  // removal must reach every live replica, or a stale copy could win
-  // version arbitration against "absent" (there are no tombstones).
-  bool quorum_met;
-  if (W == 0 || ends_removed) {
-    quorum_met = true;
-    for (std::uint32_t rid : missed) {
-      if (!store_->is_down(rid)) quorum_met = false;
+  // W acks suffice, except for keys the ops leave removed: a removal must
+  // reach every live replica, or a stale copy could win version
+  // arbitration against "absent" (there are no tombstones).
+  for (const KeyLeg* k : keys) {
+    bool quorum_met;
+    if (W == 0 || k->ends_removed) {
+      quorum_met = true;
+      for (std::uint32_t rid : k->missed) {
+        if (!store_->is_down(rid)) quorum_met = false;
+      }
+    } else {
+      quorum_met = k->acks >= std::min<std::uint32_t>(
+                                  W, static_cast<std::uint32_t>(k->place.replicas.size()));
     }
-  } else {
-    quorum_met = acks >= std::min<std::uint32_t>(W, replicas.size());
+    if (!quorum_met) return {miss_err, "insufficient acks: " + *k->ekey};
+    if (!k->missed.empty()) counters_.quorum_degraded_writes.inc();
   }
-  if (!quorum_met) {
-    return {miss_err, "insufficient acks: " + ekey};
-  }
-  if (!missed.empty()) counters_.quorum_degraded_writes.inc();
   return Status::success();
 }
 
@@ -725,21 +681,24 @@ Status BlobClient::replicated_mutation(std::string_view key,
 
 // ----------------------------------------------- batched striping ------
 
+namespace {
+/// Blunt cap shared by the metadata and placement caches: entries are tiny
+/// and verified on use, so a full reset costs one extra round per key, not
+/// correctness.
+template <class Map>
+void put_capped(Map& cache, const std::string& key, typename Map::mapped_type v,
+                std::size_t cap) {
+  if (cache.size() >= cap && cache.find(key) == cache.end()) cache.clear();
+  cache[key] = std::move(v);
+}
+}  // namespace
+
 void BlobClient::cache_put(const std::string& key, MetaEntry e) {
-  if (meta_cache_.size() >= kMetaCacheCap &&
-      meta_cache_.find(key) == meta_cache_.end()) {
-    // Blunt cap: entries are tiny and stat-verified on use, so a full reset
-    // costs one extra stat round per blob, not correctness.
-    meta_cache_.clear();
-  }
-  meta_cache_[key] = e;
+  put_capped(meta_cache_, key, e, kMetaCacheCap);
 }
 
 void BlobClient::cache_erase(const std::string& key) {
-  if (meta_cache_.erase(key) > 0) {
-    counters_.metacache_invalidations.inc();
-    client_metrics().metacache_invalidations.inc();
-  }
+  if (meta_cache_.erase(key) > 0) counters_.metacache_invalidations.inc();
 }
 
 Placement BlobClient::locate(const std::string& ekey) {
@@ -749,25 +708,29 @@ Placement BlobClient::locate(const std::string& ekey) {
   Placement p = store_->placement_of(ekey);
   // Only window-free placements are cacheable: a cached entry never carries
   // dual-write targets, and the stamp check catches it going stale.
-  if (p.pending.empty()) {
-    if (place_cache_.size() >= kMetaCacheCap &&
-        place_cache_.find(ekey) == place_cache_.end()) {
-      place_cache_.clear();  // same blunt cap policy as the metadata cache
-    }
-    place_cache_[ekey] = p;
-  }
+  if (p.pending.empty()) put_capped(place_cache_, ekey, p, kMetaCacheCap);
   return p;
 }
 
-void BlobClient::place_flush(const std::string& ekey) { place_cache_.erase(ekey); }
+void BlobClient::flush_stale_placement(const std::string& ekey, bool retry) {
+  place_cache_.erase(ekey);
+  counters_.epoch_refreshes.inc();
+  if (retry) counters_.stale_epoch_retries.inc();
+}
 
-ThreadPool& BlobClient::pool() {
-  if (!pool_) {
-    const std::size_t hw =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    pool_ = std::make_unique<ThreadPool>(std::min<std::size_t>(8, hw));
+void BlobClient::fan_out(std::size_t n, const std::function<void(std::size_t)>& fn) {
+  // Wall-clock fan-out across groups. Simulated time is max-of-legs either
+  // way (every group forks from the same instant), so parallel and
+  // sequential execution yield identical simulated traces; with a fault
+  // injector installed, the sequential order keeps verdict draws
+  // deterministic.
+  const std::size_t hw = std::thread::hardware_concurrency();
+  if (n < 2 || store_->transport().fault_injector() != nullptr || hw < 2) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
   }
-  return *pool_;
+  if (!pool_) pool_ = std::make_unique<ThreadPool>(std::min<std::size_t>(8, hw));
+  pool_->parallel_for(n, fn);
 }
 
 namespace {
@@ -790,19 +753,8 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   const auto& net = store_->cluster().net();
   BlobServer& primary = store_->server(primary_id);
 
-  struct SubState {
-    std::vector<std::uint32_t> replicas;
-    std::vector<std::uint32_t> pending;  ///< dual-write targets (migration)
-    std::uint32_t windows = 0;           ///< open windows with this key pending
-    bool skip = false;  ///< tolerated not_found: the chunk is a hole
-    Version pre_version = 0;
-    Version new_version = 0;
-    bool continue_versions = false;
-    bool ends_removed = false;
-    std::uint32_t acks = 1;  ///< the primary's ack, counted below
-    std::vector<std::uint32_t> missed;
-  };
-  std::vector<SubState> st(subs.size());
+  std::vector<KeyLeg> st(subs.size());
+  for (std::size_t i = 0; i < subs.size(); ++i) st[i].ekey = &subs[i]->ekey;
 
   // One MultiKeyLock per involved node (ascending id), covering every group
   // key replicated OR dual-targeted there: the same lexicographic
@@ -816,11 +768,8 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   for (int pass = 0;; ++pass) {
     node_keys.clear();
     for (std::size_t i = 0; i < subs.size(); ++i) {
-      const Placement p = store_->placement_of(subs[i]->ekey);
+      const Placement& p = st[i].place = store_->placement_of(subs[i]->ekey);
       if (p.replicas.empty()) return {Errc::no_space, "no storage nodes in ring"};
-      st[i].replicas = p.replicas;
-      st[i].pending = p.pending;
-      st[i].windows = p.windows;
       for (std::uint32_t n : p.replicas) node_keys[n].push_back(subs[i]->ekey);
       for (std::uint32_t n : p.pending) node_keys[n].push_back(subs[i]->ekey);
     }
@@ -830,11 +779,10 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
     bool stable = true;
     for (std::size_t i = 0; i < subs.size() && stable; ++i) {
       const Placement p = store_->placement_of(subs[i]->ekey);
-      stable = p.replicas == st[i].replicas && p.pending == st[i].pending;
+      stable = p.replicas == st[i].place.replicas && p.pending == st[i].place.pending;
     }
     if (stable || pass >= 2) break;
     counters_.stale_epoch_retries.inc();
-    client_metrics().stale_retries.inc();
   }
 
   // The wave grouped these subs under `primary_id` from pre-lock placements;
@@ -842,8 +790,8 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   // re-group — applying through a non-owner could strand an acked write on
   // servers about to drop it.
   for (std::size_t i = 0; i < subs.size(); ++i) {
-    if (std::find(st[i].replicas.begin(), st[i].replicas.end(), primary_id) ==
-        st[i].replicas.end()) {
+    const auto& replicas = st[i].place.replicas;
+    if (std::find(replicas.begin(), replicas.end(), primary_id) == replicas.end()) {
       return {Errc::busy, "placement moved during batch: " + subs[i]->ekey};
     }
   }
@@ -852,14 +800,13 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   // Wave-2 writes create chunk keys on demand (the application-visible blob
   // already exists); absent targets of tolerated truncate/remove subs are
   // holes — skipped, not errors.
+  std::vector<std::size_t> run_idx;
+  run_idx.reserve(subs.size());
   for (std::size_t i = 0; i < subs.size(); ++i) {
     BatchSub& sub = *subs[i];
     const bool exists = !primary.version_matches(sub.ekey, 0);
     if (!exists && sub.op.kind != BlobServer::TxnOp::Kind::write) {
-      if (sub.tolerate_not_found) {
-        st[i].skip = true;
-        continue;
-      }
+      if (sub.tolerate_not_found) continue;
       // Pay one failed round trip, as mutation_leg's precheck does.
       const SimMicros done =
           primary.node().serve(start + net.transfer_us(req_bytes(sub.ekey)), 3);
@@ -867,20 +814,8 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
       return {Errc::not_found, sub.ekey};
     }
     st[i].ends_removed = sub.op.kind == BlobServer::TxnOp::Kind::remove;
-    st[i].pre_version = exists ? primary.peek_version(sub.ekey).value_or(0) : 0;
-    Version base = st[i].pre_version;
-    for (std::uint32_t rid : st[i].replicas) {
-      if (store_->is_down(rid)) continue;
-      base = std::max(base, store_->server(rid).peek_version(sub.ekey).value_or(0));
-    }
-    st[i].new_version = base + 1;
-    st[i].continue_versions = base > st[i].pre_version;
-  }
-
-  std::vector<std::size_t> run_idx;
-  run_idx.reserve(subs.size());
-  for (std::size_t i = 0; i < subs.size(); ++i) {
-    if (!st[i].skip) run_idx.push_back(i);
+    plan_versions(primary, exists, 1, st[i]);
+    run_idx.push_back(i);
   }
   if (run_idx.empty()) return Status::success();  // all holes: nothing to send
 
@@ -905,10 +840,7 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
       }
       const auto span = static_cast<std::uint32_t>(e - r);
       req_meta += batch_header_bytes(first.ekey, to_wire_kind(first.op.kind), span);
-      if (span >= 2) {
-        counters_.coalesced_ops.inc();
-        client_metrics().batch_coalesced.inc();
-      }
+      if (span >= 2) counters_.coalesced_ops.inc();
       max_payload = std::max(max_payload, run_max);
       r = e;
     }
@@ -917,7 +849,6 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   const std::uint64_t reply_meta =
       kEnvelope + run_idx.size() * batch_substatus_bytes();
   counters_.batch_envelopes.inc();
-  client_metrics().batch_envelopes.inc();
   client_metrics().batch_size.add(run_idx.size());
 
   // Coordinator trip: one envelope, one fault decision, one apply_ops, one
@@ -931,7 +862,6 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
     // beyond the per-attempt retry policy (ROADMAP "batch-envelope retry
     // semantics").
     counters_.batch_retries.inc();
-    client_metrics().batch_retries.inc();
     SimMicros prev = store_->config().retry.backoff_base_us;
     prim = try_deliver(primary, prim.failed_at + next_backoff(&prev), req,
                        static_cast<std::uint32_t>(run_idx.size()));
@@ -947,11 +877,7 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   std::vector<SimMicros> marks(run_idx.size(), 0);
   Status ast = primary.apply_ops(refs.data(), refs.size(), &svc0, marks.data());
   if (ast.ok()) {
-    for (std::size_t i : run_idx) {
-      if (st[i].continue_versions && !st[i].ends_removed) {
-        (void)primary.force_version(subs[i]->ekey, st[i].new_version);
-      }
-    }
+    for (std::size_t i : run_idx) st[i].lift(primary);
   }
   const SimMicros prim_arrival =
       prim.attempt_start + net.transfer_us(req) + prim.extra_latency_us;
@@ -985,8 +911,8 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   for (auto& [rid, keys] : node_keys) {
     if (rid == primary_id) continue;
     auto replicated_here = [&](std::size_t i) {
-      return std::find(st[i].replicas.begin(), st[i].replicas.end(), rid) !=
-             st[i].replicas.end();
+      const auto& replicas = st[i].place.replicas;
+      return std::find(replicas.begin(), replicas.end(), rid) != replicas.end();
     };
     if (store_->is_down(rid)) {
       for (std::size_t i : run_idx) {
@@ -1013,7 +939,6 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
       // retry ladder (same gate as mutation_leg).
       for (std::size_t j : fwd) st[run_idx[j]].missed.push_back(rid);
       counters_.breaker_fast_hints.inc();
-      client_metrics().breaker_fast_hints.inc();
       continue;
     }
     // One forward envelope per node (one fault decision), opened when the
@@ -1037,11 +962,8 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
       break;
     }
     for (std::size_t j : fwd) {
-      const std::size_t i = run_idx[j];
-      if (st[i].continue_versions && !st[i].ends_removed) {
-        (void)rep.force_version(subs[i]->ekey, st[i].new_version);
-      }
-      ++st[i].acks;
+      st[run_idx[j]].lift(rep);
+      ++st[run_idx[j]].acks;
     }
     // Pipelined forwarding, mirroring mutation_leg: sub j's payload
     // leaves the primary at prim_sub_done[j] (not at the whole group's
@@ -1070,72 +992,21 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
     return fail;
   }
 
-  // Dual-write targets per sub (open migration window): mirror each applied
-  // sub onto its pending new owners, version-gated, never counted as acks.
-  // See mutation_leg for the write-vs-copy race argument.
+  // Mirror each applied sub onto its pending new owners, then settle every
+  // sub's replicas.
+  std::vector<KeyLeg*> settled;
+  settled.reserve(run_idx.size());
   for (std::size_t i : run_idx) {
-    for (std::uint32_t tid : st[i].pending) {
-      if (store_->is_down(tid)) {
-        if (primary.add_hint(tid, subs[i]->ekey)) counters_.hints_written.inc();
-        continue;
-      }
-      BlobServer& tgt = store_->server(tid);
-      if (!tgt.version_matches(subs[i]->ekey, st[i].pre_version)) continue;
-      const std::uint64_t dreq = req_bytes(subs[i]->ekey, subs[i]->op.data.size());
-      LegDelivery dd = try_deliver(tgt, prim_done, dreq);
-      if (!dd.ok) {
-        if (primary.add_hint(tid, subs[i]->ekey)) counters_.hints_written.inc();
-        done = std::max(done, dd.failed_at);
-        continue;
-      }
-      BlobServer::OpRef ref = subs[i]->op;
-      SimMicros dsvc = 0;
-      SimMicros dmark = 0;
-      if (!tgt.apply_ops(&ref, 1, &dsvc, &dmark).ok()) continue;
-      if (st[i].continue_versions && !st[i].ends_removed) {
-        (void)tgt.force_version(subs[i]->ekey, st[i].new_version);
-      }
-      counters_.dual_writes.inc();
-      client_metrics().dual_writes.inc();
-      if (st[i].windows >= 2) {
-        counters_.chain_dual_writes.inc();
-        client_metrics().chain_dual_writes.inc();
-      }
-      const SimMicros arr = prim_done + net.transfer_us(dreq) + dd.extra_latency_us;
-      done = std::max(done, tgt.node().serve(arr, dsvc) + net.transfer_us(kEnvelope) +
-                                dd.extra_latency_us);
-    }
+    mirror_pending(primary, st[i], &subs[i]->op, 1,
+                   req_bytes(subs[i]->ekey, subs[i]->op.data.size()), prim_done, &done);
+    settled.push_back(&st[i]);
   }
   *completion = done;
-
-  // Hints + per-key quorum evaluation, exactly as in mutation_leg.
-  const std::uint32_t W = store_->config().write_quorum;
-  for (std::size_t i : run_idx) {
-    if (W > 0) {
-      for (std::uint32_t rid : st[i].missed) {
-        if (primary.add_hint(rid, subs[i]->ekey)) counters_.hints_written.inc();
-      }
-    }
-    bool quorum_met;
-    if (W == 0 || st[i].ends_removed) {
-      quorum_met = true;
-      for (std::uint32_t rid : st[i].missed) {
-        if (!store_->is_down(rid)) quorum_met = false;
-      }
-    } else {
-      quorum_met = st[i].acks >=
-                   std::min<std::uint32_t>(W, static_cast<std::uint32_t>(
-                                                  st[i].replicas.size()));
-    }
-    if (!quorum_met) return {miss_err, "insufficient acks: " + subs[i]->ekey};
-    if (!st[i].missed.empty()) counters_.quorum_degraded_writes.inc();
-  }
-  return Status::success();
+  return settle_replicas(primary, settled, miss_err);
 }
 
 Status BlobClient::batched_mutation_wave(std::vector<BatchSub>& subs, SimMicros start,
                                          SimMicros* done) {
-  *done = start;
   if (subs.empty()) return Status::success();
   for (auto& s : subs) s.op.key = &s.ekey;  // pointers are stable only now
 
@@ -1164,24 +1035,10 @@ Status BlobClient::batched_mutation_wave(std::vector<BatchSub>& subs, SimMicros 
     return a.subs.front()->chunk < b.subs.front()->chunk;
   });
 
-  // Wall-clock fan-out across per-primary groups. Simulated time is
-  // max-of-legs either way (every group forks from `start`), so parallel
-  // and sequential execution yield identical simulated traces; with a fault
-  // injector installed, the sequential order keeps verdict draws
-  // deterministic.
-  const bool parallel = groups.size() > 1 &&
-                        store_->transport().fault_injector() == nullptr &&
-                        std::thread::hardware_concurrency() > 1;
-  if (parallel) {
-    pool().parallel_for(groups.size(), [&](std::size_t gi) {
-      Group& g = groups[gi];
-      g.status = mutation_group_leg(g.subs, g.primary, start, &g.completion);
-    });
-  } else {
-    for (Group& g : groups) {
-      g.status = mutation_group_leg(g.subs, g.primary, start, &g.completion);
-    }
-  }
+  fan_out(groups.size(), [&](std::size_t gi) {
+    Group& g = groups[gi];
+    g.status = mutation_group_leg(g.subs, g.primary, start, &g.completion);
+  });
   Status st = Status::success();
   for (Group& g : groups) {
     *done = std::max(*done, g.completion);
@@ -1193,7 +1050,6 @@ Status BlobClient::batched_mutation_wave(std::vector<BatchSub>& subs, SimMicros 
   // applied sub only advances its version.
   if (st.code() == Errc::busy && store_->ring_epoch() != epoch0 && pass < 1) {
     counters_.stale_epoch_retries.inc();
-    client_metrics().stale_retries.inc();
     continue;
   }
   return st;
@@ -1255,23 +1111,76 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
     std::vector<BlobServer::ReadSubResult> results;
     std::vector<SimMicros> sub_done;  ///< per-sub availability at the client
   };
+  // Serve `list` at `srv` in one read_batch, filling run.results and
+  // returning the per-sub completion marks. A payload envelope gathers into
+  // the subs' buffers; digest votes and hedges are answered from the
+  // server's extent index (a hedge, with probe_payload, is charged like the
+  // payload read it stands in for).
+  enum class Mode { payload, digest, hedge };
+  auto issue = [](BlobServer& srv, const std::vector<ReadSub*>& list, Mode mode,
+                  bool want_digest, CandRun& run) {
+    std::vector<BlobServer::ReadSubOp> ops;
+    ops.reserve(list.size());
+    for (ReadSub* sub : list) {
+      BlobServer::ReadSubOp op;
+      op.key = &sub->ekey;
+      op.off = sub->off;
+      op.stat_only = sub->stat_only;
+      if (!sub->stat_only && mode == Mode::payload) {
+        op.dst = sub->dst;
+        op.want_digest = want_digest;
+      } else if (!sub->stat_only) {
+        op.digest_only = true;
+        op.probe_payload = mode == Mode::hedge;
+        op.len = sub->dst.size();
+      }
+      ops.push_back(op);
+    }
+    run.results.resize(list.size());
+    std::vector<SimMicros> marks(list.size(), 0);
+    SimMicros svc = 0;
+    srv.read_batch(ops.data(), ops.size(), run.results.data(), &svc, marks.data());
+    return marks;
+  };
+
+  // Charge a served envelope that arrived at `arr`. Reply: per-sub statuses,
+  // plus the largest single chunk's payload unless it is a digest vote
+  // (chunk payloads stream back in parallel, like independent read_leg
+  // replies — a vectored run gathers at the NIC, it does not serialize).
+  // Chained serve: per-sub deltas leave the node's FCFS busy-until identical
+  // to one serve(total); sub j streams out at its own mark (same pipelining
+  // argument as mutation_group_leg).
+  auto charge = [&](BlobServer& srv, const std::vector<SimMicros>& marks, bool payload,
+                    SimMicros arr, SimMicros extra_latency_us, CandRun& run) {
+    std::uint64_t reply = kEnvelope + run.results.size() * batch_substatus_bytes();
+    if (payload) {
+      std::uint64_t max_chunk = 0;
+      for (const auto& res : run.results) max_chunk = std::max(max_chunk, res.data_len);
+      reply += max_chunk;
+    }
+    run.sub_done.resize(marks.size(), arr);
+    SimMicros node_done = arr;
+    SimMicros prev_mark = 0;
+    for (std::size_t j = 0; j < marks.size(); ++j) {
+      node_done = srv.node().serve(arr, marks[j] - prev_mark);
+      prev_mark = marks[j];
+      run.sub_done[j] = node_done + net.transfer_us(reply) + extra_latency_us;
+    }
+    run.comp = node_done + net.transfer_us(reply) + extra_latency_us;
+  };
+
   auto run_envelope = [&](std::uint32_t rid, const std::vector<ReadSub*>& list,
                           std::uint64_t reqb, std::uint32_t ncoal,
                           bool digest_mode, bool want_digest, SimMicros at) {
     CandRun run;
     BlobServer& srv = store_->server(rid);
     counters_.batch_envelopes.inc();
-    client_metrics().batch_envelopes.inc();
     client_metrics().batch_size.add(list.size());
-    for (std::uint32_t c = 0; c < ncoal; ++c) {
-      counters_.coalesced_ops.inc();
-      client_metrics().batch_coalesced.inc();
-    }
+    counters_.coalesced_ops.add(ncoal);
     LegDelivery d =
         try_deliver(srv, at, reqb, static_cast<std::uint32_t>(list.size()));
     if (!d.ok) {
       counters_.batch_retries.inc();
-      client_metrics().batch_retries.inc();
       SimMicros prev = cfg.retry.backoff_base_us;
       d = try_deliver(srv, d.failed_at + next_backoff(&prev), reqb,
                       static_cast<std::uint32_t>(list.size()));
@@ -1283,68 +1192,27 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
     }
     run.delivered = true;
     run.attempt_start = d.attempt_start;
-    std::vector<BlobServer::ReadSubOp> ops;
-    ops.reserve(list.size());
-    for (ReadSub* sub : list) {
-      BlobServer::ReadSubOp op;
-      op.key = &sub->ekey;
-      op.off = sub->off;
-      op.stat_only = sub->stat_only;
-      if (digest_mode && !sub->stat_only) {
-        op.digest_only = true;
-        op.len = sub->dst.size();
-      } else {
-        op.dst = sub->dst;
-        op.want_digest = want_digest && !sub->stat_only;
-      }
-      ops.push_back(op);
-    }
-    run.results.resize(list.size());
-    std::vector<SimMicros> marks(list.size(), 0);
-    SimMicros svc = 0;
-    srv.read_batch(ops.data(), ops.size(), run.results.data(), &svc, marks.data());
-
-    // Reply: per-sub statuses, plus the largest single chunk's payload on a
-    // payload envelope (chunk payloads stream back in parallel, like
-    // independent read_leg replies — a vectored run gathers at the NIC, it
-    // does not serialize). Digest replies ship marks only.
-    std::uint64_t reply =
-        kEnvelope + list.size() * batch_substatus_bytes();
-    if (!digest_mode) {
-      std::uint64_t max_chunk = 0;
-      for (const auto& res : run.results) {
-        max_chunk = std::max(max_chunk, res.data_len);
-      }
-      reply += max_chunk;
-    }
-    // Chained serve: per-sub deltas leave the node's FCFS busy-until
-    // identical to one serve(total); sub j streams out at its own mark
-    // (same pipelining argument as mutation_group_leg).
-    const SimMicros arr = d.attempt_start + net.transfer_us(reqb) + d.extra_latency_us;
-    run.sub_done.resize(list.size(), arr);
-    SimMicros node_done = arr;
-    SimMicros prev_mark = 0;
-    for (std::size_t j = 0; j < list.size(); ++j) {
-      node_done = srv.node().serve(arr, marks[j] - prev_mark);
-      prev_mark = marks[j];
-      run.sub_done[j] = node_done + net.transfer_us(reply) + d.extra_latency_us;
-    }
-    run.comp = node_done + net.transfer_us(reply) + d.extra_latency_us;
+    const auto marks =
+        issue(srv, list, digest_mode ? Mode::digest : Mode::payload, want_digest, run);
+    charge(srv, marks, !digest_mode,
+           d.attempt_start + net.transfer_us(reqb) + d.extra_latency_us,
+           d.extra_latency_us, run);
     return run;
   };
 
-  // Whole-group degradation to per-chunk read_leg calls (replica failover
-  // and quorum arbitration live inside read_leg/stat_leg). Only reachable
-  // with a fault injector installed — always sequential. Destinations are
-  // re-zeroed because an earlier candidate envelope may have partially
-  // gathered.
-  auto read_leg_fallback = [&](SimMicros t) -> Status {
-    SimMicros done = t;
-    for (ReadSub* sub : subs) {
+  // Degradation to per-chunk read_leg/stat_leg calls (replica failover and
+  // quorum arbitration live inside them): for the whole group when its
+  // envelope cannot be delivered, or for the stale subs of an undelivered
+  // refetch, each of which counts as a quorum refetch. Only reachable with a
+  // fault injector installed — always sequential. Destinations are re-zeroed
+  // because an earlier envelope may have partially gathered.
+  auto via_legs = [&](const std::vector<ReadSub*>& list, SimMicros t, SimMicros* done,
+                      bool refetch) -> Status {
+    for (ReadSub* sub : list) {
       SimMicros comp = t;
       if (sub->stat_only) {
         auto s = stat_leg(sub->ekey, t, &comp);
-        done = std::max(done, comp);
+        *done = std::max(*done, comp);
         if (s.ok()) {
           sub->err = Errc::ok;
           sub->size = s.value().size;
@@ -1352,7 +1220,6 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
         } else if (s.error().code == Errc::not_found) {
           sub->err = Errc::not_found;
         } else {
-          *completion = done;
           return s.error();
         }
         continue;
@@ -1360,7 +1227,8 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
       std::fill(sub->dst.begin(), sub->dst.end(), std::byte{0});
       sub->latency_us = 0;  // read_leg feeds read_latency_ itself
       auto r = read_leg(sub->ekey, sub->off, sub->dst.size(), t, &comp);
-      done = std::max(done, comp);
+      *done = std::max(*done, comp);
+      if (refetch) counters_.quorum_refetches.inc();
       if (r.ok()) {
         const Bytes& part = r.value().data;
         std::copy(part.begin(), part.end(), sub->dst.begin());
@@ -1370,11 +1238,9 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
       } else if (r.error().code == Errc::not_found) {
         sub->err = Errc::not_found;  // whole chunk is a hole
       } else {
-        *completion = done;
         return r.error();
       }
     }
-    *completion = done;
     return Status::success();
   };
 
@@ -1386,16 +1252,19 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
   for (std::uint32_t j = 0; j < R; ++j) {
     cand[j] = run_envelope(candidates[j], subs, req, coalesced,
                            /*digest_mode=*/j > 0, /*want_digest=*/R > 1, start);
-    if (!cand[j].delivered) return read_leg_fallback(cand[j].failed_at);
+    if (!cand[j].delivered) {
+      SimMicros done = cand[j].failed_at;
+      const Status st = via_legs(subs, done, &done, /*refetch=*/false);
+      *completion = done;
+      return st;
+    }
     if (j > 0) {
       counters_.quorum_probes.inc();
-      client_metrics().quorum_probes.inc();
       std::uint64_t avoided = 0;
       for (const auto& res : cand[j].results) {
         avoided = std::max(avoided, res.data_len);
       }
       counters_.quorum_digest_savings_bytes.add(avoided);
-      client_metrics().quorum_digest_savings.add(avoided);
     }
   }
 
@@ -1410,9 +1279,7 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
   // for, and the reply is charged at full payload size — it is the payload
   // that would have won.
   {
-    BlobServer& prim_srv = store_->server(candidates[0]);
-    SimMicros delay = hedge_delay();
-    if (delay > 1 && is_suspect(prim_srv.node().id())) delay /= 2;
+    const SimMicros delay = hedge_delay(store_->server(candidates[0]).node().id());
     if (delay > 0 && candidates.size() > 1 &&
         cand[0].comp - cand[0].attempt_start > delay) {
       counters_.hedges.inc();
@@ -1421,49 +1288,24 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
       AttemptPlan hp =
           plan_attempt(alt, h_start, req, static_cast<std::uint32_t>(subs.size()));
       if (hp.delivered) {
-        std::vector<BlobServer::ReadSubOp> hops;
-        hops.reserve(subs.size());
-        for (ReadSub* sub : subs) {
-          BlobServer::ReadSubOp op;
-          op.key = &sub->ekey;
-          op.off = sub->off;
-          op.stat_only = sub->stat_only;
-          if (!sub->stat_only) {
-            op.digest_only = true;
-            op.probe_payload = true;
-            op.len = sub->dst.size();
-          }
-          hops.push_back(op);
-        }
-        std::vector<BlobServer::ReadSubResult> hres(subs.size());
-        std::vector<SimMicros> hmarks(subs.size(), 0);
-        SimMicros hsvc = 0;
-        alt.read_batch(hops.data(), hops.size(), hres.data(), &hsvc, hmarks.data());
+        CandRun h;
+        const auto hmarks = issue(alt, subs, Mode::hedge, false, h);
         bool same = true;
         for (std::size_t k = 0; k < subs.size(); ++k) {
           if (subs[k]->stat_only) continue;
-          if (hres[k].err != cand[0].results[k].err ||
-              hres[k].version != cand[0].results[k].version) {
+          if (h.results[k].err != cand[0].results[k].err ||
+              h.results[k].version != cand[0].results[k].version) {
             same = false;
           }
         }
         if (same) {
-          std::uint64_t reply = kEnvelope + subs.size() * batch_substatus_bytes();
-          std::uint64_t max_chunk = 0;
-          for (const auto& res : hres) max_chunk = std::max(max_chunk, res.data_len);
-          reply += max_chunk;
-          const SimMicros harr = h_start + net.transfer_us(req) + hp.extra_latency_us;
-          SimMicros hdone = harr;
-          SimMicros prev_mark = 0;
+          charge(alt, hmarks, /*payload=*/true,
+                 h_start + net.transfer_us(req) + hp.extra_latency_us,
+                 hp.extra_latency_us, h);
           for (std::size_t k = 0; k < subs.size(); ++k) {
-            hdone = alt.node().serve(harr, hmarks[k] - prev_mark);
-            prev_mark = hmarks[k];
-            const SimMicros avail =
-                hdone + net.transfer_us(reply) + hp.extra_latency_us;
-            cand[0].sub_done[k] = std::min(cand[0].sub_done[k], avail);
+            cand[0].sub_done[k] = std::min(cand[0].sub_done[k], h.sub_done[k]);
           }
-          cand[0].comp = std::min(
-              cand[0].comp, hdone + net.transfer_us(reply) + hp.extra_latency_us);
+          cand[0].comp = std::min(cand[0].comp, h.comp);
         }
       }
     }
@@ -1532,14 +1374,12 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
       const auto& r0 = cand[0].results[k];
       if (r0.err == Errc::ok && r0.version >= maxv) {
         counters_.quorum_winners.inc();
-        client_metrics().quorum_winners.inc();
         continue;
       }
       if (r0.err == Errc::ok && r0.digest != 0 &&
           r0.digest == cand[win].results[k].digest) {
         sub->version = maxv;
         counters_.quorum_winners.inc();
-        client_metrics().quorum_winners.inc();
         continue;
       }
       refetch[win].push_back(sub);
@@ -1558,28 +1398,10 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
                                 /*digest_mode=*/false, /*want_digest=*/false,
                                 done);
       if (!rr.delivered) {
-        // Injector-only: degrade the stale subs to read_leg calls.
-        SimMicros t = rr.failed_at;
-        for (ReadSub* sub : list) {
-          std::fill(sub->dst.begin(), sub->dst.end(), std::byte{0});
-          SimMicros comp = t;
-          auto rl = read_leg(sub->ekey, sub->off, sub->dst.size(), t, &comp);
-          done = std::max(done, comp);
-          counters_.quorum_refetches.inc();
-          client_metrics().quorum_refetches.inc();
-          sub->latency_us = 0;  // read_leg feeds read_latency_ itself
-          if (rl.ok()) {
-            const Bytes& part = rl.value().data;
-            std::copy(part.begin(), part.end(), sub->dst.begin());
-            sub->err = Errc::ok;
-            sub->data_len = part.size();
-            sub->covered = rl.value().covered;
-          } else if (rl.error().code == Errc::not_found) {
-            sub->err = Errc::not_found;
-          } else {
-            *completion = done;
-            return rl.error();
-          }
+        const Status st = via_legs(list, rr.failed_at, &done, /*refetch=*/true);
+        if (!st.ok()) {
+          *completion = done;
+          return st;
         }
         continue;
       }
@@ -1594,7 +1416,6 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
                               ? rr.sub_done[i] - cand[0].attempt_start
                               : 0;
         counters_.quorum_refetches.inc();
-        client_metrics().quorum_refetches.inc();
       }
       done = std::max(done, rr.comp);
     }
@@ -1610,24 +1431,11 @@ Result<Bytes> BlobClient::batched_striped_read(std::string_view key,
   const std::uint64_t cb = store_->config().chunk_bytes;
   const std::string base{key};
 
-  MetaEntry entry;
-  if (auto it = meta_cache_.find(base); it != meta_cache_.end()) {
-    entry = it->second;
-    counters_.metacache_hits.inc();
-    client_metrics().metacache_hits.inc();
-  } else {
-    counters_.metacache_misses.inc();
-    client_metrics().metacache_misses.inc();
-    // One charged stat round primes the cache — and is the complete answer
-    // for an absent blob (a single round trip, no full-length probe leg).
-    const SimMicros s0 = agent_ ? agent_->now() : 0;
-    SimMicros comp = s0;
-    auto s = stat_leg(base, s0, &comp);
-    if (agent_) agent_->advance_to(comp);
-    if (!s.ok()) return s.error();
-    entry = {s.value().size, s.value().version};
-    cache_put(base, entry);
-  }
+  // A miss's charged stat round primes the cache — and is the complete
+  // answer for an absent blob (a single round trip, no full-length probe leg).
+  const auto cached = cached_stat(base);
+  if (!cached.ok()) return cached.error();
+  MetaEntry entry{cached.value().size, cached.value().version};
 
   for (int attempt = 0;; ++attempt) {
     const std::uint64_t logical = entry.logical;
@@ -1715,19 +1523,10 @@ Result<Bytes> BlobClient::batched_striped_read(std::string_view key,
       return a.subs.front()->chunk < b.subs.front()->chunk;
     });
 
-    const bool parallel = groups.size() > 1 &&
-                          store_->transport().fault_injector() == nullptr &&
-                          std::thread::hardware_concurrency() > 1;
-    if (parallel) {
-      pool().parallel_for(groups.size(), [&](std::size_t gi) {
-        Group& g = groups[gi];
-        g.status = read_group_leg(g.subs, g.candidates, start, &g.completion);
-      });
-    } else {
-      for (Group& g : groups) {
-        g.status = read_group_leg(g.subs, g.candidates, start, &g.completion);
-      }
-    }
+    fan_out(groups.size(), [&](std::size_t gi) {
+      Group& g = groups[gi];
+      g.status = read_group_leg(g.subs, g.candidates, start, &g.completion);
+    });
     SimMicros done = start;
     Status fail = Status::success();
     for (Group& g : groups) {
@@ -1751,7 +1550,6 @@ Result<Bytes> BlobClient::batched_striped_read(std::string_view key,
     // on the post-cutover placement.
     if (store_->ring_epoch() != epoch0 && attempt < 2) {
       counters_.stale_epoch_retries.inc();
-      client_metrics().stale_retries.inc();
       continue;
     }
 
@@ -1767,7 +1565,6 @@ Result<Bytes> BlobClient::batched_striped_read(std::string_view key,
     if (vstat->size != logical && attempt < 2) {
       // Size drifted (concurrent truncate/recreate): relayout and re-read.
       counters_.metacache_invalidations.inc();
-      client_metrics().metacache_invalidations.inc();
       entry = {vstat->size, vstat->version};
       cache_put(base, entry);
       continue;
@@ -1788,15 +1585,16 @@ Result<Bytes> BlobClient::batched_striped_read(std::string_view key,
     counters_.bytes_read.add(covered);
     counters_.read_hole_bytes.add(rlen - covered);
     client_metrics().read_bytes.add(rlen);
-    client_metrics().read_hole_bytes.add(rlen - covered);
     return out;
   }
 }
 
 BlobClient::ProbeRound BlobClient::quorum_probe(const std::string& ekey,
                                                 const std::vector<std::uint32_t>& lives,
-                                                std::uint32_t quorum, SimMicros start) {
+                                                SimMicros start) {
   const auto& net = store_->cluster().net();
+  const std::uint32_t quorum = std::min<std::uint32_t>(
+      store_->config().read_quorum(), static_cast<std::uint32_t>(lives.size()));
   ProbeRound out;
   struct Probe {
     std::uint32_t rid;
@@ -1849,13 +1647,13 @@ BlobClient::ProbeRound BlobClient::quorum_probe(const std::string& ekey,
   return out;
 }
 
-SimMicros BlobClient::hedge_delay() const {
+SimMicros BlobClient::hedge_delay(std::uint32_t node) {
   const HedgePolicy& h = store_->config().hedge;
   if (!h.enabled) return 0;
-  if (read_latency_.count() >= h.min_samples) {
-    return static_cast<SimMicros>(read_latency_.percentile(h.percentile));
-  }
-  return h.fixed_delay_us;
+  const SimMicros delay = read_latency_.count() >= h.min_samples
+                              ? static_cast<SimMicros>(read_latency_.percentile(h.percentile))
+                              : h.fixed_delay_us;
+  return delay > 1 && is_suspect(node) ? delay / 2 : delay;
 }
 
 Result<ReadOutcome> BlobClient::read_leg(const std::string& ekey, std::uint64_t off,
@@ -1891,8 +1689,7 @@ Result<ReadOutcome> BlobClient::read_leg(const std::string& ekey, std::uint64_t 
     std::vector<std::uint32_t> candidates = lives;
     SimMicros t = start;
     if (R > 1) {
-      ProbeRound probe = quorum_probe(
-          ekey, lives, std::min<std::uint32_t>(R, lives.size()), start);
+      ProbeRound probe = quorum_probe(ekey, lives, start);
       if (!probe.ok) {
         *completion = probe.done;
         return {probe.err, "read quorum unreachable: " + ekey};
@@ -1927,11 +1724,7 @@ Result<ReadOutcome> BlobClient::read_leg(const std::string& ekey, std::uint64_t 
       // Stale-epoch stamp check, before the reply is trusted: the replica
       // answered, but from a membership the client no longer shares.
       if (srv.ring_epoch() > p.epoch && pass < 2) {
-        place_flush(ekey);
-        counters_.epoch_refreshes.inc();
-        client_metrics().epoch_refreshes.inc();
-        counters_.stale_epoch_retries.inc();
-        client_metrics().stale_retries.inc();
+        flush_stale_placement(ekey, true);
         start = comp;
         stale = true;
         break;
@@ -1940,11 +1733,7 @@ Result<ReadOutcome> BlobClient::read_leg(const std::string& ekey, std::uint64_t 
       // Hedging: when this leg ran past the hedge delay, a speculative copy
       // of the request goes to the next equally fresh candidate, and the
       // caller takes whichever reply lands first (contents are identical).
-      // A suspect serving replica is hedged against at half the delay — the
-      // whole point of tracking gray failure is not waiting the full p99
-      // on a node already known to be slow.
-      SimMicros delay = hedge_delay();
-      if (delay > 1 && is_suspect(srv.node().id())) delay /= 2;
+      const SimMicros delay = hedge_delay(srv.node().id());
       if (delay > 0 && comp - d.attempt_start > delay && i + 1 < candidates.size()) {
         counters_.hedges.inc();
         BlobServer& alt = store_->server(candidates[i + 1]);
@@ -1991,16 +1780,11 @@ Result<BlobStat> BlobClient::stat_leg(const std::string& ekey, SimMicros start,
     if (lives.empty()) return {Errc::unavailable, "all replicas down: " + ekey};
 
     if (R > 1) {
-      ProbeRound probe = quorum_probe(
-          ekey, lives, std::min<std::uint32_t>(R, lives.size()), start);
+      ProbeRound probe = quorum_probe(ekey, lives, start);
       *completion = probe.done;
       if (probe.ok && store_->server(lives.front()).ring_epoch() > p.epoch &&
           pass < 2) {
-        place_flush(ekey);
-        counters_.epoch_refreshes.inc();
-        client_metrics().epoch_refreshes.inc();
-        counters_.stale_epoch_retries.inc();
-        client_metrics().stale_retries.inc();
+        flush_stale_placement(ekey, true);
         start = probe.done;
         continue;
       }
@@ -2028,11 +1812,7 @@ Result<BlobStat> BlobClient::stat_leg(const std::string& ekey, SimMicros start,
       *completion =
           srv.node().serve(arr, svc) + net.transfer_us(kProbeResp) + d.extra_latency_us;
       if (srv.ring_epoch() > p.epoch && pass < 2) {
-        place_flush(ekey);
-        counters_.epoch_refreshes.inc();
-        client_metrics().epoch_refreshes.inc();
-        counters_.stale_epoch_retries.inc();
-        client_metrics().stale_retries.inc();
+        flush_stale_placement(ekey, true);
         start = *completion;
         stale = true;
         break;
@@ -2047,9 +1827,7 @@ Result<BlobStat> BlobClient::stat_leg(const std::string& ekey, SimMicros start,
 }
 
 Status BlobClient::create(std::string_view key) {
-  counters_.creates.inc();
-  PrimTimer timer(client_metrics().create, agent_, key);
-  OpBudget budget(*this, agent_ ? agent_->now() : 0);
+  PrimCall call(*this, counters_.creates, client_metrics().create, key);
   if (key.empty()) return {Errc::invalid_argument, "empty blob key"};
   cache_erase(std::string{key});
   return replicated_mutation(
@@ -2057,9 +1835,7 @@ Status BlobClient::create(std::string_view key) {
 }
 
 Status BlobClient::remove(std::string_view key) {
-  counters_.removes.inc();
-  PrimTimer timer(client_metrics().remove, agent_, key);
-  OpBudget budget(*this, agent_ ? agent_->now() : 0);
+  PrimCall call(*this, counters_.removes, client_metrics().remove, key);
   const std::uint64_t cb = store_->config().chunk_bytes;
   const std::string base{key};
 
@@ -2068,11 +1844,9 @@ Status BlobClient::remove(std::string_view key) {
   // envelopes with tolerated not_found (hole chunks).
   const SimMicros start = agent_ ? agent_->now() : 0;
   SimMicros done = start;
-  SimMicros comp = start;
   LegInfo li;
   Status st = mutation_leg(base, {{BlobServer::TxnOp::Kind::remove, base, 0, {}, 0}},
-                           start, &comp, &li);
-  done = std::max(done, comp);
+                           start, &done, &li);
   if (st.ok() && cb > 0 && li.pre_size > cb) {
     std::vector<BatchSub> subs;
     const std::uint64_t chunks = (li.pre_size + cb - 1) / cb;
@@ -2084,9 +1858,7 @@ Status BlobClient::remove(std::string_view key) {
       sub.op = {BlobServer::TxnOp::Kind::remove, nullptr, 0, {}, 0, 0};
       subs.push_back(std::move(sub));
     }
-    SimMicros wdone = start;
-    st = batched_mutation_wave(subs, start, &wdone);
-    done = std::max(done, wdone);
+    st = batched_mutation_wave(subs, start, &done);
   }
   if (agent_) agent_->advance_to(done);
   cache_erase(base);
@@ -2095,9 +1867,7 @@ Status BlobClient::remove(std::string_view key) {
 
 Result<Bytes> BlobClient::read(std::string_view key, std::uint64_t offset,
                                std::uint64_t len) {
-  counters_.reads.inc();
-  PrimTimer timer(client_metrics().read, agent_, key);
-  OpBudget budget(*this, agent_ ? agent_->now() : 0);
+  PrimCall call(*this, counters_.reads, client_metrics().read, key);
   const std::uint64_t cb = store_->config().chunk_bytes;
   if (cb == 0 || offset + len <= cb) {
     // Single-chunk fast path: one leg (failover/quorum logic inside).
@@ -2112,7 +1882,6 @@ Result<Bytes> BlobClient::read(std::string_view key, std::uint64_t offset,
     counters_.bytes_read.add(covered);
     counters_.read_hole_bytes.add(r.value().data.size() - covered);
     client_metrics().read_bytes.add(r.value().data.size());
-    client_metrics().read_hole_bytes.add(r.value().data.size() - covered);
     return std::move(r.value().data);
   }
 
@@ -2131,11 +1900,9 @@ Result<BlobStat> BlobClient::cached_stat(const std::string& base) {
   // a failed stat pays the round again, matching read-path probe economy.
   if (auto it = meta_cache_.find(base); it != meta_cache_.end()) {
     counters_.metacache_hits.inc();
-    client_metrics().metacache_hits.inc();
     return BlobStat{base, it->second.logical, it->second.v0};
   }
   counters_.metacache_misses.inc();
-  client_metrics().metacache_misses.inc();
   const SimMicros start = agent_ ? agent_->now() : 0;
   SimMicros comp = start;
   auto s = stat_leg(base, start, &comp);
@@ -2145,9 +1912,7 @@ Result<BlobStat> BlobClient::cached_stat(const std::string& base) {
 }
 
 Result<std::uint64_t> BlobClient::size(std::string_view key) {
-  counters_.sizes.inc();
-  PrimTimer timer(client_metrics().size, agent_, key);
-  OpBudget budget(*this, agent_ ? agent_->now() : 0);
+  PrimCall call(*this, counters_.sizes, client_metrics().size, key);
   // Chunk 0 carries the full logical size of a striped blob.
   auto s = cached_stat(std::string{key});
   if (!s.ok()) return s.error();
@@ -2155,8 +1920,7 @@ Result<std::uint64_t> BlobClient::size(std::string_view key) {
 }
 
 Result<BlobStat> BlobClient::stat(std::string_view key) {
-  PrimTimer timer(client_metrics().stat, agent_, key);
-  OpBudget budget(*this, agent_ ? agent_->now() : 0);
+  PrimCall call(*this, counters_.stats, client_metrics().stat, key);
   return cached_stat(std::string{key});
 }
 
@@ -2164,9 +1928,7 @@ bool BlobClient::exists(std::string_view key) { return stat(key).ok(); }
 
 Result<std::uint64_t> BlobClient::write(std::string_view key, std::uint64_t offset,
                                         ByteView data) {
-  counters_.writes.inc();
-  PrimTimer timer(client_metrics().write, agent_, key);
-  OpBudget budget(*this, agent_ ? agent_->now() : 0);
+  PrimCall call(*this, counters_.writes, client_metrics().write, key);
   if (key.empty()) return {Errc::invalid_argument, "empty blob key"};
   const std::uint64_t cb = store_->config().chunk_bytes;
   const std::uint64_t end = offset + data.size();
@@ -2179,7 +1941,6 @@ Result<std::uint64_t> BlobClient::write(std::string_view key, std::uint64_t offs
                Bytes(data.begin(), data.end()), 0}});
     if (!st.ok()) return st.error();
     counters_.bytes_written.add(data.size());
-    client_metrics().write_bytes.add(data.size());
     return data.size();
   }
 
@@ -2192,7 +1953,6 @@ Result<std::uint64_t> BlobClient::write(std::string_view key, std::uint64_t offs
   const std::string base{key};
   const SimMicros start = agent_ ? agent_->now() : 0;
   SimMicros done = start;
-  SimMicros comp = start;
 
   // The chunk-0 slice ships as a zero-copy iovec view plus a client-computed
   // end-to-end checksum, so the base leg neither marshals a payload copy nor
@@ -2209,8 +1969,7 @@ Result<std::uint64_t> BlobClient::write(std::string_view key, std::uint64_t offs
   }
   base_ops.push_back({BlobServer::TxnOp::Kind::grow, base, 0, {}, end});
   LegInfo li;
-  Status st = mutation_leg(base, base_ops, start, &comp, &li);
-  done = std::max(done, comp);
+  Status st = mutation_leg(base, base_ops, start, &done, &li);
 
   // Chunk legs c >= 1 travel as per-primary batch envelopes: one queueing
   // trip, one lock round, one fault decision per acting primary.
@@ -2227,9 +1986,7 @@ Result<std::uint64_t> BlobClient::write(std::string_view key, std::uint64_t offs
                 content_checksum(slice)};
       subs.push_back(std::move(sub));
     }
-    SimMicros wdone = start;
-    st = batched_mutation_wave(subs, start, &wdone);
-    done = std::max(done, wdone);
+    st = batched_mutation_wave(subs, start, &done);
   }
   if (agent_) agent_->advance_to(done);
   if (!st.ok()) {
@@ -2240,14 +1997,11 @@ Result<std::uint64_t> BlobClient::write(std::string_view key, std::uint64_t offs
   // enough to refresh the metadata cache without another round.
   cache_put(base, {std::max(li.pre_size, end), li.new_version});
   counters_.bytes_written.add(data.size());
-  client_metrics().write_bytes.add(data.size());
   return data.size();
 }
 
 Status BlobClient::truncate(std::string_view key, std::uint64_t new_size) {
-  counters_.truncates.inc();
-  PrimTimer timer(client_metrics().truncate, agent_, key);
-  OpBudget budget(*this, agent_ ? agent_->now() : 0);
+  PrimCall call(*this, counters_.truncates, client_metrics().truncate, key);
   const std::uint64_t cb = store_->config().chunk_bytes;
   const std::string base{key};
 
@@ -2257,12 +2011,10 @@ Status BlobClient::truncate(std::string_view key, std::uint64_t new_size) {
   // tolerated removes; the straddling chunk is trimmed.
   const SimMicros start = agent_ ? agent_->now() : 0;
   SimMicros done = start;
-  SimMicros comp = start;
   LegInfo li;
   Status st = mutation_leg(
-      base, {{BlobServer::TxnOp::Kind::truncate, base, 0, {}, new_size}}, start, &comp,
+      base, {{BlobServer::TxnOp::Kind::truncate, base, 0, {}, new_size}}, start, &done,
       &li);
-  done = std::max(done, comp);
   const std::uint64_t chunks =
       cb > 0 ? (std::max(li.pre_size, new_size) + cb - 1) / cb : 1;
   if (st.ok() && chunks > 1) {
@@ -2282,9 +2034,7 @@ Status BlobClient::truncate(std::string_view key, std::uint64_t new_size) {
       }
       subs.push_back(std::move(sub));
     }
-    SimMicros wdone = start;
-    st = batched_mutation_wave(subs, start, &wdone);
-    done = std::max(done, wdone);
+    st = batched_mutation_wave(subs, start, &done);
   }
   if (agent_) agent_->advance_to(done);
   if (!st.ok()) {
@@ -2296,9 +2046,7 @@ Status BlobClient::truncate(std::string_view key, std::uint64_t new_size) {
 }
 
 Result<std::vector<BlobStat>> BlobClient::scan(std::string_view prefix) {
-  counters_.scans.inc();
-  PrimTimer timer(client_metrics().scan, agent_, prefix);
-  OpBudget budget(*this, agent_ ? agent_->now() : 0);
+  PrimCall call(*this, counters_.scans, client_metrics().scan, prefix);
   const auto& net = store_->cluster().net();
   const SimMicros start = agent_ ? agent_->now() : 0;
   const std::string pfx{prefix};
@@ -2369,14 +2117,12 @@ BlobTransaction& BlobTransaction::expect_version(std::string_view key, Version v
 
 Status BlobTransaction::commit() {
   BlobClient& c = *client_;
-  c.counters_.txns.inc();
-  BlobClient::OpBudget budget(c, c.agent() ? c.agent()->now() : 0);
   // Both branches must already be string_views: a ""/std::string ternary
-  // would materialize a temporary string that dies here while the timer's
+  // would materialize a temporary string that dies here while the call's
   // view of it lives until end of commit().
-  PrimTimer timer(client_metrics().txn, c.agent(),
-                  ops_.empty() ? std::string_view{}
-                               : std::string_view{ops_.front().key});
+  BlobClient::PrimCall call(c, c.counters_.txns, client_metrics().txn,
+                            ops_.empty() ? std::string_view{}
+                                         : std::string_view{ops_.front().key});
   if (ops_.empty()) return Status::success();
   BlobStore& store = c.store();
   const std::uint32_t W = store.config().write_quorum;
@@ -2414,6 +2160,11 @@ Status BlobTransaction::commit() {
     const SimMicros arr = start + net.transfer_us(64);
     prepare_done = std::max(prepare_done, store.server(n).node().serve(arr, 3));
   }
+  // A refused commit ends with the rejection reply to the prepare round.
+  auto abort = [&](Status refused) {
+    if (agent) agent->advance_to(prepare_done + net.transfer_us(32));
+    return refused;
+  };
 
   // Authoritative per-key version: the freshest live replica (in classic
   // mode every live replica agrees; in quorum mode stale replicas may lag).
@@ -2427,10 +2178,7 @@ Status BlobTransaction::commit() {
   for (const std::string& key : touched) {
     const auto reps = store.replicas_of(key);
     const auto acting = store.first_up(reps);
-    if (!acting) {
-      if (agent) agent->advance_to(prepare_done + net.transfer_us(32));
-      return {Errc::unavailable, "all replicas down: " + key};
-    }
+    if (!acting) return abort({Errc::unavailable, "all replicas down: " + key});
     Version v = 0;
     std::uint32_t holder = *acting;
     for (std::uint32_t r : reps) {
@@ -2456,10 +2204,7 @@ Status BlobTransaction::commit() {
       }
       return v;
     }();
-    if (have != expected) {
-      if (agent) agent->advance_to(prepare_done + net.transfer_us(32));
-      return {Errc::conflict, "precondition failed: " + key};
-    }
+    if (have != expected) return abort({Errc::conflict, "precondition failed: " + key});
   }
 
   // Applicability validation against the pre-transaction state, so the
@@ -2488,10 +2233,7 @@ Status BlobTransaction::commit() {
         created_in_txn.insert(op.key);  // auto-creates
         break;
     }
-    if (!applicable) {
-      if (agent) agent->advance_to(prepare_done + net.transfer_us(32));
-      return {Errc::conflict, "inapplicable op on: " + op.key};
-    }
+    if (!applicable) return abort({Errc::conflict, "inapplicable op on: " + op.key});
   }
 
   // Freshness gate: a replica applies a key's ops only from the
@@ -2518,8 +2260,7 @@ Status BlobTransaction::commit() {
     const std::uint32_t need =
         (W == 0) ? live : std::min<std::uint32_t>(W, static_cast<std::uint32_t>(reps.size()));
     if (acks < need || acks == 0) {
-      if (agent) agent->advance_to(prepare_done + net.transfer_us(32));
-      return {Errc::unavailable, "insufficient fresh replicas: " + key};
+      return abort({Errc::unavailable, "insufficient fresh replicas: " + key});
     }
   }
 

@@ -29,8 +29,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -46,60 +48,118 @@
 
 namespace bsc::blob {
 
-/// Per-client counters. Fields are obs::LocalCounter — always-on relaxed
-/// atomics that read as plain integers — so clients shared across threads
-/// (or observed from a monitoring thread mid-run) never tear a count, and
-/// the counts keep advancing even when the global metrics switch is off:
-/// this is functional accounting (retry/hint/quorum bookkeeping read by
-/// tests, benches, and repair logic), not an observability series. The
-/// struct is address-stable and non-copyable, like the client owning it.
+/// Every per-client event with the registry series it rolls up into, in one
+/// list: X(field, series, sink). `sink` is `counter`, or `histogram` for a
+/// byte volume whose series is the histogram that sums it. The list declares
+/// the ClientCounters fields and kClientEventSeries; DESIGN.md §3 mirrors it.
+#define BSC_CLIENT_EVENTS(X)                                                    \
+  /* Primitive calls, counted by the primitive's PrimCall. */                   \
+  X(creates, "client.create.calls", counter)                                    \
+  X(removes, "client.remove.calls", counter)                                    \
+  X(reads, "client.read.calls", counter)                                        \
+  X(writes, "client.write.calls", counter)                                      \
+  X(truncates, "client.truncate.calls", counter)                                \
+  X(sizes, "client.size.calls", counter)                                        \
+  X(stats, "client.stat.calls", counter)                                        \
+  X(scans, "client.scan.calls", counter)                                        \
+  X(txns, "client.txn.calls", counter)                                          \
+  /* Bytes backed by stored extents; zero-filled hole bytes go to the next. */ \
+  X(bytes_read, "client.read.covered_bytes", counter)                           \
+  X(read_hole_bytes, "client.read.hole_bytes", histogram)                       \
+  X(bytes_written, "client.write.bytes", histogram)                             \
+  /* Fault-tolerance machinery (see DESIGN.md "Fault model"). */                \
+  X(retries, "client.retries", counter) /* re-sent after timeout/error */       \
+  X(hedges, "client.hedges", counter) /* speculative second read legs */        \
+  X(failovers, "client.failovers", counter) /* read legs moved on */            \
+  X(quorum_degraded_writes, "client.quorum.degraded_writes",                    \
+    counter) /* acked mutations that missed >= 1 replica */                     \
+  X(hints_written, "client.hints.written", counter) /* hinted handoffs */       \
+  /* Batched scatter-gather + metadata cache (DESIGN.md "Batched striping"). */ \
+  X(batch_envelopes, "client.batch.envelopes", counter)                         \
+  X(coalesced_ops, "client.batch.coalesced", counter) /* >= 2-chunk sub-ops */  \
+  X(batch_retries, "client.batch.retries", counter) /* envelope re-sends */     \
+  X(metacache_hits, "client.metacache.hits", counter)                           \
+  X(metacache_misses, "client.metacache.misses", counter)                       \
+  X(metacache_invalidations, "client.metacache.invalidations", counter)         \
+  /* Quorum-aware batched reads (see DESIGN.md "Per-sub quorum voting"). */     \
+  X(quorum_probes, "client.batch.quorum_probes", counter) /* vote envelopes */  \
+  X(quorum_winners, "client.batch.quorum_winners", counter)                     \
+  X(quorum_digest_savings_bytes, "client.batch.quorum_digest_savings_bytes",    \
+    counter) /* payload bytes the digest replies avoided */                     \
+  X(quorum_refetches, "client.batch.quorum_refetches", counter)                 \
+  /* Elastic membership (DESIGN.md "Elastic membership & rebalancing"). The     \
+     rebalancer interns the dual-write series too, so one counter tells a       \
+     window's story whichever side mirrored. */                                 \
+  X(epoch_refreshes, "client.epoch.refreshes", counter) /* placement flushes */ \
+  X(stale_epoch_retries, "client.epoch.stale_retries", counter)                 \
+  X(dual_writes, "rebalance.dual_writes", counter)                              \
+  X(chain_dual_writes, "rebalance.chain_dual_writes", counter) /* >= 2 open */  \
+  /* Overload resilience (see DESIGN.md "Overload model"). */                   \
+  X(sheds_observed, "client.breaker.sheds_observed", counter) /* overloaded */  \
+  X(deadline_exceeded, "client.deadline.exceeded", counter) /* budget spent */  \
+  X(deadline_clamped, "client.deadline.clamped_attempts", counter) /* cut */    \
+  X(retries_suppressed, "client.deadline.retries_suppressed", counter)          \
+  X(breaker_opens, "client.breaker.opens", counter)                             \
+  X(breaker_closes, "client.breaker.closes", counter)                           \
+  X(breaker_probes, "client.breaker.probes", counter)                           \
+  X(breaker_fast_hints, "client.breaker.fast_hints", counter) /* no forward */  \
+  X(breaker_demotions, "client.breaker.demotions", counter) /* suspect last */
+
+/// One counted client event: an always-on per-client count plus the
+/// process-wide registry series it rolls up into, so one add() publishes
+/// both. The per-client half is an obs::LocalCounter: clients shared across
+/// threads (or observed from a monitoring thread mid-run) never tear a
+/// count, and it keeps counting while the metrics switch is off. The series
+/// half freezes with the switch like every other series.
+class ClientEvent {
+ public:
+  void add(std::uint64_t delta) noexcept {
+    local_.add(delta);
+    if (counter_ != nullptr) {
+      counter_->add(delta);
+    } else {
+      histogram_->add(delta);
+    }
+  }
+  void inc() noexcept { add(1); }
+
+  [[nodiscard]] std::uint64_t value() const noexcept { return local_.value(); }
+  operator std::uint64_t() const noexcept { return value(); }  // NOLINT(google-explicit-constructor)
+
+ private:
+  friend struct ClientCounters;
+  obs::LocalCounter local_;
+  obs::Counter* counter_ = nullptr;
+  obs::ShardedHistogram* histogram_ = nullptr;
+};
+
+/// Per-client events (BSC_CLIENT_EVENTS). Tests, benches, examples and the
+/// chaos marker read these counts. Address-stable and non-copyable, like
+/// the client owning it.
 struct ClientCounters {
-  obs::LocalCounter creates;
-  obs::LocalCounter removes;
-  obs::LocalCounter reads;
-  obs::LocalCounter writes;
-  obs::LocalCounter truncates;
-  obs::LocalCounter sizes;
-  obs::LocalCounter scans;
-  obs::LocalCounter txns;
-  obs::LocalCounter bytes_read;
-  obs::LocalCounter bytes_written;
-  // Fault-tolerance machinery (see DESIGN.md "Fault model").
-  obs::LocalCounter retries;                ///< re-sent attempts after timeout/error
-  obs::LocalCounter hedges;                 ///< speculative second read legs fired
-  obs::LocalCounter failovers;              ///< read legs moved to another replica
-  obs::LocalCounter quorum_degraded_writes; ///< acked mutations that missed >=1 replica
-  obs::LocalCounter hints_written;          ///< hinted-handoff entries recorded
-  obs::LocalCounter hints_drained;          ///< hint repairs this client executed
-  // Batched scatter-gather + metadata cache (see DESIGN.md "Batched striping").
-  // bytes_read counts bytes backed by stored extents only; zero-filled bytes
-  // a read returns for unwritten holes / absent chunks land here instead.
-  obs::LocalCounter read_hole_bytes;        ///< zero-filled bytes returned by reads
-  obs::LocalCounter batch_envelopes;        ///< multi-op batch requests sent
-  obs::LocalCounter coalesced_ops;          ///< vectored sub-ops covering >=2 chunks
-  obs::LocalCounter metacache_hits;
-  obs::LocalCounter metacache_misses;
-  obs::LocalCounter metacache_invalidations;
-  // Quorum-aware batched reads (see DESIGN.md "Per-sub quorum voting").
-  obs::LocalCounter quorum_probes;          ///< digest-only vote envelopes sent
-  obs::LocalCounter quorum_winners;         ///< read sub-ops arbitrated by version vote
-  obs::LocalCounter quorum_digest_savings_bytes; ///< payload bytes digest replies avoided
-  obs::LocalCounter quorum_refetches;       ///< sub-ops re-fetched from a fresher replica
-  // Elastic membership (see DESIGN.md "Elastic membership & rebalancing").
-  obs::LocalCounter epoch_refreshes;     ///< placement-cache flush + refetch events
-  obs::LocalCounter stale_epoch_retries; ///< legs re-run after a stale-epoch stamp
-  obs::LocalCounter dual_writes;         ///< mutations mirrored to pending new owners
-  obs::LocalCounter chain_dual_writes;   ///< ...with >= 2 overlapping windows pending
-  obs::LocalCounter batch_retries;       ///< whole-envelope re-sends before degrading
-  // Overload resilience (see DESIGN.md "Overload model").
-  obs::LocalCounter sheds_observed;      ///< attempts bounced Errc::overloaded
-  obs::LocalCounter deadline_exceeded;   ///< ops stopped with the budget spent
-  obs::LocalCounter retries_suppressed;  ///< retries the drained token bucket refused
-  obs::LocalCounter breaker_opens;       ///< closed/half_open -> open transitions
-  obs::LocalCounter breaker_closes;      ///< half_open -> closed transitions
-  obs::LocalCounter breaker_probes;      ///< half-open single probes admitted
-  obs::LocalCounter breaker_fast_hints;  ///< forwards converted straight to hints
-  obs::LocalCounter breaker_demotions;   ///< read candidates reordered past a suspect
+  /// Binds every event to its series. The registry references are resolved
+  /// once per process, all together, on first use; constructing a client
+  /// takes no registry lock.
+  ClientCounters();
+
+#define BSC_CLIENT_EVENT_FIELD(field, series, sink) ClientEvent field;
+  BSC_CLIENT_EVENTS(BSC_CLIENT_EVENT_FIELD)
+#undef BSC_CLIENT_EVENT_FIELD
+};
+
+enum class ClientEventSink { counter, histogram };
+
+struct ClientEventSeries {
+  ClientEvent ClientCounters::*field;
+  const char* series;
+  ClientEventSink sink;
+};
+
+inline constexpr ClientEventSeries kClientEventSeries[] = {
+#define BSC_CLIENT_EVENT_ROW(field, series, sink) \
+  {&ClientCounters::field, series, ClientEventSink::sink},
+    BSC_CLIENT_EVENTS(BSC_CLIENT_EVENT_ROW)
+#undef BSC_CLIENT_EVENT_ROW
 };
 
 class BlobTransaction;
@@ -178,8 +238,8 @@ class BlobClient {
                           std::uint32_t batch_subs = 0);
 
   /// Version-probe round for quorum reads: stat `ekey` on live replicas (in
-  /// replica order, each with retries) until `quorum` respond. `absent`
-  /// responses participate with version 0.
+  /// replica order, each with retries) until min(read quorum, live count)
+  /// respond. `absent` responses participate with version 0.
   struct ProbeRound {
     bool ok = false;           ///< quorum responders gathered
     Errc err = Errc::ok;       ///< failure reason when !ok
@@ -189,8 +249,7 @@ class BlobClient {
     bool found = false;        ///< false: every responder reported absent
   };
   ProbeRound quorum_probe(const std::string& ekey,
-                          const std::vector<std::uint32_t>& lives,
-                          std::uint32_t quorum, SimMicros start);
+                          const std::vector<std::uint32_t>& lives, SimMicros start);
 
   /// One replicated mutation leg: apply `ops` (all targeting engine key
   /// `ekey`) with primary-forwarding timing, holding the key's stripe on
@@ -204,12 +263,55 @@ class BlobClient {
   /// primitives use it for chunk layout (pre_size) and the metadata cache
   /// (new_version) instead of a separate peek.
   struct LegInfo {
-    bool pre_exists = false;
     std::uint64_t pre_size = 0;  ///< authoritative logical size before the leg
     Version new_version = 0;     ///< key's version after a successful leg
   };
   Status mutation_leg(const std::string& ekey, const std::vector<BlobServer::TxnOp>& ops,
                       SimMicros start, SimMicros* completion, LegInfo* info = nullptr);
+
+  /// Replica settlement state of one mutated key, shared by mutation_leg and
+  /// mutation_group_leg.
+  struct KeyLeg {
+    const std::string* ekey = nullptr;
+    Placement place;                 ///< replicas + pending dual-write targets
+    Version pre_version = 0;         ///< see plan_versions
+    Version new_version = 0;
+    bool continue_versions = false;
+    bool ends_removed = false;       ///< the ops leave the key absent
+    std::uint32_t acks = 1;          ///< the acting primary's ack included
+    std::vector<std::uint32_t> missed;
+
+    /// Continue the version above every live replica's on a fresh applier.
+    void lift(BlobServer& srv) const {
+      if (continue_versions && !ends_removed) (void)srv.force_version(*ekey, new_version);
+    }
+  };
+
+  /// Replica-version bookkeeping, read under the held stripes (the version
+  /// exchange piggybacks on the lock round). `pre_version` is the
+  /// authoritative base a replica must be at to apply the ops (else it missed
+  /// earlier ops and would diverge — it gets a hint instead). The post-apply
+  /// version continues above the highest version any live replica holds, so
+  /// versions never regress across remove/recreate cycles, keeping
+  /// "max version = freshest" true for quorum arbitration.
+  void plan_versions(BlobServer& primary, bool pre_exists, std::uint64_t nops, KeyLeg& k);
+
+  /// Dual-write targets (open migration window): the new-only owners get the
+  /// key's applied ops too, launched at `launch`, version-gated exactly like
+  /// forwarding replicas so an out-of-order migration copy can never
+  /// interleave histories. They are NOT acks — the old set stays
+  /// authoritative for quorum — and a missed or down target gets a hint;
+  /// finalize()'s verify sweep repairs whatever the hints don't. This is what
+  /// makes the write-vs-copy race safe in both orders: copy-then-write lands
+  /// here, write-then-copy is picked up by the copy itself.
+  void mirror_pending(BlobServer& primary, const KeyLeg& k, const BlobServer::OpRef* ops,
+                      std::size_t count, std::uint64_t req, SimMicros launch,
+                      SimMicros* done);
+
+  /// Hints every missed replica of every key, then judges each key's quorum
+  /// in order: the first key short of it fails the call with `miss_err`.
+  Status settle_replicas(BlobServer& primary, std::span<KeyLeg* const> keys,
+                         Errc miss_err);
 
   /// Single-leg convenience wrapper: runs the leg at the agent's current
   /// time and advances the agent to its completion.
@@ -241,32 +343,27 @@ class BlobClient {
   /// state under those same stripes, so a placement that re-reads
   /// identically cannot change for the rest of the leg.
   Placement locate(const std::string& ekey);
-  void place_flush(const std::string& ekey);
+  /// Membership moved under a leg's placement: flush the cached entry and
+  /// count the refresh, plus a stale-epoch retry when the leg re-runs.
+  void flush_stale_placement(const std::string& ekey, bool retry);
 
-  /// Hedge delay currently in force: the observed read-latency percentile
-  /// once warmed up, else the fixed delay (0 = hedging dormant).
-  [[nodiscard]] SimMicros hedge_delay() const;
+  /// Hedge delay currently in force against `node`: the observed
+  /// read-latency percentile once warmed up, else the fixed delay (0 =
+  /// hedging dormant). A suspect node is hedged against at half the delay —
+  /// the whole point of tracking gray failure is not waiting the full p99 on
+  /// a node already known to be slow.
+  [[nodiscard]] SimMicros hedge_delay(std::uint32_t node);
 
   // --- overload resilience (deadline budgets + per-node breakers) ----------
 
-  /// RAII per-operation deadline budget: the outermost public primitive
-  /// installs `start + DeadlinePolicy::op_deadline_us` as the absolute
-  /// simulated-time budget; nested legs/retries/hedges all clamp against it
-  /// through op_deadline_at(). No-op when the policy is unbounded or a
-  /// budget is already installed (nested primitive).
-  class OpBudget {
-   public:
-    OpBudget(BlobClient& c, SimMicros start);
-    ~OpBudget();
-    OpBudget(const OpBudget&) = delete;
-    OpBudget& operator=(const OpBudget&) = delete;
+  /// RAII scope of one public primitive call (defined in client.cpp): it
+  /// publishes the call's metrics on every return path, and the outermost
+  /// call installs `start + DeadlinePolicy::op_deadline_us` as the absolute
+  /// simulated-time budget that nested legs/retries/hedges all clamp
+  /// against. The budget is a no-op when the policy is unbounded or a budget
+  /// is already installed (nested primitive).
+  class PrimCall;
 
-   private:
-    BlobClient* c_;
-    bool installed_ = false;
-  };
-
-  [[nodiscard]] SimMicros op_deadline_at() const noexcept { return op_deadline_at_; }
   /// Per-attempt deadline at send time `t`: the policy attempt deadline
   /// clamped to whatever op budget remains (>= 1 so a drop never waits 0).
   [[nodiscard]] SimMicros attempt_deadline_at(SimMicros t) const noexcept;
@@ -316,7 +413,7 @@ class BlobClient {
   /// Execute a wave of chunk mutations: group by acting primary, one batch
   /// envelope per group (chunk-ascending group order, deterministic), fanned
   /// out on the shared thread pool when no fault injector is installed.
-  /// *done is the max group completion (sim stays max-of-legs).
+  /// Raises *done to the slowest group's completion (sim stays max-of-legs).
   Status batched_mutation_wave(std::vector<BatchSub>& subs, SimMicros start,
                                SimMicros* done);
 
@@ -382,9 +479,11 @@ class BlobClient {
   void cache_put(const std::string& key, MetaEntry e);
   void cache_erase(const std::string& key);
 
-  /// Lazily-created pool for wall-clock-parallel group fan-out (fault-free
-  /// runs only: injected faults need the deterministic sequential order).
-  ThreadPool& pool();
+  /// Run fn(0..n) for a wave's groups: on a lazily-created pool in
+  /// fault-free runs, sequentially in order when a fault injector is
+  /// installed (injected faults need the deterministic order) or the host
+  /// has one core.
+  void fan_out(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   BlobStore* store_;
   sim::SimAgent* agent_;

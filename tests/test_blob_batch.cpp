@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "rpc/wire.hpp"
+#include "client_agreement.hpp"
 
 namespace bsc::blob {
 namespace {
@@ -114,6 +115,7 @@ ScriptResult run_script(const StoreConfig& cfg) {
   BlobStore store(cluster, cfg);
   sim::SimAgent agent;
   BlobClient client(store, &agent);
+  ClientRegistryAgreement agree({&client});
   ScriptResult out;
 
   auto record_read = [&](std::string_view key, std::uint64_t off, std::uint64_t len) {
@@ -168,6 +170,8 @@ ScriptResult run_script(const StoreConfig& cfg) {
   EXPECT_EQ(report.divergent_replicas, 0u);
   EXPECT_EQ(report.checksum_errors, 0u);
   EXPECT_TRUE(store.verify_all_integrity().ok());
+  agree.check({"client.write.calls", "client.read.calls", "client.truncate.calls",
+               "client.remove.calls", "client.size.calls", "client.read.hole_bytes"});
   return out;
 }
 
@@ -221,6 +225,7 @@ TEST(BatchCoalescing, AdjacentChunksOnOnePrimaryShareASubHeader) {
   BlobStore store(cluster, cfg);
   sim::SimAgent agent;
   BlobClient client(store, &agent);
+  ClientRegistryAgreement agree({&client});
 
   const Bytes data = make_payload(5, 0, 4 * kChunk);
   ASSERT_TRUE(client.write("c", 0, as_view(data)).ok());
@@ -232,6 +237,7 @@ TEST(BatchCoalescing, AdjacentChunksOnOnePrimaryShareASubHeader) {
   EXPECT_TRUE(equal(as_view(r.value()), as_view(data)));
   // The read fanned out as one batch too (chunks 0..3 plus the stat sub).
   EXPECT_GE(client.counters().batch_envelopes, 2u);
+  agree.check({"client.batch.envelopes", "client.batch.coalesced"});
 }
 
 // --- hole accounting (satellite: bytes_read counted zero-filled bytes) ----
@@ -241,6 +247,7 @@ TEST(BatchHoleAccounting, BytesReadCountsExtentBackedBytesOnly) {
   BlobStore store(cluster, StoreConfig{});
   sim::SimAgent agent;
   BlobClient client(store, &agent);
+  ClientRegistryAgreement agree({&client});
 
   // 4 KiB of real data deep in chunk 3; chunks 0-2 are pure holes.
   ASSERT_TRUE(client.write("h", 3 * kChunk + 11, as_view(make_payload(6, 0, 4096))).ok());
@@ -259,6 +266,8 @@ TEST(BatchHoleAccounting, BytesReadCountsExtentBackedBytesOnly) {
   ASSERT_EQ(sr.value().size(), 50000u);
   EXPECT_EQ(client.counters().bytes_read, 4096u + 100u);
   EXPECT_EQ(client.counters().read_hole_bytes, (logical - 4096u) + 49900u);
+  agree.check({"client.read.covered_bytes", "client.read.hole_bytes",
+               "client.write.bytes"});
 }
 
 // --- metadata cache -------------------------------------------------------
@@ -273,6 +282,7 @@ class MetaCacheTest : public ::testing::Test {
 };
 
 TEST_F(MetaCacheTest, HitsSkipTheStatRound) {
+  ClientRegistryAgreement agree({&a_, &b_});
   const Bytes data = make_payload(8, 0, 3 * kChunk);
   ASSERT_TRUE(a_.write("k", 0, as_view(data)).ok());  // write primes the cache
   ASSERT_TRUE(a_.read("k", 0, 3 * kChunk).ok());
@@ -285,9 +295,11 @@ TEST_F(MetaCacheTest, HitsSkipTheStatRound) {
   ASSERT_TRUE(b_.read("k", 0, 3 * kChunk).ok());
   EXPECT_EQ(b_.counters().metacache_misses, 1u);
   EXPECT_EQ(b_.counters().metacache_hits, 1u);
+  agree.check({"client.metacache.hits", "client.metacache.misses"});
 }
 
 TEST_F(MetaCacheTest, ConcurrentTruncateIsDetectedAndReread) {
+  ClientRegistryAgreement agree({&a_, &b_});
   const Bytes data = make_payload(9, 0, 3 * kChunk);
   ASSERT_TRUE(a_.write("k", 0, as_view(data)).ok());
   ASSERT_TRUE(a_.read("k", 0, 3 * kChunk).ok());
@@ -300,9 +312,11 @@ TEST_F(MetaCacheTest, ConcurrentTruncateIsDetectedAndReread) {
   EXPECT_EQ(r.value().size(), kChunk + 5);  // stale size detected, re-read
   EXPECT_TRUE(equal(as_view(r.value()), subview(as_view(data), 0, kChunk + 5)));
   EXPECT_GE(a_.counters().metacache_invalidations, 1u);
+  agree.check({"client.metacache.invalidations"});
 }
 
 TEST_F(MetaCacheTest, ConcurrentRemoveAndRecreateAreDetected) {
+  ClientRegistryAgreement agree({&a_, &b_});
   ASSERT_TRUE(a_.write("k", 0, as_view(make_payload(10, 0, 2 * kChunk))).ok());
   ASSERT_TRUE(a_.read("k", 0, 2 * kChunk).ok());
 
@@ -314,9 +328,11 @@ TEST_F(MetaCacheTest, ConcurrentRemoveAndRecreateAreDetected) {
   auto r = a_.read("k", 0, 3 * kChunk);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(equal(as_view(r.value()), as_view(fresh)));
+  agree.check({"client.remove.calls", "client.metacache.invalidations"});
 }
 
 TEST_F(MetaCacheTest, LocalMutationsInvalidate) {
+  ClientRegistryAgreement agree({&a_, &b_});
   ASSERT_TRUE(a_.write("k", 0, as_view(make_payload(12, 0, 2 * kChunk))).ok());
   ASSERT_TRUE(a_.read("k", 0, 2 * kChunk).ok());
   ASSERT_TRUE(a_.truncate("k", kChunk / 2).ok());  // refreshes the entry itself
@@ -331,6 +347,7 @@ TEST_F(MetaCacheTest, LocalMutationsInvalidate) {
   auto r2 = a_.read("k", 0, kChunk);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2.value().size(), 10u);
+  agree.check({"client.txn.calls", "client.metacache.invalidations"});
 }
 
 // --- per-sub quorum voting in the batch envelope --------------------------
@@ -342,6 +359,7 @@ TEST(QuorumBatchedReads, SixteenChunkReadShipsOneEnvelopePerGroupReplica) {
   BlobStore store(cluster, cfg);
   sim::SimAgent agent;
   BlobClient client(store, &agent);
+  ClientRegistryAgreement agree({&client});
 
   const Bytes data = make_payload(20, 0, 16 * kChunk);
   ASSERT_TRUE(client.write("e", 0, as_view(data)).ok());
@@ -375,6 +393,8 @@ TEST(QuorumBatchedReads, SixteenChunkReadShipsOneEnvelopePerGroupReplica) {
   // The digest-only envelopes saved ~1 payload per probed group.
   EXPECT_GE(client.counters().quorum_digest_savings_bytes - savings0,
             groups * kChunk);
+  agree.check({"client.batch.quorum_probes", "client.batch.quorum_winners",
+               "client.batch.quorum_digest_savings_bytes"});
 }
 
 TEST(QuorumBatchedReads, StaleReplicaPayloadLosesTheVoteAndIsRefetched) {
@@ -384,6 +404,7 @@ TEST(QuorumBatchedReads, StaleReplicaPayloadLosesTheVoteAndIsRefetched) {
   BlobStore store(cluster, cfg);
   sim::SimAgent agent;
   BlobClient client(store, &agent);
+  ClientRegistryAgreement agree({&client});
 
   const Bytes v1 = make_payload(21, 0, 3 * kChunk);
   ASSERT_TRUE(client.write("q", 0, as_view(v1)).ok());
@@ -408,6 +429,7 @@ TEST(QuorumBatchedReads, StaleReplicaPayloadLosesTheVoteAndIsRefetched) {
       << "stale candidate-0 payload must lose the per-sub version vote";
   EXPECT_GE(client.counters().quorum_probes, 1u);
   EXPECT_GE(client.counters().quorum_refetches, 1u);
+  agree.check({"client.batch.quorum_refetches"});
 }
 
 TEST(QuorumBatchedReads, OlderVersionIdenticalPayloadAcceptedByDigest) {
@@ -417,6 +439,7 @@ TEST(QuorumBatchedReads, OlderVersionIdenticalPayloadAcceptedByDigest) {
   BlobStore store(cluster, cfg);
   sim::SimAgent agent;
   BlobClient client(store, &agent);
+  ClientRegistryAgreement agree({&client});
 
   const Bytes v1 = make_payload(23, 0, 3 * kChunk);
   ASSERT_TRUE(client.write("q", 0, as_view(v1)).ok());
@@ -439,6 +462,7 @@ TEST(QuorumBatchedReads, OlderVersionIdenticalPayloadAcceptedByDigest) {
   // no second payload transfer.
   EXPECT_EQ(client.counters().quorum_refetches, 0u);
   EXPECT_GT(client.counters().quorum_winners, winners0);
+  agree.check({"client.batch.quorum_winners"});
 }
 
 TEST(QuorumBatchedReads, HolesArbitrateAtR2) {
@@ -472,6 +496,7 @@ TEST(HedgedBatchedReads, HedgeComposesWithBatchedStriping) {
   BlobStore store(cluster, cfg);
   sim::SimAgent agent;
   BlobClient client(store, &agent);
+  ClientRegistryAgreement agree({&client});
 
   const Bytes data = make_payload(25, 0, 6 * kChunk);
   ASSERT_TRUE(client.write("h", 0, as_view(data)).ok());
@@ -479,6 +504,7 @@ TEST(HedgedBatchedReads, HedgeComposesWithBatchedStriping) {
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(equal(as_view(r.value()), as_view(data)));
   EXPECT_GE(client.counters().hedges, 1u);
+  agree.check({"client.hedges"});
 
   // Hedged AND quorum together: votes + hedges on the same envelopes.
   StoreConfig qcfg = cfg;
@@ -557,6 +583,7 @@ TEST(ReadAccounting, AllReadPathsDecomposeIdentically) {
 // --- size()/stat() through the metadata cache (satellite) -----------------
 
 TEST_F(MetaCacheTest, SizeAndStatAnswerFromTheCache) {
+  ClientRegistryAgreement agree({&a_, &b_});
   ASSERT_TRUE(a_.write("k", 0, as_view(make_payload(14, 0, 2 * kChunk))).ok());
   const SimMicros t0 = agent_a_.now();
   auto s = a_.size("k");
@@ -589,6 +616,8 @@ TEST_F(MetaCacheTest, SizeAndStatAnswerFromTheCache) {
   const std::uint64_t misses = b_.counters().metacache_misses;
   EXPECT_EQ(b_.stat("ghost").code(), Errc::not_found);
   EXPECT_EQ(b_.counters().metacache_misses, misses + 1);
+  agree.check({"client.size.calls", "client.stat.calls", "client.metacache.hits",
+               "client.metacache.misses"});
 }
 
 // --- absent / at-EOF striped reads (satellite: full-len probe legs) -------

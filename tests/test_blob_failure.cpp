@@ -2,12 +2,14 @@
 // writes, recovery resync, and all-replicas-down behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "blob/client.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "rpc/fault.hpp"
+#include "client_agreement.hpp"
 
 namespace bsc::blob {
 namespace {
@@ -21,6 +23,7 @@ class FailureTest : public ::testing::Test {
 };
 
 TEST_F(FailureTest, ReadFailsOverToReplica) {
+  ClientRegistryAgreement agree({&client_});
   const Bytes data = make_payload(1, 0, 8192);
   ASSERT_TRUE(client_.write("k", 0, as_view(data)).ok());
   const auto replicas = store_.replicas_of("k");
@@ -32,6 +35,7 @@ TEST_F(FailureTest, ReadFailsOverToReplica) {
   EXPECT_EQ(client_.size("k").value(), 8192u);
   EXPECT_TRUE(client_.exists("k"));
   store_.recover_server(replicas.front());
+  agree.check({"client.read.calls", "client.size.calls", "client.stat.calls"});
 }
 
 TEST_F(FailureTest, AllReplicasDownFailsCleanly) {
@@ -84,6 +88,7 @@ TEST_F(FailureTest, DegradedWriteThenResyncConverges) {
 }
 
 TEST_F(FailureTest, ResyncRepairsRemovalsToo) {
+  ClientRegistryAgreement agree({&client_});
   ASSERT_TRUE(client_.write("gone", 0, as_view(to_bytes("payload"))).ok());
   const auto replicas = store_.replicas_of("gone");
   const std::uint32_t victim = replicas.back();
@@ -101,9 +106,11 @@ TEST_F(FailureTest, ResyncRepairsRemovalsToo) {
   auto scan = client_.scan("gone");
   ASSERT_TRUE(scan.ok());
   EXPECT_TRUE(scan.value().empty());
+  agree.check({"client.quorum.degraded_writes", "client.scan.calls"});
 }
 
 TEST_F(FailureTest, ScanSkipsDownServers) {
+  ClientRegistryAgreement agree({&client_});
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(client_.create(strfmt("s-%02d", i)).ok());
   }
@@ -113,24 +120,30 @@ TEST_F(FailureTest, ScanSkipsDownServers) {
   // Replication 3 over 8 nodes: every key still visible on >=2 live nodes.
   EXPECT_EQ(scan.value().size(), 30u);
   store_.recover_server(0);
+  agree.check({"client.create.calls", "client.scan.calls"});
 }
 
 TEST_F(FailureTest, TransactionsFailWhenKeyUnavailable) {
+  ClientRegistryAgreement agree({&client_});
   ASSERT_TRUE(client_.create("txk").ok());
   for (std::uint32_t n : store_.replicas_of("txk")) store_.fail_server(n);
   auto txn = client_.begin_transaction();
   txn.write("txk", 0, as_view(to_bytes("x")));
   EXPECT_EQ(txn.commit().code(), Errc::unavailable);
   for (std::uint32_t n : store_.replicas_of("txk")) store_.recover_server(n);
+  agree.check({"client.txn.calls"});
 }
 
 TEST_F(FailureTest, InjectedOutageSurfacesUnavailableNotHang) {
+  ClientRegistryAgreement agree({&client_});
   ASSERT_TRUE(client_.write("out", 0, as_view(to_bytes("payload"))).ok());
+  const std::uint64_t cb = store_.config().chunk_bytes;
+  ASSERT_TRUE(client_.write("out-striped", 0, as_view(make_payload(41, 0, 2 * cb))).ok());
   rpc::FaultInjector inj(7);
   store_.transport().set_fault_injector(&inj);
   rpc::FaultPlan dead;
   dead.outages.push_back({0, std::numeric_limits<SimMicros>::max()});
-  for (std::uint32_t n : store_.replicas_of("out")) {
+  for (std::uint32_t n = 0; n < store_.server_count(); ++n) {
     inj.set_plan(store_.server(n).node().id(), dead);
   }
   // Every replica is unreachable (though none is marked down): the client
@@ -139,10 +152,15 @@ TEST_F(FailureTest, InjectedOutageSurfacesUnavailableNotHang) {
   EXPECT_EQ(client_.write("out", 0, as_view(to_bytes("zzzzzzz"))).code(),
             Errc::unavailable);
   EXPECT_GT(client_.counters().retries, 0u);
+  // A striped read's batch envelope earns one whole-envelope re-send before
+  // it degrades to per-chunk legs, which fail the same way.
+  EXPECT_EQ(client_.read("out-striped", 0, 2 * cb).code(), Errc::unavailable);
+  EXPECT_GT(client_.counters().batch_retries, 0u);
   store_.transport().set_fault_injector(nullptr);
   auto r = client_.read("out", 0, 7);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(equal(as_view(r.value()), as_view(to_bytes("payload"))));
+  agree.check({"client.retries", "client.failovers", "client.batch.retries"});
 }
 
 class QuorumTest : public ::testing::Test {
@@ -159,6 +177,7 @@ class QuorumTest : public ::testing::Test {
 };
 
 TEST_F(QuorumTest, DegradedWriteHintsAndDrainsOnRecover) {
+  ClientRegistryAgreement agree({&client_});
   const Bytes v1 = make_payload(10, 0, 4096);
   const Bytes v2 = make_payload(11, 0, 4096);
   ASSERT_TRUE(client_.write("q", 0, as_view(v1)).ok());
@@ -194,6 +213,7 @@ TEST_F(QuorumTest, DegradedWriteHintsAndDrainsOnRecover) {
   }
   const auto report = store_.scrub(/*repair=*/false, &agent_);
   EXPECT_EQ(report.divergent_replicas, 0u);
+  agree.check({"client.quorum.degraded_writes", "client.hints.written"});
 }
 
 TEST_F(QuorumTest, HintsReplayBeforeResyncDigestComparison) {
@@ -235,6 +255,60 @@ TEST_F(QuorumTest, HintMustNotResurrectRemovedBlob) {
   auto scan = client_.scan("zombie");
   ASSERT_TRUE(scan.ok());
   EXPECT_TRUE(scan.value().empty());
+}
+
+TEST_F(QuorumTest, GroupLegHintsEveryMissBeforeJudgingQuorum) {
+  // A striped write whose chunks a < b share their acting primary P, so both
+  // travel in P's batch group: a is replicated on {P, X, Y}, b on {P, X, Z}.
+  // With X and Y down, a misses quorum and fails the write, but b was
+  // already applied at P (and Z): X's miss on b must still be hinted.
+  const std::uint64_t cb = store_.config().chunk_bytes;
+  std::string key;
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  std::uint32_t x = 0;
+  std::uint32_t y = 0;
+  for (int n = 0; n < 1000 && key.empty(); ++n) {
+    const std::string k = "group-hint-" + std::to_string(n);
+    for (std::uint64_t i = 1; i < 6 && key.empty(); ++i) {
+      const auto ra = store_.replicas_of(chunk_engine_key(k, i));
+      for (std::uint64_t j = i + 1; j <= 6 && key.empty(); ++j) {
+        const auto rb = store_.replicas_of(chunk_engine_key(k, j));
+        if (rb.front() != ra.front()) continue;
+        const auto in_b = [&](std::uint32_t r) {
+          return std::find(rb.begin(), rb.end(), r) != rb.end();
+        };
+        if (in_b(ra[1]) == in_b(ra[2])) continue;  // want exactly one shared
+        const std::uint32_t shared = in_b(ra[1]) ? ra[1] : ra[2];
+        const std::uint32_t only_a = in_b(ra[1]) ? ra[2] : ra[1];
+        // The base leg (chunk 0) must still reach W = 2 replicas.
+        const auto base = store_.replicas_of(k);
+        const auto in_base = [&](std::uint32_t r) {
+          return std::find(base.begin(), base.end(), r) != base.end();
+        };
+        if (in_base(shared) && in_base(only_a)) continue;
+        key = k;
+        a = i;
+        b = j;
+        x = shared;
+        y = only_a;
+      }
+    }
+  }
+  ASSERT_FALSE(key.empty());
+  const std::uint32_t p = store_.replicas_of(chunk_engine_key(key, a)).front();
+
+  ClientRegistryAgreement agree({&client_});
+  store_.fail_server(x);
+  store_.fail_server(y);
+  const Bytes data = make_payload(40, 0, (b - a + 1) * cb);
+  EXPECT_FALSE(client_.write(key, a * cb, as_view(data)).ok());
+  const auto hinted = store_.server(p).take_hints_for(x);
+  EXPECT_NE(std::find(hinted.begin(), hinted.end(), chunk_engine_key(key, b)), hinted.end())
+      << "X's miss on chunk " << b << " was never hinted";
+  agree.check({"client.hints.written"});
+  store_.recover_server(x);
+  store_.recover_server(y);
 }
 
 TEST_F(FailureTest, ResyncWithNothingToDoIsZero) {

@@ -29,6 +29,7 @@
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "persist/fault_file.hpp"
+#include "client_agreement.hpp"
 
 namespace bsc::blob {
 namespace {
@@ -60,6 +61,7 @@ TEST(MembershipChain, OverlappedJoinsMatchSerializedSchedule) {
   BlobStore store(cluster, StoreConfig{});
   sim::SimAgent agent;
   BlobClient client(store, &agent);
+  ClientRegistryAgreement agree({&client});
   preload(client, kKeys, kBytes, "o-%04d");
   if (::testing::Test::HasFatalFailure()) return;
 
@@ -125,6 +127,7 @@ TEST(MembershipChain, OverlappedJoinsMatchSerializedSchedule) {
   if (overlap_seen) {
     EXPECT_GT(client.counters().chain_dual_writes.value(), 0u);
   }
+  agree.check({"rebalance.chain_dual_writes"});
 
   // Serialized reference: same joins one at a time, then the same final
   // write set (last-writer-per-key; intermediate overwrites don't survive

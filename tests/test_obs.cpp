@@ -16,6 +16,7 @@
 #include "blob/client.hpp"
 #include "common/stats.hpp"
 #include "obs/metrics.hpp"
+#include "client_agreement.hpp"
 
 namespace bsc::obs {
 namespace {
@@ -304,20 +305,17 @@ TEST_F(ObsTest, BlobWorkloadPublishesRegistrySeries) {
 }
 
 TEST_F(ObsTest, ClientCountersKeepCountingWhenMetricsDisabled) {
-  auto& reg = MetricsRegistry::global();
-
   sim::Cluster cluster;
   blob::BlobStore store(cluster, blob::StoreConfig{});
   sim::SimAgent agent;
   blob::BlobClient client(store, &agent);
   const Bytes payload = to_bytes(std::string(512, 'y'));
 
-  const MetricsSnapshot before = reg.snapshot();
+  blob::ClientRegistryAgreement agree({&client});
   set_metrics_enabled(false);
   ASSERT_TRUE(client.write("obs-gated-key", 0, as_view(payload)).ok());
   ASSERT_TRUE(client.read("obs-gated-key", 0, 512).ok());
   set_metrics_enabled(true);
-  const MetricsSnapshot delta = reg.snapshot().delta_since(before);
 
   // ClientCounters is functional accounting, not observability: it must
   // keep counting while the metrics switch is off...
@@ -325,9 +323,9 @@ TEST_F(ObsTest, ClientCountersKeepCountingWhenMetricsDisabled) {
   EXPECT_EQ(client.counters().reads, 1u);
   EXPECT_EQ(client.counters().bytes_written, 512u);
   EXPECT_EQ(client.counters().bytes_read, 512u);
-  // ...while the registry series stay frozen.
-  EXPECT_EQ(delta.counters.at("client.write.calls"), 0u);
-  EXPECT_EQ(delta.counters.at("client.read.calls"), 0u);
+  // ...while every event's registry series stays frozen.
+  agree.check_frozen({"client.write.calls", "client.read.calls", "client.write.bytes",
+                      "client.read.covered_bytes"});
 }
 
 }  // namespace

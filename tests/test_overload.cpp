@@ -15,6 +15,7 @@
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "rpc/fault.hpp"
+#include "client_agreement.hpp"
 
 namespace bsc::blob {
 namespace {
@@ -61,6 +62,7 @@ struct Rig {
 
 TEST(Overload, ClientSurfacesServerShedsAsFastFailure) {
   Rig rig;
+  ClientRegistryAgreement agree({&rig.client});
   // Bound every storage backlog, then pre-load each node far past the bound.
   for (std::uint32_t i = 0; i < rig.store.server_count(); ++i) {
     rig.node_of(i).set_overload({.max_queue_us = 500});
@@ -78,10 +80,12 @@ TEST(Overload, ClientSurfacesServerShedsAsFastFailure) {
     sheds += rig.node_of(i).sheds();
   }
   EXPECT_GT(sheds, 0u);
+  agree.check({"client.breaker.sheds_observed"});
 }
 
 TEST(Overload, ShedsClearOnceBacklogDrains) {
   Rig rig;
+  ClientRegistryAgreement agree({&rig.client});
   for (std::uint32_t i = 0; i < rig.store.server_count(); ++i) {
     rig.node_of(i).set_overload({.max_queue_us = 500});
     rig.node_of(i).serve(0, 50000);
@@ -90,6 +94,7 @@ TEST(Overload, ShedsClearOnceBacklogDrains) {
   const Bytes data = make_payload(2, 0, 512);
   EXPECT_TRUE(rig.client.write("drain-key", 0, as_view(data)).ok());
   EXPECT_EQ(rig.client.counters().sheds_observed, 0u);
+  agree.check({"client.write.calls"});
 }
 
 TEST(Overload, DeadlineBudgetBoundsTimeLostToRetries) {
@@ -99,6 +104,7 @@ TEST(Overload, DeadlineBudgetBoundsTimeLostToRetries) {
   StoreConfig budgeted;
   budgeted.deadline.op_deadline_us = 3000;
   Rig rig(budgeted);
+  ClientRegistryAgreement agree({&rig.client});
   rig.install_injector();
   for (std::uint32_t i = 0; i < rig.store.server_count(); ++i) {
     rig.injector.set_plan(rig.node_of(i).id(), {.drop_probability = 1.0});
@@ -110,6 +116,7 @@ TEST(Overload, DeadlineBudgetBoundsTimeLostToRetries) {
   // Elapsed stays near the budget (the final clamped attempt may straddle
   // it); well under one unbudgeted leg (4 attempts x 2000us + backoff).
   EXPECT_LT(rig.agent.now(), 5000u);
+  agree.check({"client.deadline.exceeded", "client.deadline.clamped_attempts"});
 
   Rig control;  // identical faults, no budget
   control.install_injector();
@@ -143,6 +150,7 @@ TEST(Overload, RetryTokenBucketSuppressesCorrelatedRetryStorm) {
   cfg.deadline.retry_token_cap = 2.0;
   cfg.deadline.retry_token_ratio = 0.0;  // nothing earned back: hard drain
   Rig rig(cfg);
+  ClientRegistryAgreement agree({&rig.client});
   rig.install_injector();
   for (std::uint32_t i = 0; i < rig.store.server_count(); ++i) {
     rig.injector.set_plan(rig.node_of(i).id(), {.drop_probability = 1.0});
@@ -154,12 +162,14 @@ TEST(Overload, RetryTokenBucketSuppressesCorrelatedRetryStorm) {
   // The drained bucket caps total retry amplification at the initial fill.
   EXPECT_LE(rig.client.counters().retries, 2u);
   EXPECT_GT(rig.client.counters().retries_suppressed, 0u);
+  agree.check({"client.deadline.retries_suppressed"});
 }
 
 TEST(Overload, OutageOpensBreakerAndConvertsForwardsToHints) {
   StoreConfig cfg;
   cfg.write_quorum = 2;  // W=2 over replication 3: quorum acks, misses hint
   Rig rig(cfg);
+  ClientRegistryAgreement agree({&rig.client});
   rig.install_injector();
 
   // Kill one node where it serves as a non-primary replica: every write
@@ -180,12 +190,15 @@ TEST(Overload, OutageOpensBreakerAndConvertsForwardsToHints) {
   EXPECT_GT(c.breaker_fast_hints, 0u);
   EXPECT_GT(c.hints_written, 0u);
   EXPECT_GT(c.quorum_degraded_writes, 0u);
+  agree.check({"client.breaker.opens", "client.breaker.fast_hints",
+               "client.hints.written", "client.quorum.degraded_writes"});
 }
 
 TEST(Overload, HalfOpenProbesCloseBreakerAfterRecovery) {
   StoreConfig cfg;
   cfg.write_quorum = 2;
   Rig rig(cfg);
+  ClientRegistryAgreement agree({&rig.client});
   rig.install_injector();
 
   const std::uint32_t victim = 3;
@@ -219,12 +232,14 @@ TEST(Overload, HalfOpenProbesCloseBreakerAfterRecovery) {
                                  as_view(data)).ok());
   }
   EXPECT_EQ(c.breaker_fast_hints, hints_before);
+  agree.check({"client.breaker.probes", "client.breaker.closes"});
 }
 
 TEST(Overload, FailedHalfOpenProbeReopensBreaker) {
   StoreConfig cfg;
   cfg.write_quorum = 2;
   Rig rig(cfg);
+  ClientRegistryAgreement agree({&rig.client});
   rig.install_injector();
 
   const std::uint32_t victim = 3;
@@ -249,10 +264,12 @@ TEST(Overload, FailedHalfOpenProbeReopensBreaker) {
   EXPECT_GT(rig.client.counters().breaker_probes, 0u);
   EXPECT_GT(rig.client.counters().breaker_opens, opens);
   EXPECT_EQ(rig.client.counters().breaker_closes, 0u);
+  agree.check({"client.breaker.probes", "client.breaker.opens"});
 }
 
 TEST(Overload, ReadsDemoteSuspectReplicasAfterBreakerOpens) {
   Rig rig;  // classic mode, read quorum 1: reads fail over through replicas
+  ClientRegistryAgreement agree({&rig.client});
   rig.install_injector();
 
   const std::string key = "demote-key";
@@ -281,6 +298,7 @@ TEST(Overload, ReadsDemoteSuspectReplicasAfterBreakerOpens) {
   }
   EXPECT_GT(rig.client.counters().breaker_demotions, 0u);
   EXPECT_EQ(rig.client.counters().retries, retries_before);
+  agree.check({"client.failovers", "client.breaker.demotions"});
 }
 
 TEST(Overload, DisabledBreakerKeepsLegacyBehavior) {
@@ -288,6 +306,7 @@ TEST(Overload, DisabledBreakerKeepsLegacyBehavior) {
   cfg.write_quorum = 2;
   cfg.breaker.enabled = false;
   Rig rig(cfg);
+  ClientRegistryAgreement agree({&rig.client});
   rig.install_injector();
 
   const std::string key = "legacy-key";
@@ -303,6 +322,7 @@ TEST(Overload, DisabledBreakerKeepsLegacyBehavior) {
   EXPECT_EQ(c.breaker_fast_hints, 0u);
   EXPECT_EQ(c.breaker_probes, 0u);
   EXPECT_GT(c.hints_written, 0u);  // the slow path still records hints
+  agree.check({"client.hints.written"});
 }
 
 TEST(Overload, AckedWritesSurviveBreakerFastHints) {
@@ -312,6 +332,7 @@ TEST(Overload, AckedWritesSurviveBreakerFastHints) {
   StoreConfig cfg;
   cfg.write_quorum = 2;
   Rig rig(cfg);
+  ClientRegistryAgreement agree({&rig.client});
   rig.install_injector();
 
   const std::uint32_t victim = 3;
@@ -337,6 +358,7 @@ TEST(Overload, AckedWritesSurviveBreakerFastHints) {
     ASSERT_TRUE(r.ok()) << keys[i];
     EXPECT_EQ(r.value(), payloads[i]) << keys[i];
   }
+  agree.check({"client.breaker.fast_hints"});
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "common/strings.hpp"
 #include "obs/metrics.hpp"
 #include "persist/fault_file.hpp"
+#include "client_agreement.hpp"
 
 namespace bsc::blob {
 namespace {
@@ -55,6 +56,7 @@ class OnlineRebalanceTest : public ::testing::Test {
 TEST_F(OnlineRebalanceTest, OnlineAddUnderLiveWorkloadLosesNoAckedWrite) {
   sim::SimAgent agent;
   BlobClient client(store_, &agent);
+  ClientRegistryAgreement agree({&client});
   constexpr int kPreload = 150;
   constexpr std::size_t kBytes = 2048;
   preload(client, kPreload, kBytes);
@@ -112,6 +114,7 @@ TEST_F(OnlineRebalanceTest, OnlineAddUnderLiveWorkloadLosesNoAckedWrite) {
   EXPECT_FALSE(store_.rebalance_active());
   EXPECT_EQ(rb->progress().keys_moved, planned);
   EXPECT_GT(client.counters().dual_writes.value(), 0u);
+  agree.check({"rebalance.dual_writes"});
 
   // Zero acked writes lost: a fresh client (cold caches) must read every
   // acked key's last content off the post-change topology, and every
@@ -173,6 +176,7 @@ TEST_F(OnlineRebalanceTest, DecommissionDrainsWithDigestVerification) {
 TEST_F(OnlineRebalanceTest, StaleClientRefreshesPlacementFromEpochStamps) {
   sim::SimAgent agent;
   BlobClient client(store_, &agent);
+  ClientRegistryAgreement agree({&client});
   constexpr int kObjects = 80;
   preload(client, kObjects, 512, "s-%04d");
   // Warm the client's placement cache.
@@ -203,6 +207,7 @@ TEST_F(OnlineRebalanceTest, StaleClientRefreshesPlacementFromEpochStamps) {
     ASSERT_TRUE(s.ok()) << i;
     EXPECT_EQ(s.value().size, 512u) << i;
   }
+  agree.check({"client.epoch.refreshes", "client.epoch.stale_retries"});
 }
 
 // cancel() pauses mid-migration with the window open — every prefix of the
