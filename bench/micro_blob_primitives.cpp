@@ -336,6 +336,33 @@ void BM_EngineReadSmall(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineReadSmall)->Arg(16)->Arg(128)->Arg(1024)->Arg(8192);
 
+void BM_EngineLogGrowth(benchmark::State& state) {
+  // 1.5 KiB appends to distinct keys of a fresh engine until its log holds
+  // 64 MiB, then a fresh engine again. Nothing is overwritten, so no slot is
+  // ever recycled: every append lands in a segment the log opened itself,
+  // the regime BM_EngineAppend's warm recycled slots cannot show.
+  constexpr std::uint64_t kAppend = 1536;
+  constexpr std::size_t kKeys = (64ULL << 20) / kAppend;
+  std::vector<std::string> keys;
+  keys.reserve(kKeys);
+  for (std::size_t k = 0; k < kKeys; ++k) keys.push_back(strfmt("k%zu", k));
+  const Bytes data = make_payload(11, 0, kAppend);
+  blob::StorageEngine engine;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == kKeys) {
+      state.PauseTiming();
+      engine = blob::StorageEngine();
+      next = 0;
+      state.ResumeTiming();
+    }
+    auto r = engine.write(keys[next++], 0, as_view(data), true);
+    benchmark::DoNotOptimize(r.ok());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(kAppend) * state.iterations());
+}
+BENCHMARK(BM_EngineLogGrowth);
+
 // Ablation: replication factor vs simulated write latency.
 void BM_ReplicationLatency(benchmark::State& state) {
   sim::Cluster cluster;

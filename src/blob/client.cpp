@@ -1540,7 +1540,7 @@ Result<Bytes> BlobClient::batched_striped_read(std::string_view key,
     // read_leg fallback carry latency 0 — read_leg recorded its own sample.
     for (const auto& s : subs) {
       if (!s.stat_only && s.latency_us > 0) {
-        read_latency_.add(static_cast<std::uint64_t>(s.latency_us));
+        record_read_latency(s.latency_us);
       }
     }
     if (!fail.ok()) return fail.error();
@@ -1650,8 +1650,9 @@ BlobClient::ProbeRound BlobClient::quorum_probe(const std::string& ekey,
 SimMicros BlobClient::hedge_delay(std::uint32_t node) {
   const HedgePolicy& h = store_->config().hedge;
   if (!h.enabled) return 0;
-  const SimMicros delay = read_latency_.count() >= h.min_samples
-                              ? static_cast<SimMicros>(read_latency_.percentile(h.percentile))
+  const Histogram& lat = *read_latency_;  // a hedging client always has one
+  const SimMicros delay = lat.count() >= h.min_samples
+                              ? static_cast<SimMicros>(lat.percentile(h.percentile))
                               : h.fixed_delay_us;
   return delay > 1 && is_suspect(node) ? delay / 2 : delay;
 }
@@ -1751,7 +1752,7 @@ Result<ReadOutcome> BlobClient::read_leg(const std::string& ekey, std::uint64_t 
           }
         }
       }
-      read_latency_.add(static_cast<std::uint64_t>(comp - d.attempt_start));
+      record_read_latency(comp - d.attempt_start);
       health_on_success(srv.node().id(), comp - d.attempt_start);
       *completion = comp;
       return r;  // a delivered reply is authoritative, not_found included
@@ -1926,6 +1927,18 @@ Result<BlobStat> BlobClient::stat(std::string_view key) {
 
 bool BlobClient::exists(std::string_view key) { return stat(key).ok(); }
 
+namespace {
+/// A write op that ships `data` as a zero-copy view of the caller's buffer
+/// plus a client-computed end-to-end checksum, so the leg marshals no
+/// payload copy and replicas store the checksum instead of re-hashing.
+BlobServer::TxnOp view_write(std::string key, std::uint64_t offset, ByteView data) {
+  BlobServer::TxnOp op{BlobServer::TxnOp::Kind::write, std::move(key), offset, {}, 0,
+                       content_checksum(data)};
+  op.view = data;
+  return op;
+}
+}  // namespace
+
 Result<std::uint64_t> BlobClient::write(std::string_view key, std::uint64_t offset,
                                         ByteView data) {
   PrimCall call(*this, counters_.writes, client_metrics().write, key);
@@ -1936,9 +1949,9 @@ Result<std::uint64_t> BlobClient::write(std::string_view key, std::uint64_t offs
     // Single-chunk fast path. Any cached size/version for this key is stale
     // the moment the mutation lands.
     cache_erase(std::string{key});
-    Status st = replicated_mutation(
-        key, {{BlobServer::TxnOp::Kind::write, std::string{key}, offset,
-               Bytes(data.begin(), data.end()), 0}});
+    std::vector<BlobServer::TxnOp> ops;
+    ops.push_back(view_write(std::string{key}, offset, data));
+    Status st = replicated_mutation(key, ops);
     if (!st.ok()) return st.error();
     counters_.bytes_written.add(data.size());
     return data.size();
@@ -1954,16 +1967,9 @@ Result<std::uint64_t> BlobClient::write(std::string_view key, std::uint64_t offs
   const SimMicros start = agent_ ? agent_->now() : 0;
   SimMicros done = start;
 
-  // The chunk-0 slice ships as a zero-copy iovec view plus a client-computed
-  // end-to-end checksum, so the base leg neither marshals a payload copy nor
-  // makes replicas re-hash it.
   std::vector<BlobServer::TxnOp> base_ops;
   if (offset < cb) {
-    const ByteView slice = data.subspan(0, std::min(end, cb) - offset);
-    BlobServer::TxnOp op{BlobServer::TxnOp::Kind::write, base, offset, {}, 0,
-                         content_checksum(slice)};
-    op.view = slice;
-    base_ops.push_back(std::move(op));
+    base_ops.push_back(view_write(base, offset, data.subspan(0, std::min(end, cb) - offset)));
   } else {
     base_ops.push_back({BlobServer::TxnOp::Kind::write, base, 0, {}, 0});
   }

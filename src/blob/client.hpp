@@ -32,6 +32,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -166,7 +167,9 @@ class BlobTransaction;
 
 class BlobClient {
  public:
-  BlobClient(BlobStore& store, sim::SimAgent* agent) : store_(&store), agent_(agent) {}
+  BlobClient(BlobStore& store, sim::SimAgent* agent) : store_(&store), agent_(agent) {
+    if (store.config().hedge.enabled) read_latency_.emplace();
+  }
 
   // --- Blob Administration ---
   [[nodiscard]] Status create(std::string_view key);
@@ -354,6 +357,12 @@ class BlobClient {
   /// a node already known to be slow.
   [[nodiscard]] SimMicros hedge_delay(std::uint32_t node);
 
+  /// Feed one delivered read-leg latency to hedge_delay's histogram (a no-op
+  /// when the store does not hedge).
+  void record_read_latency(SimMicros us) {
+    if (read_latency_) read_latency_->add(static_cast<std::uint64_t>(us));
+  }
+
   // --- overload resilience (deadline budgets + per-node breakers) ----------
 
   /// RAII scope of one public primitive call (defined in client.cpp): it
@@ -489,7 +498,9 @@ class BlobClient {
   sim::SimAgent* agent_;
   ClientCounters counters_;
   Rng rng_{0xb10bfa117ULL};  ///< backoff jitter; per-client, deterministic
-  Histogram read_latency_;   ///< delivered read-leg latency (drives hedging)
+  /// Delivered read-leg latency; it only drives hedging, so it exists (and
+  /// records) only when the store hedges.
+  std::optional<Histogram> read_latency_;
   std::unordered_map<std::string, MetaEntry> meta_cache_;
   std::unordered_map<std::string, Placement> place_cache_;
   std::unique_ptr<ThreadPool> pool_;

@@ -3,6 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <filesystem>
+#include <iterator>
+#include <mutex>
+#include <new>
+#include <tuple>
+#include <utility>
+
+#include <sys/mman.h>
 
 #include "common/hash.hpp"
 #include "obs/metrics.hpp"
@@ -50,7 +57,73 @@ It first_ending_after(It first, It last, std::uint64_t off) {
   return std::partition_point(first, last,
                               [off](const auto& e) { return e.log_off + e.len <= off; });
 }
+
+/// Mappings of released segments, kept (pages resident) for the next
+/// segment of the same size in any engine of the process, newest first. Up
+/// to kSlots mappings and kBytes bytes are kept; the rest are unmapped. What
+/// a segment finds here depends only on the order in which the process's
+/// engines open and release segments.
+class SegmentPool {
+ public:
+  static constexpr std::size_t kSlots = 64;
+  static constexpr std::size_t kBytes = std::size_t{512} << 20;
+
+  SegmentPool() { kept_.reserve(kSlots); }
+
+  void* take(std::size_t n) {
+    {
+      std::scoped_lock lk(mu_);
+      for (auto it = kept_.rbegin(); it != kept_.rend(); ++it) {
+        if (it->second != n) continue;
+        void* p = it->first;
+        kept_.erase(std::next(it).base());
+        bytes_ -= n;
+        return p;
+      }
+    }
+    void* p = ::mmap(nullptr, n, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return p;
+  }
+
+  void give(void* p, std::size_t n) noexcept {
+    {
+      std::scoped_lock lk(mu_);
+      if (kept_.size() < kSlots && bytes_ + n <= kBytes) {
+        kept_.emplace_back(p, n);  // within the reserved capacity: no allocation
+        bytes_ += n;
+        return;
+      }
+    }
+    (void)::munmap(p, n);
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::pair<void*, std::size_t>> kept_;  ///< (mapping, bytes)
+  std::size_t bytes_ = 0;                            ///< sum over kept_
+};
+
+/// Never destroyed, so an engine that outlives static destruction can still
+/// release its segments.
+SegmentPool& segment_pool() {
+  static auto* pool = new SegmentPool;
+  return *pool;
+}
 }  // namespace
+
+void LogSegment::open(std::uint64_t capacity) {
+  release();
+  data_ = static_cast<std::byte*>(segment_pool().take(capacity));
+  capacity_ = capacity;
+}
+
+void LogSegment::release() noexcept {
+  if (data_ != nullptr) segment_pool().give(data_, capacity_);
+  data_ = nullptr;
+  size_ = 0;
+  capacity_ = 0;
+}
 
 StorageEngine::StorageEngine(EngineConfig cfg) : cfg_(cfg) {
   segments_.emplace_back();  // active segment
@@ -116,16 +189,15 @@ std::pair<std::uint32_t, std::uint64_t> StorageEngine::append_to_log(ByteView da
     }
     maybe_recycle(sealed);  // a sealed segment can already be fully dead
   }
-  Bytes& seg = segments_[active_];
-  if (seg.empty() && data.size() >= (64u << 10) && data.size() < cfg_.segment_bytes) {
-    // Large-write workloads fill the segment in a handful of appends;
-    // reserving the full segment up front avoids the doubling reallocations
-    // (and their copy passes) on the hot write path. Small-object engines
-    // never trigger this, so they keep their proportional footprint.
-    seg.reserve(cfg_.segment_bytes);
-  }
+  LogSegment& seg = segments_[active_];
+  // Open the segment at its full capacity in one allocation (a payload of
+  // segment size or more gets exactly its own size), so it never
+  // reallocates or moves while it fills. A recycled warm slot already holds
+  // the capacity.
+  const std::uint64_t need = std::max<std::uint64_t>(cfg_.segment_bytes, data.size());
+  if (seg.empty() && seg.capacity() < need) seg.open(need);
   const std::uint64_t seg_off = seg.size();
-  append(seg, data);
+  seg.append(data);
   seg_live_[active_] += data.size();
   return {active_, seg_off};
 }
@@ -143,9 +215,10 @@ void StorageEngine::maybe_recycle(std::uint32_t segment) {
   }
   // Every byte in the segment is dead: no live extent references it, so the
   // buffer can be reused wholesale. clear() keeps the capacity (warm pages);
-  // past kWarmSlots the memory is returned and only the slot is recycled.
+  // past kWarmSlots the buffer goes back to the segment pool and only the
+  // slot is recycled.
   segments_[segment].clear();
-  if (free_slots_.size() >= kWarmSlots) Bytes().swap(segments_[segment]);
+  if (free_slots_.size() >= kWarmSlots) segments_[segment].release();
   free_slots_.push_back(segment);
 }
 
@@ -205,9 +278,7 @@ Result<WriteOutcome> StorageEngine::write(const std::string& key, std::uint64_t 
     // cache-warm instead of streaming into a fresh cold slot every round.
     const auto hit = first_ending_after(rec.extents.begin(), rec.extents.end(), offset);
     if (hit != rec.extents.end() && hit->log_off == offset && hit->len == data.size()) {
-      Bytes& seg = segments_[hit->segment];
-      std::copy(data.begin(), data.end(),
-                seg.begin() + static_cast<std::ptrdiff_t>(hit->seg_off));
+      std::copy(data.begin(), data.end(), segments_[hit->segment].data() + hit->seg_off);
       hit->checksum = checksum != 0 ? checksum : content_checksum(data);
     } else {
       supersede_range(rec, offset, data.size());
@@ -257,8 +328,8 @@ Result<ReadOutcome> StorageEngine::read(const std::string& key, std::uint64_t of
     const std::uint64_t e_end = e.log_off + e.len;
     const std::uint64_t lo = std::max(e.log_off, offset);
     const std::uint64_t hi = std::min(e_end, end);
-    const Bytes& seg = segments_[e.segment];
-    std::copy_n(seg.begin() + static_cast<std::ptrdiff_t>(e.seg_off + (lo - e.log_off)),
+    const LogSegment& seg = segments_[e.segment];
+    std::copy_n(seg.data() + (e.seg_off + (lo - e.log_off)),
                 hi - lo, out.data.begin() + static_cast<std::ptrdiff_t>(lo - offset));
     out.covered += hi - lo;
     ++out.extents_touched;
@@ -284,8 +355,8 @@ Result<ReadIntoOutcome> StorageEngine::read_into(const std::string& key,
     const std::uint64_t e_end = e.log_off + e.len;
     const std::uint64_t lo = std::max(e.log_off, offset);
     const std::uint64_t hi = std::min(e_end, end);
-    const Bytes& seg = segments_[e.segment];
-    std::copy_n(seg.begin() + static_cast<std::ptrdiff_t>(e.seg_off + (lo - e.log_off)),
+    const LogSegment& seg = segments_[e.segment];
+    std::copy_n(seg.data() + (e.seg_off + (lo - e.log_off)),
                 hi - lo, dst.begin() + static_cast<std::ptrdiff_t>(lo - offset));
     out.covered += hi - lo;
     ++out.extents_touched;
@@ -318,9 +389,9 @@ Result<SpanProbeOutcome> StorageEngine::span_probe(const std::string& key,
     // checksum (0), so hash their overlapping stored bytes instead.
     std::uint64_t content = e.checksum;
     if (content == 0) {
-      const Bytes& seg = segments_[e.segment];
+      const LogSegment& seg = segments_[e.segment];
       content = content_checksum(
-          subview(as_view(seg), e.seg_off + (lo - e.log_off), hi - lo));
+          subview(seg.view(), e.seg_off + (lo - e.log_off), hi - lo));
     }
     out.digest = hash_combine(out.digest, lo - offset);
     out.digest = hash_combine(out.digest, hi - lo);
@@ -416,32 +487,21 @@ bool StorageEngine::needs_compaction() const noexcept {
 
 std::uint64_t StorageEngine::compact() {
   const std::uint64_t reclaimed = dead_bytes_;
-  std::vector<Bytes> fresh;
-  fresh.emplace_back();
-  auto fresh_append = [&](ByteView data) -> std::pair<std::uint32_t, std::uint64_t> {
-    if (fresh.back().size() + data.size() > cfg_.segment_bytes && !fresh.back().empty()) {
-      fresh.emplace_back();
-    }
-    Bytes& seg = fresh.back();
-    const std::uint64_t off = seg.size();
-    append(seg, data);
-    return {static_cast<std::uint32_t>(fresh.size() - 1), off};
-  };
+  // Rebuild the log from empty through append_to_log, the segment-open and
+  // seal path writes and recovery use; the old segments are only the source.
+  std::vector<LogSegment> old;
+  old.swap(segments_);
+  segments_.emplace_back();
+  seg_live_.assign(1, 0);
+  free_slots_.clear();
+  active_ = 0;
   for (auto& [key, rec] : objects_) {
     for (Extent& e : rec.extents) {
-      const Bytes& seg = segments_[e.segment];
-      ByteView data = subview(as_view(seg), e.seg_off, e.len);
-      auto [ns, noff] = fresh_append(data);
-      e.segment = ns;
-      e.seg_off = noff;
+      const ByteView data = subview(old[e.segment].view(), e.seg_off, e.len);
+      std::tie(e.segment, e.seg_off) = append_to_log(data);
       e.checksum = content_checksum(data);
     }
   }
-  segments_ = std::move(fresh);
-  seg_live_.assign(segments_.size(), 0);
-  for (std::size_t s = 0; s < segments_.size(); ++s) seg_live_[s] = segments_[s].size();
-  free_slots_.clear();
-  active_ = static_cast<std::uint32_t>(segments_.size() - 1);
   dead_bytes_ = 0;
   engine_metrics().compactions.inc();
   return reclaimed;
@@ -460,11 +520,11 @@ Status StorageEngine::verify_object(const std::string& key) const {
   if (it == objects_.end()) return {Errc::not_found, key};
   for (const Extent& e : it->second.extents) {
     if (e.checksum == 0) continue;  // partial extents: checksum dropped
-    const Bytes& seg = segments_[e.segment];
+    const LogSegment& seg = segments_[e.segment];
     if (e.seg_off + e.len > seg.size()) {
       return {Errc::io_error, "extent past segment end: " + key};
     }
-    if (content_checksum(subview(as_view(seg), e.seg_off, e.len)) != e.checksum) {
+    if (content_checksum(subview(seg.view(), e.seg_off, e.len)) != e.checksum) {
       return {Errc::io_error, "checksum mismatch: " + key};
     }
   }
@@ -488,7 +548,7 @@ Result<std::uint64_t> StorageEngine::write_checkpoint(bool prune_wal) {
     for (const Extent& e : rec.extents) {
       persist::CheckpointRun run;
       run.log_off = e.log_off;
-      const ByteView data = subview(as_view(segments_[e.segment]), e.seg_off, e.len);
+      const ByteView data = subview(segments_[e.segment].view(), e.seg_off, e.len);
       run.data.assign(data.begin(), data.end());
       // Partial extents carry checksum 0 in the index; the snapshot always
       // records a real one so recovery can validate every run.
@@ -622,8 +682,7 @@ bool StorageEngine::corrupt_for_testing(const std::string& key) {
   if (it == objects_.end() || it->second.extents.empty()) return false;
   const Extent& e = it->second.extents.front();
   if (e.len == 0) return false;
-  Bytes& seg = segments_[e.segment];
-  seg[e.seg_off] ^= std::byte{0xff};
+  segments_[e.segment].data()[e.seg_off] ^= std::byte{0xff};
   return true;
 }
 

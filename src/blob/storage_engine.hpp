@@ -18,8 +18,10 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -33,6 +35,64 @@ namespace bsc::blob {
 struct EngineConfig {
   std::uint64_t segment_bytes = 8ULL << 20;  ///< sealed-segment size
   double compact_dead_ratio = 0.5;           ///< compaction trigger threshold
+};
+
+/// One log segment's bytes: a buffer of fixed capacity that appends copy
+/// into and that never moves. Its memory bypasses the heap: open() takes a
+/// mapping of the same size that a released segment left in the
+/// process-wide segment pool (its pages still resident), or maps a fresh
+/// one whose pages commit on first touch; release() returns the mapping to
+/// the pool, which unmaps what it cannot keep. Through the heap, whether a
+/// new segment's appends fault would hang on the allocator's history in the
+/// whole process: on a benchmark that builds a fresh cluster every pass,
+/// runs of one build spread from 84 to 141 k ops/s (4-core x86 host).
+class LogSegment {
+ public:
+  LogSegment() = default;
+  LogSegment(LogSegment&& o) noexcept
+      : data_(std::exchange(o.data_, nullptr)),
+        size_(std::exchange(o.size_, 0)),
+        capacity_(std::exchange(o.capacity_, 0)) {}
+  LogSegment& operator=(LogSegment&& o) noexcept {
+    if (this != &o) {
+      release();
+      data_ = std::exchange(o.data_, nullptr);
+      size_ = std::exchange(o.size_, 0);
+      capacity_ = std::exchange(o.capacity_, 0);
+    }
+    return *this;
+  }
+  LogSegment(const LogSegment&) = delete;
+  LogSegment& operator=(const LogSegment&) = delete;
+  ~LogSegment() { release(); }
+
+  /// Drop any buffer and take an empty one of exactly `capacity` bytes
+  /// (throws std::bad_alloc when the system has no memory to map).
+  void open(std::uint64_t capacity);
+  /// Give the buffer back to the segment pool; the segment is then empty
+  /// with capacity 0.
+  void release() noexcept;
+
+  /// Copy `data` to the end. The caller keeps size() + data.size() within
+  /// capacity().
+  void append(ByteView data) noexcept {
+    if (!data.empty()) std::memcpy(data_ + size_, data.data(), data.size());
+    size_ += data.size();
+  }
+  /// Empty the segment but keep its buffer (and its resident pages).
+  void clear() noexcept { size_ = 0; }
+
+  [[nodiscard]] std::byte* data() noexcept { return data_; }
+  [[nodiscard]] const std::byte* data() const noexcept { return data_; }
+  [[nodiscard]] ByteView view() const noexcept { return {data_, size_}; }
+  [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }
+
+ private:
+  std::byte* data_ = nullptr;
+  std::uint64_t size_ = 0;
+  std::uint64_t capacity_ = 0;
 };
 
 /// Outcome of a write, carrying what the cost model needs.
@@ -177,7 +237,8 @@ class StorageEngine {
   [[nodiscard]] std::uint64_t segments_total() const noexcept { return segments_.size(); }
   [[nodiscard]] bool needs_compaction() const noexcept;
 
-  /// Rewrite all live extents into fresh segments; returns bytes reclaimed.
+  /// Rewrite all live extents into fresh segments (through the same append
+  /// path as write()); returns bytes reclaimed.
   std::uint64_t compact();
 
   /// Verify every extent checksum (failure injection tests flip bytes).
@@ -204,7 +265,10 @@ class StorageEngine {
     std::vector<Extent> extents;  ///< sorted by log_off, non-overlapping
   };
 
-  /// Append raw data to the log; returns (segment, seg_off).
+  /// Append raw data to the log; returns (segment, seg_off). Seals the
+  /// active segment when `data` would overflow it, and opens each segment
+  /// with its whole capacity in one allocation, so appends never move bytes
+  /// already in the log. write(), recovery and compact() all append here.
   std::pair<std::uint32_t, std::uint64_t> append_to_log(ByteView data);
 
   /// Account `n` bytes of `segment` dead (live_bytes_/dead_bytes_/per-segment
@@ -233,7 +297,7 @@ class StorageEngine {
   EngineConfig cfg_;
   std::map<std::string, ObjectRec> objects_;
   std::map<std::string, Version> removed_floors_;  ///< last version of removed keys
-  std::vector<Bytes> segments_;
+  std::vector<LogSegment> segments_;
   std::uint32_t active_ = 0;                ///< index of the open (append) segment
   std::vector<std::uint64_t> seg_live_;     ///< live bytes per segment slot
   std::vector<std::uint32_t> free_slots_;   ///< fully-dead slots ready for reuse
