@@ -14,6 +14,11 @@ Two modes:
       and fail unless every required series name is present among its
       counters/gauges/histograms.
 
+  check_bench_json.py --metrics FILE --require-nonzero SERIES [SERIES ...]
+      As --require, and each series must also have moved: a counter or
+      gauge above 0, a histogram with a count above 0. Both flags may be
+      given together.
+
 Exit code 0 on success; 1 with a message on the first violation.
 """
 
@@ -79,7 +84,18 @@ def check_bench_file(path):
     print(f"{path}: OK ({len(results)} results)")
 
 
-def check_metrics_file(path, required):
+def series_value(doc, name):
+    """A counter's or gauge's value, or a histogram's count; None if absent."""
+    if name in doc["counters"]:
+        return doc["counters"][name]
+    if name in doc["gauges"]:
+        return doc["gauges"][name]
+    if name in doc["histograms"]:
+        return doc["histograms"][name].get("count")
+    return None
+
+
+def check_metrics_file(path, required, nonzero):
     doc = load(path)
     if not isinstance(doc, dict):
         fail(f"{path}: top level is not an object")
@@ -92,10 +108,15 @@ def check_metrics_file(path, required):
     if not isinstance(doc.get("slow_ops"), list):
         fail(f"{path}: missing slow_ops array")
     present = set(doc["counters"]) | set(doc["gauges"]) | set(doc["histograms"])
-    missing = [s for s in required if s not in present]
+    missing = [s for s in required + nonzero if s not in present]
     if missing:
         fail(f"{path}: missing required series: {', '.join(missing)}")
-    print(f"{path}: OK ({len(present)} series, {len(required)} required present)")
+    zero = [f"{s}={series_value(doc, s)}" for s in nonzero
+            if not isinstance(series_value(doc, s), (int, float)) or series_value(doc, s) <= 0]
+    if zero:
+        fail(f"{path}: series required nonzero are not: {', '.join(zero)}")
+    print(f"{path}: OK ({len(present)} series, {len(required)} required present, "
+          f"{len(nonzero)} required nonzero)")
 
 
 def main():
@@ -104,10 +125,13 @@ def main():
     ap.add_argument("--metrics", help="metrics snapshot file to validate instead")
     ap.add_argument("--require", nargs="*", default=[],
                     help="series that must exist in the --metrics snapshot")
+    ap.add_argument("--require-nonzero", nargs="*", default=[],
+                    help="series that must exist and be nonzero (counter/gauge "
+                         "value, histogram count) in the --metrics snapshot")
     args = ap.parse_args()
 
     if args.metrics:
-        check_metrics_file(args.metrics, args.require)
+        check_metrics_file(args.metrics, args.require, args.require_nonzero)
     if not args.metrics and not args.files:
         fail("nothing to check: pass bench json files or --metrics")
     for path in args.files:

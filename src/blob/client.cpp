@@ -453,19 +453,8 @@ Status BlobClient::mutation_leg(const std::string& ekey,
     if (pre_exists) {
       if (store_->config().write_quorum == 0) {
         info->pre_size = primary.peek_size(ekey).value_or(0);
-      } else {
-        bool found = false;
-        Version best_v = 0;
-        for (std::uint32_t rid : replicas) {
-          if (store_->is_down(rid)) continue;
-          BlobServer& srv = store_->server(rid);
-          auto v = srv.peek_version(ekey);
-          if (v.ok() && (!found || v.value() > best_v)) {
-            found = true;
-            best_v = v.value();
-            info->pre_size = srv.peek_size(ekey).value_or(0);
-          }
-        }
+      } else if (const auto best = store_->freshest(ekey, replicas)) {
+        info->pre_size = store_->server(best->index).peek_size(ekey).value_or(0);
       }
     }
   }
@@ -596,11 +585,8 @@ Status BlobClient::mutation_leg(const std::string& ekey,
 void BlobClient::plan_versions(BlobServer& primary, bool pre_exists, std::uint64_t nops,
                                KeyLeg& k) {
   k.pre_version = pre_exists ? primary.peek_version(*k.ekey).value_or(0) : 0;
-  Version base = k.pre_version;
-  for (std::uint32_t rid : k.place.replicas) {
-    if (store_->is_down(rid)) continue;
-    base = std::max(base, store_->server(rid).peek_version(*k.ekey).value_or(0));
-  }
+  const auto best = store_->freshest(*k.ekey, k.place.replicas);
+  const Version base = std::max(k.pre_version, best ? best->version : 0);
   k.new_version = base + nops;
   k.continue_versions = base > k.pre_version;
 }
@@ -2185,30 +2171,16 @@ Status BlobTransaction::commit() {
     const auto reps = store.replicas_of(key);
     const auto acting = store.first_up(reps);
     if (!acting) return abort({Errc::unavailable, "all replicas down: " + key});
-    Version v = 0;
-    std::uint32_t holder = *acting;
-    for (std::uint32_t r : reps) {
-      if (store.is_down(r)) continue;
-      auto rv = store.server(r).peek_version(key);
-      if (rv.ok() && rv.value() > v) {
-        v = rv.value();
-        holder = r;
-      }
-    }
-    auth[key] = v;
-    auth_holder[key] = holder;
+    const auto best = store.freshest(key, reps);
+    auth[key] = best ? best->version : 0;
+    auth_holder[key] = best ? best->index : *acting;
   }
 
   // Precondition validation against the authoritative versions.
   for (const auto& [key, expected] : preconditions_) {
     const Version have = auth.count(key) ? auth[key] : [&] {
-      Version v = 0;
-      for (std::uint32_t r : store.replicas_of(key)) {
-        if (store.is_down(r)) continue;
-        auto rv = store.server(r).peek_version(key);
-        if (rv.ok()) v = std::max(v, rv.value());
-      }
-      return v;
+      const auto best = store.freshest(key, store.replicas_of(key));
+      return best ? best->version : 0;
     }();
     if (have != expected) return abort({Errc::conflict, "precondition failed: " + key});
   }

@@ -159,25 +159,10 @@ Status Rebalancer::migrate_entry(MigrationWindow& win, const std::string& key,
     }
 
     // Freshest live source among the fold-authoritative replicas.
-    bool found = false;
-    bool any_auth_down = false;
-    std::uint32_t best = 0;
-    Version best_v = 0;
-    for (std::uint32_t r : auth) {
-      if (st.is_down(r)) {
-        any_auth_down = true;
-        continue;
-      }
-      auto v = st.servers_[r]->peek_version(key);
-      if (!v.ok()) continue;
-      if (!found || v.value() > best_v) {
-        found = true;
-        best = r;
-        best_v = v.value();
-      }
-    }
-    if (!found) {
-      if (any_auth_down) {
+    const auto best = st.freshest(key, auth);
+    if (!best) {
+      if (std::any_of(auth.begin(), auth.end(),
+                      [&](std::uint32_t r) { return st.is_down(r); })) {
         // The only holders are down — defer; finalize retries after recovery.
         return {Errc::busy, "no live source for " + key};
       }
@@ -189,7 +174,7 @@ Status Rebalancer::migrate_entry(MigrationWindow& win, const std::string& key,
       return Status::success();
     }
 
-    BlobServer& src = *st.servers_[best];
+    BlobServer& src = *st.servers_[best->index];
     auto size = src.peek_size(key);
     if (!size.ok()) {
       flip_migrated(win, key);
@@ -201,7 +186,7 @@ Status Rebalancer::migrate_entry(MigrationWindow& win, const std::string& key,
     auto data = src.read_locked(key, 0, size.value(), &src_svc);
     if (!data.ok()) return data.error();
     if (charges) {
-      auto& c = (*charges)[best];
+      auto& c = (*charges)[best->index];
       c.service_us += src_svc;
     }
 
@@ -224,14 +209,14 @@ Status Rebalancer::migrate_entry(MigrationWindow& win, const std::string& key,
       // landed on the pending owner may have advanced it past the source
       // snapshot we hold.
       const Version tv = st.servers_[t]->peek_version(key).value_or(0);
-      if (tv >= best_v) {
+      if (tv >= best->version) {
         std::scoped_lock plk(prog_mu_);
         ++prog_.skipped_fresh;
         continue;
       }
       SimMicros put_svc = 0;
       auto ist = st.servers_[t]->install_copy_locked(key, as_view(data.value().data),
-                                                     size.value(), best_v, &put_svc);
+                                                     size.value(), best->version, &put_svc);
       if (!ist.ok()) return ist;
       if (charges) {
         auto& c = (*charges)[t];
@@ -419,22 +404,10 @@ Status Rebalancer::finalize(sim::SimAgent* agent) {
     locks.reserve(involved.size());
     for (std::uint32_t n : involved) locks.push_back(st.servers_[n]->lock_key(key));
 
-    bool found = false;
-    std::uint32_t best = 0;
-    Version best_v = 0;
-    for (std::uint32_t r : auth) {
-      if (st.is_down(r)) continue;
-      auto v = st.servers_[r]->peek_version(key);
-      if (!v.ok()) continue;
-      if (!found || v.value() > best_v) {
-        found = true;
-        best = r;
-        best_v = v.value();
-      }
-    }
-    if (!found) continue;  // removed during the window: nothing to verify
+    const auto best = st.freshest(key, auth);
+    if (!best) continue;  // removed during the window: nothing to verify
 
-    BlobServer& src = *st.servers_[best];
+    BlobServer& src = *st.servers_[best->index];
     auto size = src.peek_size(key);
     if (!size.ok()) continue;
     SimMicros src_svc = 0;
@@ -454,8 +427,8 @@ Status Rebalancer::finalize(sim::SimAgent* agent) {
       }
       BlobServer& dst = *st.servers_[t];
       const Version dv = dst.peek_version(key).value_or(0);
-      bool recopy = dv < best_v;
-      if (!recopy && dv == best_v && kind() == Kind::decommission) {
+      bool recopy = dv < best->version;
+      if (!recopy && dv == best->version && kind() == Kind::decommission) {
         // Digest comparison against the draining source's copy. A target
         // FRESHER than the source (dual write landed after our snapshot)
         // needs no repair — overwriting it would roll an acked write back.
@@ -477,7 +450,7 @@ Status Rebalancer::finalize(sim::SimAgent* agent) {
       if (recopy) {
         SimMicros put_svc = 0;
         auto ist = dst.install_copy_locked(key, as_view(data.value().data),
-                                           size.value(), best_v, &put_svc);
+                                           size.value(), best->version, &put_svc);
         if (!ist.ok()) return ist;
         if (agent) {
           st.transport_.call_reliable(*agent, dst.node(), size.value() + 64, 64,

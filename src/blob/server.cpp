@@ -28,7 +28,7 @@ struct ServerMetrics {
   OpSeries write = make_op("write");
   OpSeries read = make_op("read");
   OpSeries truncate = make_op("truncate");
-  OpSeries size = make_op("size");
+  OpSeries grow = make_op("grow");
   OpSeries stat = make_op("stat");
   OpSeries scan = make_op("scan");
   OpSeries txn = make_op("txn");
@@ -47,6 +47,17 @@ ServerMetrics& server_metrics() {
   return m;
 }
 
+template <typename T>
+Status status_of(const Result<T>& r) {
+  return r.ok() ? Status::success() : Status{r.error()};
+}
+
+/// One op served: a call plus its service time as a one-op request.
+void publish(const OpSeries& s, SimMicros service_us) {
+  s.calls.inc();
+  s.service_us.add(static_cast<std::uint64_t>(service_us));
+}
+
 /// Publishes one op when the enclosing call returns; every return path
 /// writes the service cost through `service_us` first.
 class OpPublisher {
@@ -55,10 +66,7 @@ class OpPublisher {
       : s_(s), svc_(service_us) {}
   OpPublisher(const OpPublisher&) = delete;
   OpPublisher& operator=(const OpPublisher&) = delete;
-  ~OpPublisher() {
-    s_.calls.inc();
-    s_.service_us.add(static_cast<std::uint64_t>(*svc_));
-  }
+  ~OpPublisher() { publish(s_, *svc_); }
 
  private:
   const OpSeries& s_;
@@ -71,21 +79,26 @@ std::size_t BlobServer::stripe_of(std::string_view key) noexcept {
   return fnv1a64(key) & (kLockStripes - 1);
 }
 
-BlobServer::KeyLock BlobServer::lock_key(std::string_view key) {
-  KeyLock lk;
-  lk.structure = std::shared_lock(mu_);
-  Stripe& s = stripes_[stripe_of(key)];
+std::unique_lock<std::mutex> BlobServer::acquire_stripe(std::size_t index) {
+  Stripe& s = stripes_[index];
   auto& m = server_metrics();
   m.stripe_acquisitions.inc();
   // Contention probe: a failed try_lock means another writer holds this
   // stripe right now — the wait that follows is real contention, not just
   // an acquisition.
-  lk.stripe = std::unique_lock(s.mu, std::try_to_lock);
-  if (!lk.stripe.owns_lock()) {
+  std::unique_lock stripe(s.mu, std::try_to_lock);
+  if (!stripe.owns_lock()) {
     m.stripe_contended.inc();
-    lk.stripe.lock();
+    stripe.lock();
   }
   s.acquisitions.fetch_add(1, std::memory_order_relaxed);
+  return stripe;
+}
+
+BlobServer::KeyLock BlobServer::lock_key(std::string_view key) {
+  KeyLock lk;
+  lk.structure = std::shared_lock(mu_);
+  lk.stripe = acquire_stripe(stripe_of(key));
   return lk;
 }
 
@@ -97,18 +110,8 @@ BlobServer::MultiKeyLock BlobServer::lock_keys(const std::vector<std::string_vie
   // duplicate acquisitions when several chunk keys share a stripe.
   std::array<bool, kLockStripes> want{};
   for (std::string_view key : keys) want[stripe_of(key)] = true;
-  auto& m = server_metrics();
   for (std::size_t i = 0; i < kLockStripes; ++i) {
-    if (!want[i]) continue;
-    Stripe& s = stripes_[i];
-    m.stripe_acquisitions.inc();
-    std::unique_lock stripe(s.mu, std::try_to_lock);
-    if (!stripe.owns_lock()) {
-      m.stripe_contended.inc();
-      stripe.lock();
-    }
-    s.acquisitions.fetch_add(1, std::memory_order_relaxed);
-    lk.stripes.push_back(std::move(stripe));
+    if (want[i]) lk.stripes.push_back(acquire_stripe(i));
   }
   return lk;
 }
@@ -185,14 +188,6 @@ std::array<std::uint64_t, BlobServer::kLockStripes> BlobServer::stripe_acquisiti
   return out;
 }
 
-Status BlobServer::create(const std::string& key, SimMicros* service_us) {
-  OpPublisher pub(server_metrics().create, service_us);
-  KeyLock lk = lock_key(key);
-  *service_us = svc_metadata();
-  std::scoped_lock elk(engine_mu_);
-  return engine_.create(key);
-}
-
 Status BlobServer::remove(const std::string& key, SimMicros* service_us) {
   OpPublisher pub(server_metrics().remove, service_us);
   KeyLock lk = lock_key(key);
@@ -202,59 +197,25 @@ Status BlobServer::remove(const std::string& key, SimMicros* service_us) {
   return engine_.remove(key);
 }
 
-Result<WriteOutcome> BlobServer::write(const std::string& key, std::uint64_t off,
-                                       ByteView data, bool create_if_missing,
-                                       SimMicros* service_us) {
-  OpPublisher pub(server_metrics().write, service_us);
-  KeyLock lk = lock_key(key);
-  std::uint64_t obj_size = 0;
-  auto r = [&] {
-    std::scoped_lock elk(engine_mu_);
-    auto rr = engine_.write(key, off, data, create_if_missing);
-    if (rr.ok()) obj_size = engine_.size(key).value_or(0);
-    return rr;
-  }();
-  SimMicros t = costs_.cpu_op_us + svc_bytes_cpu(data.size());
-  if (r.ok()) {
-    // Log-structured append: sequential disk write; write-through cache.
-    t += node_->disk().service_us(data.size(), /*sequential=*/true);
-    node_->cache().touch_write(fnv1a64(key), obj_size);
-    server_metrics().write_bytes.add(data.size());
-  }
-  *service_us = t;
-  return r;
-}
-
 Result<ReadOutcome> BlobServer::read(const std::string& key, std::uint64_t off,
                                      std::uint64_t len, SimMicros* service_us) {
-  OpPublisher pub(server_metrics().read, service_us);
   std::shared_lock lk(mu_);
-  std::uint64_t obj_size = 0;
-  auto r = [&] {
-    std::scoped_lock elk(engine_mu_);
-    auto rr = engine_.read(key, off, len);
-    if (rr.ok()) obj_size = engine_.size(key).value_or(0);
-    return rr;
-  }();
-  SimMicros t = costs_.cpu_op_us;
-  if (r.ok()) {
-    const auto& out = r.value();
-    server_metrics().read_bytes.add(out.data.size());
-    t += svc_bytes_cpu(out.data.size());
-    const bool cached = node_->cache().touch_read(fnv1a64(key), obj_size);
-    if (cached || out.extents_touched == 0) {
-      // Served from the page cache (or a pure hole): no disk access.
-      t += 1;
-    } else {
-      // First extent pays the seek; subsequent extents are near-sequential
-      // in the log and pay a short settle instead of a full stroke.
-      const auto& dp = node_->disk().params();
-      t += node_->disk().service_us(out.data.size(), /*sequential=*/false);
-      t += static_cast<SimMicros>(out.extents_touched - 1) * (dp.rotational_us / 2);
-    }
+  return read_locked(key, off, len, service_us);
+}
+
+SimMicros BlobServer::svc_read(const std::string& key, std::uint64_t obj_size,
+                               std::uint64_t data_len, std::uint32_t extents_touched) {
+  server_metrics().read_bytes.add(data_len);
+  const SimMicros cpu = svc_bytes_cpu(data_len);
+  const bool cached = node_->cache().touch_read(fnv1a64(key), obj_size);
+  if (cached || extents_touched == 0) {
+    return cpu + 1;  // served from the page cache (or a pure hole): no disk access
   }
-  *service_us = t;
-  return r;
+  // First extent pays the seek; subsequent extents are near-sequential in
+  // the log and pay a short settle instead of a full stroke.
+  const auto& disk = node_->disk();
+  return cpu + disk.service_us(data_len, /*sequential=*/false) +
+         static_cast<SimMicros>(extents_touched - 1) * (disk.params().rotational_us / 2);
 }
 
 void BlobServer::read_batch(const ReadSubOp* subs, std::size_t count,
@@ -266,32 +227,29 @@ void BlobServer::read_batch(const ReadSubOp* subs, std::size_t count,
   // charged for its own data (stat subs ride along for 1µs).
   std::shared_lock lk(mu_);
   SimMicros t = costs_.cpu_op_us;
-  // Digest-only subs are answered from the extent index (span_probe folds
-  // the stored per-extent checksums) — no payload bytes are read, so a
-  // quorum vote costs what a stat does, and the reply carries only
-  // (version, digest). probe_payload votes charge the full read cost
-  // anyway: they stand in for a real payload serve on a hedged replica.
-  for (std::size_t i = 0; i < count; ++i) {
-    const ReadSubOp& sub = subs[i];
-    ReadSubResult& res = results[i];
+  // Serves one sub, adding its cost to t; returns the series it counts
+  // against (none for a failed read).
+  auto serve = [&](const ReadSubOp& sub, ReadSubResult& res) -> const OpSeries* {
     res = {};
     if (sub.stat_only) {
-      m.stat.calls.inc();
       t += 1;
       std::scoped_lock elk(engine_mu_);
       auto s = engine_.size(*sub.key);
       if (!s.ok()) {
         res.err = Errc::not_found;
-        if (per_op_us) per_op_us[i] = t;
-        continue;
+        return &m.stat;
       }
       res.size = s.value();
       res.version = engine_.version(*sub.key).value_or(0);
-      if (per_op_us) per_op_us[i] = t;
-      continue;
+      return &m.stat;
     }
+    std::uint64_t obj_size = 0;
     if (sub.digest_only) {
-      std::uint64_t obj_size = 0;
+      // Answered from the extent index (span_probe folds the stored
+      // per-extent checksums) — no payload bytes are read, so a quorum vote
+      // costs what a stat does, and the reply carries only (version,
+      // digest). probe_payload votes charge the full read cost anyway: they
+      // stand in for a real payload serve on a hedged replica.
       SpanProbeOutcome probe;
       const Errc perr = [&] {
         std::scoped_lock elk(engine_mu_);
@@ -305,41 +263,25 @@ void BlobServer::read_batch(const ReadSubOp* subs, std::size_t count,
       if (perr != Errc::ok) {
         res.err = perr;
         t += 1;
-        if (per_op_us) per_op_us[i] = t;
-        continue;
+        return nullptr;
       }
       res.digest = probe.digest;
       res.data_len = probe.data_len;  // the payload bytes the vote avoided
       res.covered = probe.covered;
-      if (sub.probe_payload) {
-        m.read.calls.inc();
-        m.read_bytes.add(probe.data_len);
-        t += svc_bytes_cpu(probe.data_len);
-        const bool cached = node_->cache().touch_read(fnv1a64(*sub.key), obj_size);
-        if (cached || probe.extents_touched == 0) {
-          t += 1;
-        } else {
-          const auto& dp = node_->disk().params();
-          t += node_->disk().service_us(probe.data_len, /*sequential=*/false);
-          t += static_cast<SimMicros>(probe.extents_touched - 1) *
-               (dp.rotational_us / 2);
-        }
-      } else {
-        m.stat.calls.inc();
+      if (!sub.probe_payload) {
         t += 1;
+        return &m.stat;
       }
-      if (per_op_us) per_op_us[i] = t;
-      continue;
+      t += svc_read(*sub.key, obj_size, probe.data_len, probe.extents_touched);
+      return &m.read;
     }
-    std::uint64_t obj_size = 0;
-    Version obj_version = 0;
     std::uint64_t span_digest = 0;
     auto r = [&] {
       std::scoped_lock elk(engine_mu_);
       auto rr = engine_.read_into(*sub.key, sub.off, sub.dst);
       if (rr.ok()) {
         obj_size = engine_.size(*sub.key).value_or(0);
-        obj_version = engine_.version(*sub.key).value_or(0);
+        res.version = engine_.version(*sub.key).value_or(0);
         if (sub.want_digest) {
           // Same extent-index fold the digest-only votes use, so both sides
           // of an arbitration compare digests with one definition.
@@ -351,45 +293,23 @@ void BlobServer::read_batch(const ReadSubOp* subs, std::size_t count,
     }();
     if (!r.ok()) {
       res.err = r.code();
-      if (per_op_us) per_op_us[i] = t;
-      continue;
+      return nullptr;
     }
     const auto& out = r.value();
     res.data_len = out.data_len;
     res.covered = out.covered;
-    res.version = obj_version;
     res.digest = span_digest;
-    m.read.calls.inc();
-    m.read_bytes.add(out.data_len);
-    t += svc_bytes_cpu(out.data_len);
-    const bool cached = node_->cache().touch_read(fnv1a64(*sub.key), obj_size);
-    if (cached || out.extents_touched == 0) {
-      t += 1;
-    } else {
-      const auto& dp = node_->disk().params();
-      t += node_->disk().service_us(out.data_len, /*sequential=*/false);
-      t += static_cast<SimMicros>(out.extents_touched - 1) * (dp.rotational_us / 2);
+    t += svc_read(*sub.key, obj_size, out.data_len, out.extents_touched);
+    return &m.read;
+  };
+  for (std::size_t i = 0; i < count; ++i) {
+    const SimMicros sub_start = t;
+    if (const OpSeries* series = serve(subs[i], results[i])) {
+      publish(*series, costs_.cpu_op_us + (t - sub_start));
     }
     if (per_op_us) per_op_us[i] = t;
   }
   *service_us = t;
-}
-
-Result<Version> BlobServer::truncate(const std::string& key, std::uint64_t new_size,
-                                     SimMicros* service_us) {
-  OpPublisher pub(server_metrics().truncate, service_us);
-  KeyLock lk = lock_key(key);
-  *service_us = svc_metadata();
-  std::scoped_lock elk(engine_mu_);
-  return engine_.truncate(key, new_size);
-}
-
-Result<std::uint64_t> BlobServer::size(const std::string& key, SimMicros* service_us) {
-  OpPublisher pub(server_metrics().size, service_us);
-  std::shared_lock lk(mu_);
-  *service_us = costs_.cpu_op_us;
-  std::scoped_lock elk(engine_mu_);
-  return engine_.size(key);
 }
 
 Result<BlobStat> BlobServer::stat(const std::string& key, SimMicros* service_us) {
@@ -430,83 +350,63 @@ Status BlobServer::apply_ops(const OpRef* ops, std::size_t count, SimMicros* ser
                              SimMicros* per_op_us) {
   auto& m = server_metrics();
   OpPublisher pub(m.txn, service_us);
-  // Every client mutation arrives here (single-op calls are one-op legs), so
-  // per-op attribution lives in this loop: each applied op counts against its
-  // own server.<op>.calls series, while the envelope-level call + service
-  // time stay on server.txn.*. The fixed request-handling CPU is charged
-  // once per envelope — k batched sub-ops parse once, not k times.
+  // Every client mutation arrives here (single-op calls are one-op
+  // envelopes). The envelope's call and service time count on server.txn.*;
+  // each applied op also counts on its own server.<op>.* series, with the
+  // service time it would have had as a one-op envelope (cpu_op_us plus its
+  // own increment). The fixed request-handling CPU is charged once per
+  // envelope — k batched sub-ops parse once, not k times.
   // Caller holds lock_exclusive() or a (Multi)KeyLock covering every op's
   // key; the engine itself is guarded by engine_mu_ (per op, so concurrent
   // readers of other keys interleave between ops, never inside one).
   SimMicros t = costs_.cpu_op_us;
   for (std::size_t i = 0; i < count; ++i) {
     const OpRef& op = ops[i];
-    switch (op.kind) {
-      case TxnOp::Kind::write: {
-        std::uint64_t obj_size = 0;
-        Status st = [&]() -> Status {
-          std::scoped_lock elk(engine_mu_);
+    const OpSeries* series = nullptr;
+    std::uint64_t obj_size = 0;
+    Status st;
+    {
+      if (op.kind == TxnOp::Kind::remove) node_->cache().invalidate(fnv1a64(*op.key));
+      std::scoped_lock elk(engine_mu_);
+      switch (op.kind) {
+        case TxnOp::Kind::write: {
+          series = &m.write;
           auto r = engine_.write(*op.key, op.offset, op.data, true, op.checksum);
-          if (!r.ok()) return r.error();
-          obj_size = engine_.size(*op.key).value_or(0);
-          return Status::success();
-        }();
-        if (!st.ok()) {
-          *service_us = t;
-          return st;
+          st = status_of(r);
+          if (r.ok()) obj_size = engine_.size(*op.key).value_or(0);
+          break;
         }
-        m.write.calls.inc();
-        m.write_bytes.add(op.data.size());
-        t += svc_bytes_cpu(op.data.size()) +
-             node_->disk().service_us(op.data.size(), true);
-        node_->cache().touch_write(fnv1a64(*op.key), obj_size);
-        break;
-      }
-      case TxnOp::Kind::truncate: {
-        std::scoped_lock elk(engine_mu_);
-        auto r = engine_.truncate(*op.key, op.new_size);
-        if (!r.ok()) {
-          *service_us = t;
-          return r.error();
-        }
-        m.truncate.calls.inc();
-        t += svc_metadata();
-        break;
-      }
-      case TxnOp::Kind::create: {
-        std::scoped_lock elk(engine_mu_);
-        auto r = engine_.create(*op.key);
-        if (!r.ok()) {
-          *service_us = t;
-          return r;
-        }
-        m.create.calls.inc();
-        t += svc_metadata();
-        break;
-      }
-      case TxnOp::Kind::remove: {
-        node_->cache().invalidate(fnv1a64(*op.key));
-        std::scoped_lock elk(engine_mu_);
-        auto r = engine_.remove(*op.key);
-        if (!r.ok()) {
-          *service_us = t;
-          return r;
-        }
-        m.remove.calls.inc();
-        t += svc_metadata();
-        break;
-      }
-      case TxnOp::Kind::grow: {
-        std::scoped_lock elk(engine_mu_);
-        auto r = engine_.grow(*op.key, op.new_size);
-        if (!r.ok()) {
-          *service_us = t;
-          return r.error();
-        }
-        t += svc_metadata();
-        break;
+        case TxnOp::Kind::truncate:
+          series = &m.truncate;
+          st = status_of(engine_.truncate(*op.key, op.new_size));
+          break;
+        case TxnOp::Kind::create:
+          series = &m.create;
+          st = engine_.create(*op.key);
+          break;
+        case TxnOp::Kind::remove:
+          series = &m.remove;
+          st = engine_.remove(*op.key);
+          break;
+        case TxnOp::Kind::grow:
+          series = &m.grow;
+          st = status_of(engine_.grow(*op.key, op.new_size));
+          break;
       }
     }
+    if (!st.ok()) {
+      *service_us = t;
+      return st;
+    }
+    SimMicros op_us = svc_metadata();
+    if (op.kind == TxnOp::Kind::write) {
+      // Log-structured append: sequential disk write; write-through cache.
+      m.write_bytes.add(op.data.size());
+      op_us = svc_bytes_cpu(op.data.size()) + node_->disk().service_us(op.data.size(), true);
+      node_->cache().touch_write(fnv1a64(*op.key), obj_size);
+    }
+    t += op_us;
+    publish(*series, costs_.cpu_op_us + op_us);
     if (per_op_us != nullptr) per_op_us[i] = t;
   }
   *service_us = t;
@@ -574,9 +474,8 @@ Status BlobServer::install_copy_locked(const std::string& key, ByteView data,
 
 Result<ReadOutcome> BlobServer::read_locked(const std::string& key, std::uint64_t off,
                                             std::uint64_t len, SimMicros* service_us) {
-  // Caller holds lock_exclusive() or a KeyLock on `key` — identical to
-  // read() minus the structure lock it would re-acquire (self-deadlock on
-  // the rebalancer's copy path, which already holds the key's stripes).
+  // Caller holds lock_exclusive(), a KeyLock on `key`, or (via read()) the
+  // shared structure lock.
   OpPublisher pub(server_metrics().read, service_us);
   std::uint64_t obj_size = 0;
   auto r = [&] {
@@ -586,19 +485,7 @@ Result<ReadOutcome> BlobServer::read_locked(const std::string& key, std::uint64_
     return rr;
   }();
   SimMicros t = costs_.cpu_op_us;
-  if (r.ok()) {
-    const auto& out = r.value();
-    server_metrics().read_bytes.add(out.data.size());
-    t += svc_bytes_cpu(out.data.size());
-    const bool cached = node_->cache().touch_read(fnv1a64(key), obj_size);
-    if (cached || out.extents_touched == 0) {
-      t += 1;
-    } else {
-      const auto& dp = node_->disk().params();
-      t += node_->disk().service_us(out.data.size(), /*sequential=*/false);
-      t += static_cast<SimMicros>(out.extents_touched - 1) * (dp.rotational_us / 2);
-    }
-  }
+  if (r.ok()) t += svc_read(key, obj_size, r.value().data.size(), r.value().extents_touched);
   *service_us = t;
   return r;
 }

@@ -79,13 +79,16 @@ class BlobServer {
   /// Flush + fsync any pending group-commit buffer.
   Status sync_journal();
 
-  // Each operation applies to the in-memory engine and reports the simulated
+  // Request surface. Client mutations arrive through apply_ops (one envelope
+  // of one or more ops); reads through read / read_batch / stat / scan;
+  // repair through remove / install_copy(_locked) / read_locked. Each
+  // operation applies to the in-memory engine and reports the simulated
   // service time in *service_us.
 
-  Status create(const std::string& key, SimMicros* service_us);
+  /// Repair-path removal (resync, hint drain, scrub): takes the key's lock
+  /// and charges one metadata op.
   Status remove(const std::string& key, SimMicros* service_us);
-  Result<WriteOutcome> write(const std::string& key, std::uint64_t off, ByteView data,
-                             bool create_if_missing, SimMicros* service_us);
+  /// read_locked under the shared structure lock.
   Result<ReadOutcome> read(const std::string& key, std::uint64_t off, std::uint64_t len,
                            SimMicros* service_us);
 
@@ -135,9 +138,6 @@ class BlobServer {
   /// mirroring apply_ops.
   void read_batch(const ReadSubOp* subs, std::size_t count, ReadSubResult* results,
                   SimMicros* service_us, SimMicros* per_op_us = nullptr);
-  Result<Version> truncate(const std::string& key, std::uint64_t new_size,
-                           SimMicros* service_us);
-  Result<std::uint64_t> size(const std::string& key, SimMicros* service_us);
   Result<BlobStat> stat(const std::string& key, SimMicros* service_us);
   std::vector<BlobStat> scan(const std::string& prefix, SimMicros* service_us);
 
@@ -322,6 +322,13 @@ class BlobServer {
   [[nodiscard]] SimMicros svc_bytes_cpu(std::uint64_t bytes) const noexcept {
     return static_cast<SimMicros>(static_cast<double>(bytes) * costs_.cpu_byte_us);
   }
+  /// The read-cost rule, beyond the envelope's cpu_op_us: per-byte CPU, plus
+  /// 1µs on a page-cache hit or a pure hole, else a random disk access and
+  /// half a rotation per extra extent. Touches the page cache once.
+  SimMicros svc_read(const std::string& key, std::uint64_t obj_size, std::uint64_t data_len,
+                     std::uint32_t extents_touched);
+  /// Take stripe `index` (try-lock first, so a wait counts as contention).
+  std::unique_lock<std::mutex> acquire_stripe(std::size_t index);
 
   struct Stripe {
     std::mutex mu;

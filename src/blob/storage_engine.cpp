@@ -58,6 +58,22 @@ It first_ending_after(It first, It last, std::uint64_t off) {
                               [off](const auto& e) { return e.log_off + e.len <= off; });
 }
 
+/// The extent-overlap walk every read-side op shares: calls fn(e, lo, hi)
+/// for each extent of `xs` overlapping [off, end), in offset order, with
+/// [lo, hi) the overlap, and counts the overlap into `out`'s covered bytes
+/// and touched extents.
+template <typename Xs, typename Out, typename Fn>
+void walk_overlaps(const Xs& xs, std::uint64_t off, std::uint64_t end, Out& out, Fn&& fn) {
+  for (auto it = first_ending_after(xs.begin(), xs.end(), off);
+       it != xs.end() && it->log_off < end; ++it) {
+    const std::uint64_t lo = std::max(it->log_off, off);
+    const std::uint64_t hi = std::min(it->log_off + it->len, end);
+    fn(*it, lo, hi);
+    out.covered += hi - lo;
+    ++out.extents_touched;
+  }
+}
+
 /// Mappings of released segments, kept (pages resident) for the next
 /// segment of the same size in any engine of the process, newest first. Up
 /// to kSlots mappings and kBytes bytes are kept; the rest are unmapped. What
@@ -317,25 +333,12 @@ Result<ReadOutcome> StorageEngine::read(const std::string& key, std::uint64_t of
   auto it = objects_.find(key);
   if (it == objects_.end()) return {Errc::not_found, key};
   const ObjectRec& rec = it->second;
-  if (offset >= rec.length) return ReadOutcome{};
-  len = std::min(len, rec.length - offset);
   ReadOutcome out;
-  out.data.assign(len, std::byte{0});  // holes read as zero
-  const std::uint64_t end = offset + len;
-  for (auto it = first_ending_after(rec.extents.begin(), rec.extents.end(), offset);
-       it != rec.extents.end() && it->log_off < end; ++it) {
-    const Extent& e = *it;
-    const std::uint64_t e_end = e.log_off + e.len;
-    const std::uint64_t lo = std::max(e.log_off, offset);
-    const std::uint64_t hi = std::min(e_end, end);
-    const LogSegment& seg = segments_[e.segment];
-    std::copy_n(seg.data() + (e.seg_off + (lo - e.log_off)),
-                hi - lo, out.data.begin() + static_cast<std::ptrdiff_t>(lo - offset));
-    out.covered += hi - lo;
-    ++out.extents_touched;
-  }
-  engine_metrics().reads.inc();
-  engine_metrics().bytes_read.add(out.data.size());
+  if (offset >= rec.length) return out;
+  out.data.assign(std::min(len, rec.length - offset), std::byte{0});  // holes read as zero
+  const ReadIntoOutcome in = copy_out(rec, offset, out.data);
+  out.covered = in.covered;
+  out.extents_touched = in.extents_touched;
   return out;
 }
 
@@ -345,22 +348,19 @@ Result<ReadIntoOutcome> StorageEngine::read_into(const std::string& key,
   auto it = objects_.find(key);
   if (it == objects_.end()) return {Errc::not_found, key};
   const ObjectRec& rec = it->second;
+  if (offset >= rec.length || dst.empty()) return ReadIntoOutcome{};
+  return copy_out(rec, offset, dst);
+}
+
+ReadIntoOutcome StorageEngine::copy_out(const ObjectRec& rec, std::uint64_t offset,
+                                        MutableByteView dst) const {
   ReadIntoOutcome out;
-  if (offset >= rec.length || dst.empty()) return out;
   out.data_len = std::min<std::uint64_t>(dst.size(), rec.length - offset);
-  const std::uint64_t end = offset + out.data_len;
-  for (auto it = first_ending_after(rec.extents.begin(), rec.extents.end(), offset);
-       it != rec.extents.end() && it->log_off < end; ++it) {
-    const Extent& e = *it;
-    const std::uint64_t e_end = e.log_off + e.len;
-    const std::uint64_t lo = std::max(e.log_off, offset);
-    const std::uint64_t hi = std::min(e_end, end);
-    const LogSegment& seg = segments_[e.segment];
-    std::copy_n(seg.data() + (e.seg_off + (lo - e.log_off)),
-                hi - lo, dst.begin() + static_cast<std::ptrdiff_t>(lo - offset));
-    out.covered += hi - lo;
-    ++out.extents_touched;
-  }
+  walk_overlaps(rec.extents, offset, offset + out.data_len, out,
+                [&](const Extent& e, std::uint64_t lo, std::uint64_t hi) {
+                  std::copy_n(segments_[e.segment].data() + (e.seg_off + (lo - e.log_off)),
+                              hi - lo, dst.begin() + static_cast<std::ptrdiff_t>(lo - offset));
+                });
   engine_metrics().reads.inc();
   engine_metrics().bytes_read.add(out.data_len);
   return out;
@@ -376,31 +376,23 @@ Result<SpanProbeOutcome> StorageEngine::span_probe(const std::string& key,
   out.digest = 0x9d5c0a7c3f4e1b27ULL;  // nonzero seed: 0 means "no digest" on the wire
   if (offset >= rec.length || len == 0) return out;
   out.data_len = std::min(len, rec.length - offset);
-  const std::uint64_t end = offset + out.data_len;
-  for (auto it = first_ending_after(rec.extents.begin(), rec.extents.end(), offset);
-       it != rec.extents.end() && it->log_off < end; ++it) {
-    const Extent& e = *it;
-    const std::uint64_t e_end = e.log_off + e.len;
-    const std::uint64_t lo = std::max(e.log_off, offset);
-    const std::uint64_t hi = std::min(e_end, end);
+  auto fold = [&](const Extent& e, std::uint64_t lo, std::uint64_t hi) {
     // The fold pins the window's position in the span, its position inside
     // the extent, and the whole-extent (length, checksum): equal tuples mean
     // the window covers the same bytes. Split/trimmed extents dropped their
     // checksum (0), so hash their overlapping stored bytes instead.
     std::uint64_t content = e.checksum;
     if (content == 0) {
-      const LogSegment& seg = segments_[e.segment];
       content = content_checksum(
-          subview(seg.view(), e.seg_off + (lo - e.log_off), hi - lo));
+          subview(segments_[e.segment].view(), e.seg_off + (lo - e.log_off), hi - lo));
     }
     out.digest = hash_combine(out.digest, lo - offset);
     out.digest = hash_combine(out.digest, hi - lo);
     out.digest = hash_combine(out.digest, lo - e.log_off);
     out.digest = hash_combine(out.digest, e.len);
     out.digest = hash_combine(out.digest, content);
-    out.covered += hi - lo;
-    ++out.extents_touched;
-  }
+  };
+  walk_overlaps(rec.extents, offset, offset + out.data_len, out, fold);
   return out;
 }
 

@@ -283,6 +283,12 @@ class StorageEngine {
   /// Replace [off, off+len) of the object's extent list with a new extent.
   void supersede_range(ObjectRec& rec, std::uint64_t off, std::uint64_t len);
 
+  /// Copy the extent bytes of `rec` overlapping [offset, offset + dst.size())
+  /// — clipped at the object's length, offset < length — into the pre-zeroed
+  /// `dst`; read() and read_into() both serve through here.
+  ReadIntoOutcome copy_out(const ObjectRec& rec, std::uint64_t offset,
+                           MutableByteView dst) const;
+
   /// Append a record to the attached journal (no-op without one).
   Status journal_append(persist::WalRecord rec);
 

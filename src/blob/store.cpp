@@ -249,24 +249,11 @@ void BlobStore::drain_hints(std::uint32_t index, sim::SimAgent* agent,
     if (!owner) {
       continue;  // ring changed while down; rebalance owns this key now
     }
-    const auto& replicas = p.replicas;
     // Source = freshest live holder. A hint records *that* a mutation was
     // missed, not its payload, so the repair copies current state — which
     // subsumes any ops missed after the hint was written.
-    bool found = false;
-    std::uint32_t best = 0;
-    Version best_v = 0;
-    for (std::uint32_t r : replicas) {
-      if (r == index || is_down(r)) continue;
-      auto v = servers_[r]->peek_version(key);
-      if (!v.ok()) continue;
-      if (!found || v.value() > best_v) {
-        found = true;
-        best = r;
-        best_v = v.value();
-      }
-    }
-    if (!found) {
+    const auto best = freshest(key, p.replicas, index);
+    if (!best) {
       // No live replica holds the key: it was removed after the hint was
       // recorded. Dropping the recovered server's stale copy (if any) —
       // installing it would resurrect a deleted blob.
@@ -284,25 +271,23 @@ void BlobStore::drain_hints(std::uint32_t index, sim::SimAgent* agent,
       }
       continue;
     }
-    if (target.peek_version(key).value_or(0) >= best_v) {
+    if (target.peek_version(key).value_or(0) >= best->version) {
       continue;  // already as fresh as any live holder (e.g. WAL recovery)
     }
-    BlobServer& source = *servers_[best];
+    BlobServer& source = *servers_[best->index];
     SimMicros svc = 0;
-    auto size = source.size(key, &svc);
-    if (!size.ok()) continue;
-    auto data = source.read(key, 0, size.value(), &svc);
+    auto st = source.stat(key, &svc);
+    if (!st.ok()) continue;
+    const std::uint64_t size = st.value().size;
+    auto data = source.read(key, 0, size, &svc);
     if (!data.ok()) continue;
     SimMicros put_svc = 0;
-    if (!target
-             .install_copy(key, as_view(data.value().data), size.value(), best_v,
-                           &put_svc)
+    if (!target.install_copy(key, as_view(data.value().data), size, best->version, &put_svc)
              .ok()) {
       continue;
     }
     if (agent) {
-      transport_.call_reliable(*agent, target.node(), size.value() + 64, 64,
-                               svc + put_svc);
+      transport_.call_reliable(*agent, target.node(), size + 64, 64, svc + put_svc);
     } else {
       target.node().serve(0, svc + put_svc);
     }
@@ -320,6 +305,18 @@ std::optional<std::uint32_t> BlobStore::first_up(
     if (!is_down(n)) return n;
   }
   return std::nullopt;
+}
+
+std::optional<BlobStore::ReplicaVersion> BlobStore::freshest(
+    const std::string& key, const std::vector<std::uint32_t>& candidates,
+    std::optional<std::uint32_t> exclude) const {
+  std::optional<ReplicaVersion> best;
+  for (std::uint32_t r : candidates) {
+    if (r == exclude || is_down(r)) continue;
+    auto v = servers_[r]->peek_version(key);
+    if (v.ok() && (!best || v.value() > best->version)) best = ReplicaVersion{r, v.value()};
+  }
+  return best;
 }
 
 Status BlobStore::enable_persistence(const std::string& base_dir,
@@ -432,9 +429,10 @@ std::uint64_t BlobStore::resync_server(std::uint32_t index, sim::SimAgent* agent
     BlobServer& target = *servers_[index];
     if (stats) ++stats->examined;
     SimMicros svc = 0;
-    auto size = source.size(key, &svc);
-    if (!size.ok()) continue;
-    auto data = source.read(key, 0, size.value(), &svc);
+    auto st = source.stat(key, &svc);
+    if (!st.ok()) continue;
+    const std::uint64_t size = st.value().size;
+    auto data = source.read(key, 0, size, &svc);
     if (!data.ok()) continue;
 
     const Version src_version = source.peek_version(key).value_or(1);
@@ -455,9 +453,9 @@ std::uint64_t BlobStore::resync_server(std::uint32_t index, sim::SimAgent* agent
     // version arbitration keeps implying content equality afterwards.
     {
       SimMicros tsvc = 0;
-      auto tsize = target.size(key, &tsvc);
-      if (tsize.ok() && tsize.value() == size.value()) {
-        auto tdata = target.read(key, 0, tsize.value(), &tsvc);
+      auto tst = target.stat(key, &tsvc);
+      if (tst.ok() && tst.value().size == size) {
+        auto tdata = target.read(key, 0, size, &tsvc);
         if (tdata.ok() && content_checksum(as_view(tdata.value().data)) ==
                               content_checksum(as_view(data.value().data))) {
           if (target.peek_version(key).value_or(0) != src_version) {
@@ -480,23 +478,21 @@ std::uint64_t BlobStore::resync_server(std::uint32_t index, sim::SimAgent* agent
     // applied the original op stream.
     {
       SimMicros put_svc = 0;
-      if (!target
-               .install_copy(key, as_view(data.value().data), size.value(),
-                             src_version, &put_svc)
+      if (!target.install_copy(key, as_view(data.value().data), size, src_version, &put_svc)
                .ok()) {
         continue;
       }
       svc += put_svc;
     }
     if (agent) {
-      transport_.call_reliable(*agent, target.node(), size.value() + 64, 64, svc);
+      transport_.call_reliable(*agent, target.node(), size + 64, 64, svc);
     } else {
       target.node().serve(0, svc);
     }
     ++repaired;
     if (stats) {
       ++stats->copied;
-      stats->bytes_copied += size.value();
+      stats->bytes_copied += size;
     }
   }
   return repaired;

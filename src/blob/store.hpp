@@ -87,6 +87,19 @@ class BlobStore {
   [[nodiscard]] std::optional<std::uint32_t> first_up(
       const std::vector<std::uint32_t>& replicas) const;
 
+  /// A replica and the version of a key it holds.
+  struct ReplicaVersion {
+    std::uint32_t index = 0;
+    Version version = 0;
+  };
+  /// Freshest live holder of `key`: the first live replica, in `candidates`
+  /// order, holding the highest version (uncharged peeks). `exclude` (a
+  /// recovering target) is skipped too; nullopt when no live candidate holds
+  /// the key. Callers hold the key's locks when a stable answer matters.
+  [[nodiscard]] std::optional<ReplicaVersion> freshest(
+      const std::string& key, const std::vector<std::uint32_t>& candidates,
+      std::optional<std::uint32_t> exclude = std::nullopt) const;
+
   /// What one resync pass did. `skipped_identical` counts copies whose
   /// content already matched the acting primary (digest exchange only) —
   /// the delta-resync win a WAL-recovered replica gets over a blank one.

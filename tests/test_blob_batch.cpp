@@ -5,12 +5,16 @@
 // single-round behavior of absent / at-EOF striped reads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <iterator>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "blob/client.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "rpc/wire.hpp"
@@ -576,6 +580,99 @@ TEST(ReadAccounting, AllReadPathsDecomposeIdentically) {
     for (std::size_t i = 0; i < t.reads.size(); ++i) {
       EXPECT_TRUE(equal(as_view(t.reads[i]), as_view(base.reads[i])))
           << "read " << i;
+    }
+  }
+}
+
+TEST(ReadAccounting, EveryServerReadEntryPointChargesByOneRule) {
+  // One object with three extents, holes between them and a tail hole,
+  // prepared identically on four servers (one per node). Each server serves
+  // it through a different entry point, first with the page cache dropped,
+  // then warm: bytes, covered bytes and service time must all agree.
+  const std::string key = "holey";
+  constexpr std::uint64_t kLen = 64 * 1024;
+  const Bytes a = make_payload(31, 0, 100);
+  const Bytes b = make_payload(32, 0, 5000);
+  const Bytes c = make_payload(33, 0, 777);
+  struct Rig {
+    sim::SimNode node{0, sim::NodeRole::storage};
+    BlobServer srv{node};
+  };
+  std::array<Rig, 4> rigs;
+  for (Rig& rig : rigs) {
+    using Kind = BlobServer::TxnOp::Kind;
+    const BlobServer::OpRef ops[] = {
+        {Kind::write, &key, 0, as_view(a)},
+        {Kind::write, &key, 8192, as_view(b)},
+        {Kind::write, &key, 40000, as_view(c)},
+        {Kind::truncate, &key, 0, {}, kLen},
+    };
+    SimMicros svc = 0;
+    auto lk = rig.srv.lock_key(key);
+    ASSERT_TRUE(rig.srv.apply_ops(ops, std::size(ops), &svc).ok());
+    rig.node.cache().invalidate(fnv1a64(key));  // start cold
+  }
+
+  struct Served {
+    Bytes data;
+    std::uint64_t covered = 0;
+    SimMicros service = 0;
+  };
+  auto via_read = [&](BlobServer& srv) {
+    Served s;
+    auto r = srv.read(key, 0, kLen, &s.service);
+    EXPECT_TRUE(r.ok());
+    s.data = r.value().data;
+    s.covered = r.value().covered;
+    return s;
+  };
+  auto via_read_locked = [&](BlobServer& srv) {
+    auto lk = srv.lock_key(key);
+    Served s;
+    auto r = srv.read_locked(key, 0, kLen, &s.service);
+    EXPECT_TRUE(r.ok());
+    s.data = r.value().data;
+    s.covered = r.value().covered;
+    return s;
+  };
+  auto via_batch = [&](BlobServer& srv, bool probe) {
+    Served s;
+    BlobServer::ReadSubOp sub{.key = &key};
+    if (probe) {
+      sub.digest_only = true;
+      sub.probe_payload = true;
+      sub.len = kLen;
+    } else {
+      s.data.assign(kLen, std::byte{0});
+      sub.dst = MutableByteView{s.data};
+    }
+    BlobServer::ReadSubResult res;
+    srv.read_batch(&sub, 1, &res, &s.service);
+    EXPECT_EQ(res.err, Errc::ok);
+    EXPECT_EQ(res.data_len, kLen);
+    s.covered = res.covered;
+    return s;
+  };
+
+  Bytes expected(kLen, std::byte{0});
+  std::copy(a.begin(), a.end(), expected.begin());
+  std::copy(b.begin(), b.end(), expected.begin() + 8192);
+  std::copy(c.begin(), c.end(), expected.begin() + 40000);
+  SimMicros cold_service = 0;
+  for (const char* pass : {"cold", "warm"}) {
+    const Served ref = via_read(rigs[0].srv);
+    EXPECT_TRUE(equal(as_view(ref.data), as_view(expected))) << pass;
+    EXPECT_EQ(ref.covered, a.size() + b.size() + c.size()) << pass;
+    for (const Served& s : {via_read_locked(rigs[1].srv), via_batch(rigs[2].srv, false),
+                            via_batch(rigs[3].srv, true)}) {
+      if (!s.data.empty()) EXPECT_TRUE(equal(as_view(s.data), as_view(ref.data))) << pass;
+      EXPECT_EQ(s.covered, ref.covered) << pass;
+      EXPECT_EQ(s.service, ref.service) << pass;
+    }
+    if (cold_service == 0) {
+      cold_service = ref.service;
+    } else {
+      EXPECT_LT(ref.service, cold_service);  // the warm pass skipped the disk
     }
   }
 }

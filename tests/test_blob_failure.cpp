@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <vector>
 
 #include "blob/client.hpp"
 #include "common/rng.hpp"
@@ -83,7 +85,7 @@ TEST_F(FailureTest, DegradedWriteThenResyncConverges) {
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(equal(subview(as_view(r.value().data), 0, 4096), as_view(update)))
         << "replica " << n;
-    EXPECT_EQ(store_.server(n).size("deg", &svc).value(), 8192u) << "replica " << n;
+    EXPECT_EQ(store_.server(n).stat("deg", &svc).value().size, 8192u) << "replica " << n;
   }
 }
 
@@ -132,6 +134,47 @@ TEST_F(FailureTest, TransactionsFailWhenKeyUnavailable) {
   EXPECT_EQ(txn.commit().code(), Errc::unavailable);
   for (std::uint32_t n : store_.replicas_of("txk")) store_.recover_server(n);
   agree.check({"client.txn.calls"});
+}
+
+TEST_F(FailureTest, FreshestIsTheFirstLiveHolderOfTheHighestVersion) {
+  ASSERT_TRUE(client_.write("fr", 0, as_view(to_bytes("v"))).ok());
+  const auto reps = store_.replicas_of("fr");
+  ASSERT_EQ(reps.size(), 3u);
+  auto set_version = [&](std::uint32_t r, Version v) {
+    auto lk = store_.server(r).lock_exclusive();
+    ASSERT_TRUE(store_.server(r).force_version("fr", v).ok());
+  };
+  auto expect_freshest = [&](const std::vector<std::uint32_t>& candidates,
+                             std::optional<std::uint32_t> exclude,
+                             std::uint32_t index, Version version) {
+    const auto best = store_.freshest("fr", candidates, exclude);
+    ASSERT_TRUE(best.has_value());
+    EXPECT_EQ(best->index, index);
+    EXPECT_EQ(best->version, version);
+  };
+
+  // The highest version wins wherever it sits.
+  set_version(reps[0], 5);
+  set_version(reps[1], 7);
+  set_version(reps[2], 6);
+  expect_freshest(reps, std::nullopt, reps[1], 7);
+
+  // Ties go to the first replica in candidate order.
+  set_version(reps[2], 7);
+  expect_freshest(reps, std::nullopt, reps[1], 7);
+  expect_freshest({reps[2], reps[1], reps[0]}, std::nullopt, reps[2], 7);
+
+  // Down replicas and the excluded target are skipped.
+  store_.fail_server(reps[1]);
+  expect_freshest(reps, std::nullopt, reps[2], 7);
+  expect_freshest(reps, reps[2], reps[0], 5);
+
+  // No live holder: empty.
+  store_.fail_server(reps[0]);
+  EXPECT_FALSE(store_.freshest("fr", reps, reps[2]).has_value());
+  EXPECT_FALSE(store_.freshest("never-written", reps).has_value());
+  store_.recover_server(reps[0]);
+  store_.recover_server(reps[1]);
 }
 
 TEST_F(FailureTest, InjectedOutageSurfacesUnavailableNotHang) {

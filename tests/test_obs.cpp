@@ -257,10 +257,18 @@ TEST_F(ObsTest, BlobWorkloadPublishesRegistrySeries) {
                              as_view(payload))
                     .ok());
   }
+  // One striped blob (two 1 MiB chunks): its write rides the per-primary
+  // chunk envelopes and its chunk-crossing read is served by read_batch.
+  const std::uint64_t cb = store.config().chunk_bytes;
+  const Bytes striped = to_bytes(std::string(2 * cb, 's'));
+  ASSERT_TRUE(client.write("obs-striped", 0, as_view(striped)).ok());
   constexpr int kReads = 8;
-  for (int i = 0; i < kReads; ++i) {
+  for (int i = 0; i < kReads - 1; ++i) {
     ASSERT_TRUE(client.read("obs-key-" + std::to_string(i % 4), 0, 4096).ok());
   }
+  const MetricsSnapshot before_striped_read = reg.snapshot();
+  ASSERT_TRUE(client.read("obs-striped", cb - 2048, 4096).ok());
+  EXPECT_GT(reg.snapshot().delta_since(before_striped_read).counters.at("rpc.batches"), 0u);
 
   const MetricsSnapshot delta = reg.snapshot().delta_since(before);
   // Registry series agree with the client's own counters for this interval.
@@ -269,21 +277,21 @@ TEST_F(ObsTest, BlobWorkloadPublishesRegistrySeries) {
   EXPECT_EQ(delta.counters.at("client.read.calls"),
             static_cast<std::uint64_t>(client.counters().reads));
   EXPECT_EQ(delta.counters.at("client.write.calls"),
-            static_cast<std::uint64_t>(kWrites));
+            static_cast<std::uint64_t>(kWrites + 1));
   EXPECT_EQ(delta.counters.at("client.read.calls"),
             static_cast<std::uint64_t>(kReads));
   // Taxonomy roll-up matches the per-primitive counts.
   EXPECT_EQ(delta.counters.at("client.category.file_write"),
-            static_cast<std::uint64_t>(kWrites));
+            static_cast<std::uint64_t>(kWrites + 1));
   EXPECT_EQ(delta.counters.at("client.category.file_read"),
             static_cast<std::uint64_t>(kReads));
   // Latency and size histograms saw every call.
   EXPECT_EQ(delta.histogram_stats("client.write.latency_us").count,
-            static_cast<std::uint64_t>(kWrites));
+            static_cast<std::uint64_t>(kWrites + 1));
   EXPECT_EQ(delta.histogram_stats("client.read.latency_us").count,
             static_cast<std::uint64_t>(kReads));
   EXPECT_EQ(delta.histogram_stats("client.write.bytes").count,
-            static_cast<std::uint64_t>(kWrites));
+            static_cast<std::uint64_t>(kWrites + 1));
   EXPECT_EQ(delta.histogram_stats("client.read.bytes").count,
             static_cast<std::uint64_t>(kReads));
   // Server and engine layers published too (counts can exceed client calls
@@ -302,6 +310,32 @@ TEST_F(ObsTest, BlobWorkloadPublishesRegistrySeries) {
             static_cast<std::uint64_t>(kWrites));
   EXPECT_GE(delta.counters.at("server.txn.calls"),
             static_cast<std::uint64_t>(kWrites));
+  // Every op a server applies or serves — in a one-op request or inside an
+  // envelope (apply_ops ops, read_batch subs) — publishes one service sample.
+  for (const char* op : {"server.write", "server.read", "server.grow"}) {
+    EXPECT_EQ(delta.histogram_stats(std::string(op) + ".service_us").count,
+              delta.counters.at(std::string(op) + ".calls"))
+        << op;
+  }
+}
+
+TEST_F(ObsTest, StripedWriteCountsGrowOnEveryReplica) {
+  auto& reg = MetricsRegistry::global();
+  sim::Cluster cluster;
+  blob::BlobStore store(cluster, blob::StoreConfig{});
+  ASSERT_EQ(store.config().replication, 3u);
+  sim::SimAgent agent;
+  blob::BlobClient client(store, &agent);
+  const Bytes two_chunks = to_bytes(std::string(2 * store.config().chunk_bytes, 'g'));
+
+  const MetricsSnapshot before = reg.snapshot();
+  ASSERT_TRUE(client.write("grown", 0, as_view(two_chunks)).ok());
+  const MetricsSnapshot delta = reg.snapshot().delta_since(before);
+  // The chunk-0 size bump lands once per replica, on the server and the
+  // engine alike.
+  EXPECT_EQ(delta.counters.at("server.grow.calls"), 3u);
+  EXPECT_EQ(delta.counters.at("engine.op.grow"), 3u);
+  EXPECT_EQ(delta.histogram_stats("server.grow.service_us").count, 3u);
 }
 
 TEST_F(ObsTest, ClientCountersKeepCountingWhenMetricsDisabled) {
