@@ -108,8 +108,8 @@ class BlobFs final : public vfs::FileSystem {
   Status store_meta(blob::BlobClient& client, std::string_view norm_path, const Meta& m);
 
   /// A per-call client bound to the caller's agent. Constructing one
-  /// allocates nothing unless the store hedges, but its first call pays a
-  /// ring placement lookup and fills its placement and health maps. Counted
+  /// allocates nothing, but its first call pays a ring placement lookup and
+  /// fills its placement and health maps. Counted
   /// with a replaced operator new on the default store: a single-chunk
   /// 1.5 KiB blob write makes 13 heap allocations through a fresh client
   /// and 6 through a reused one, and a BlobFs call averages 13.3 per 1.5 KiB

@@ -147,56 +147,6 @@ ClientCounters::ClientCounters() {
   }
 }
 
-BlobClient::AttemptPlan BlobClient::plan_attempt(BlobServer& srv, SimMicros attempt_start,
-                                                 std::uint64_t request_bytes,
-                                                 std::uint32_t batch_subs,
-                                                 SimMicros attempt_deadline_us) {
-  const auto& net = store_->cluster().net();
-  rpc::FaultVerdict v =
-      batch_subs > 0
-          ? store_->transport().admit_batch(srv.node(), attempt_start, batch_subs)
-          : store_->transport().admit(srv.node(), attempt_start);
-  AttemptPlan plan;
-  switch (v.kind) {
-    case rpc::FaultVerdict::Kind::deliver:
-      plan.delivered = true;
-      plan.extra_latency_us = v.extra_latency_us;
-      return plan;
-    case rpc::FaultVerdict::Kind::drop: {
-      // Lost request: indistinguishable from a slow reply, so the client
-      // burns the whole per-attempt deadline before concluding timeout.
-      // Callers with an op budget pass the remaining-budget clamp in.
-      const SimMicros deadline = attempt_deadline_us > 0
-                                     ? attempt_deadline_us
-                                     : store_->config().retry.attempt_deadline_us;
-      plan.failed_at = attempt_start +
-                       (deadline > 0 ? deadline : rpc::Transport::kDefaultDropWaitUs);
-      plan.err = Errc::timeout;
-      return plan;
-    }
-    case rpc::FaultVerdict::Kind::error:
-      // The node answered with a transient error after one short round trip.
-      plan.failed_at = attempt_start + 2 * net.transfer_us(request_bytes);
-      plan.err = Errc::unavailable;
-      return plan;
-    case rpc::FaultVerdict::Kind::outage:
-      // Connection refused: detected after the send attempt.
-      plan.failed_at = attempt_start + net.transfer_us(request_bytes);
-      plan.err = Errc::unavailable;
-      return plan;
-    case rpc::FaultVerdict::Kind::shed:
-      // Bounced at the server's backlog bound: request out, tiny reject
-      // back — fast fail, not a burned deadline.
-      plan.failed_at = attempt_start + 2 * net.transfer_us(request_bytes);
-      plan.err = Errc::overloaded;
-      counters_.sheds_observed.inc();
-      return plan;
-  }
-  plan.failed_at = attempt_start;
-  plan.err = Errc::io_error;
-  return plan;
-}
-
 SimMicros BlobClient::next_backoff(SimMicros* prev) {
   const RetryPolicy& rp = store_->config().retry;
   const SimMicros lo = rp.backoff_base_us;
@@ -370,14 +320,10 @@ BlobClient::LegDelivery BlobClient::try_deliver(BlobServer& srv, SimMicros start
       counters_.deadline_exceeded.inc();
       break;
     }
-    SimMicros attempt_deadline = 0;
-    if (op_deadline_at_ > 0) {
-      attempt_deadline = attempt_deadline_at(t);
-      if (attempt_deadline < rp.attempt_deadline_us) {
-        counters_.deadline_clamped.inc();
-      }
-    }
-    AttemptPlan p = plan_attempt(srv, t, request_bytes, batch_subs, attempt_deadline);
+    const SimMicros attempt_deadline = attempt_deadline_at(t);
+    if (attempt_deadline < rp.attempt_deadline_us) counters_.deadline_clamped.inc();
+    const rpc::Transport::Attempt p = store_->transport().plan_attempt(
+        srv.node(), t, request_bytes, attempt_deadline, batch_subs);
     if (p.delivered) {
       out.ok = true;
       out.attempt_start = t;
@@ -385,6 +331,7 @@ BlobClient::LegDelivery BlobClient::try_deliver(BlobServer& srv, SimMicros start
       health_on_success(node, 0);  // latency EWMA is fed at leg completion
       return out;
     }
+    if (p.err == Errc::overloaded) counters_.sheds_observed.inc();
     health_on_failure(node, p.failed_at);
     t = p.failed_at;
     out.err = p.err;
@@ -476,10 +423,7 @@ Status BlobClient::mutation_leg(const std::string& ekey,
         if (!exists) precheck = {Errc::not_found, op.key};
         break;
       case BlobServer::TxnOp::Kind::write:
-        if (!exists && !store_->config().write_creates) {
-          precheck = {Errc::not_found, op.key};
-        }
-        exists = true;
+        exists = true;  // RADOS-style implicit create
         break;
     }
     if (!precheck.ok()) break;
@@ -1048,10 +992,9 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
   *completion = start;
   const auto& net = store_->cluster().net();
   const StoreConfig& cfg = store_->config();
-  // Quorum candidates actually voted: the group's candidate tuple is sized
-  // for max(R, hedge target), so clamp to R for the vote fan-out.
-  const std::uint32_t R = std::min<std::uint32_t>(
-      cfg.read_quorum(), static_cast<std::uint32_t>(candidates.size()));
+  // Quorum candidates voted: the group's tuple holds the first R live
+  // replicas (fewer when some are down).
+  const auto R = static_cast<std::uint32_t>(candidates.size());
 
   // Request descriptor bytes: one header per coalesced run (stat subs never
   // coalesce). The same descriptor layout goes to every quorum candidate;
@@ -1084,77 +1027,18 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
   // One batched envelope against one candidate: deliver (one whole-envelope
   // re-send after a fresh backoff before giving up — the read_leg fallback
   // pays one round trip per sub, so a single extra envelope attempt is the
-  // cheaper first response to a transient fault), serve the subs with
-  // per-sub completion marks, charge the reply. Digest-mode envelopes are
-  // answered from the server's extent index — a vote costs a stat, not a
-  // read — and ship (version, digest) instead of payload.
+  // cheaper first response to a transient fault), serve the subs in one
+  // read_batch, charge the reply. A payload envelope gathers into the subs'
+  // buffers; a digest-mode envelope is answered from the server's extent
+  // index — a vote costs a stat, not a read — and ships (version, digest)
+  // instead of payload.
   struct CandRun {
     bool delivered = false;
     Errc err = Errc::unavailable;
     SimMicros failed_at = 0;
-    SimMicros attempt_start = 0;
     SimMicros comp = 0;
     std::vector<BlobServer::ReadSubResult> results;
-    std::vector<SimMicros> sub_done;  ///< per-sub availability at the client
   };
-  // Serve `list` at `srv` in one read_batch, filling run.results and
-  // returning the per-sub completion marks. A payload envelope gathers into
-  // the subs' buffers; digest votes and hedges are answered from the
-  // server's extent index (a hedge, with probe_payload, is charged like the
-  // payload read it stands in for).
-  enum class Mode { payload, digest, hedge };
-  auto issue = [](BlobServer& srv, const std::vector<ReadSub*>& list, Mode mode,
-                  bool want_digest, CandRun& run) {
-    std::vector<BlobServer::ReadSubOp> ops;
-    ops.reserve(list.size());
-    for (ReadSub* sub : list) {
-      BlobServer::ReadSubOp op;
-      op.key = &sub->ekey;
-      op.off = sub->off;
-      op.stat_only = sub->stat_only;
-      if (!sub->stat_only && mode == Mode::payload) {
-        op.dst = sub->dst;
-        op.want_digest = want_digest;
-      } else if (!sub->stat_only) {
-        op.digest_only = true;
-        op.probe_payload = mode == Mode::hedge;
-        op.len = sub->dst.size();
-      }
-      ops.push_back(op);
-    }
-    run.results.resize(list.size());
-    std::vector<SimMicros> marks(list.size(), 0);
-    SimMicros svc = 0;
-    srv.read_batch(ops.data(), ops.size(), run.results.data(), &svc, marks.data());
-    return marks;
-  };
-
-  // Charge a served envelope that arrived at `arr`. Reply: per-sub statuses,
-  // plus the largest single chunk's payload unless it is a digest vote
-  // (chunk payloads stream back in parallel, like independent read_leg
-  // replies — a vectored run gathers at the NIC, it does not serialize).
-  // Chained serve: per-sub deltas leave the node's FCFS busy-until identical
-  // to one serve(total); sub j streams out at its own mark (same pipelining
-  // argument as mutation_group_leg).
-  auto charge = [&](BlobServer& srv, const std::vector<SimMicros>& marks, bool payload,
-                    SimMicros arr, SimMicros extra_latency_us, CandRun& run) {
-    std::uint64_t reply = kEnvelope + run.results.size() * batch_substatus_bytes();
-    if (payload) {
-      std::uint64_t max_chunk = 0;
-      for (const auto& res : run.results) max_chunk = std::max(max_chunk, res.data_len);
-      reply += max_chunk;
-    }
-    run.sub_done.resize(marks.size(), arr);
-    SimMicros node_done = arr;
-    SimMicros prev_mark = 0;
-    for (std::size_t j = 0; j < marks.size(); ++j) {
-      node_done = srv.node().serve(arr, marks[j] - prev_mark);
-      prev_mark = marks[j];
-      run.sub_done[j] = node_done + net.transfer_us(reply) + extra_latency_us;
-    }
-    run.comp = node_done + net.transfer_us(reply) + extra_latency_us;
-  };
-
   auto run_envelope = [&](std::uint32_t rid, const std::vector<ReadSub*>& list,
                           std::uint64_t reqb, std::uint32_t ncoal,
                           bool digest_mode, bool want_digest, SimMicros at) {
@@ -1177,12 +1061,48 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
       return run;
     }
     run.delivered = true;
-    run.attempt_start = d.attempt_start;
-    const auto marks =
-        issue(srv, list, digest_mode ? Mode::digest : Mode::payload, want_digest, run);
-    charge(srv, marks, !digest_mode,
-           d.attempt_start + net.transfer_us(reqb) + d.extra_latency_us,
-           d.extra_latency_us, run);
+    std::vector<BlobServer::ReadSubOp> ops;
+    ops.reserve(list.size());
+    for (ReadSub* sub : list) {
+      BlobServer::ReadSubOp op;
+      op.key = &sub->ekey;
+      op.off = sub->off;
+      op.stat_only = sub->stat_only;
+      if (!sub->stat_only && digest_mode) {
+        op.digest_only = true;
+        op.len = sub->dst.size();
+      } else if (!sub->stat_only) {
+        op.dst = sub->dst;
+        op.want_digest = want_digest;
+      }
+      ops.push_back(op);
+    }
+    run.results.resize(list.size());
+    std::vector<SimMicros> marks(list.size(), 0);
+    SimMicros svc = 0;
+    srv.read_batch(ops.data(), ops.size(), run.results.data(), &svc, marks.data());
+
+    // Reply: per-sub statuses, plus the largest single chunk's payload unless
+    // it is a digest vote (chunk payloads stream back in parallel, like
+    // independent read_leg replies — a vectored run gathers at the NIC, it
+    // does not serialize). Chained serve: per-sub deltas leave the node's
+    // FCFS busy-until identical to one serve(total) but count each sub as a
+    // request, the unit of the node's queue-depth shedding estimate (same
+    // pipelining argument as mutation_group_leg).
+    std::uint64_t reply = kEnvelope + run.results.size() * batch_substatus_bytes();
+    if (!digest_mode) {
+      std::uint64_t max_chunk = 0;
+      for (const auto& res : run.results) max_chunk = std::max(max_chunk, res.data_len);
+      reply += max_chunk;
+    }
+    const SimMicros arr = d.attempt_start + net.transfer_us(reqb) + d.extra_latency_us;
+    SimMicros node_done = arr;
+    SimMicros prev_mark = 0;
+    for (const SimMicros mark : marks) {
+      node_done = srv.node().serve(arr, mark - prev_mark);
+      prev_mark = mark;
+    }
+    run.comp = node_done + net.transfer_us(reply) + d.extra_latency_us;
     return run;
   };
 
@@ -1211,7 +1131,6 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
         continue;
       }
       std::fill(sub->dst.begin(), sub->dst.end(), std::byte{0});
-      sub->latency_us = 0;  // read_leg feeds read_latency_ itself
       auto r = read_leg(sub->ekey, sub->off, sub->dst.size(), t, &comp);
       *done = std::max(*done, comp);
       if (refetch) counters_.quorum_refetches.inc();
@@ -1254,49 +1173,6 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
     }
   }
 
-  // Hedging composes on the batched path: a payload envelope running past
-  // the hedge delay arms a duplicate payload-sized request to candidates[1]
-  // at attempt_start + delay, and the client takes the earlier completion
-  // when the hedged replica's per-sub versions prove its payload
-  // byte-identical (at R == 1 every live replica holds every acked write,
-  // so matching versions are the common case). The hedge serve runs in
-  // digest mode so the caller's buffer keeps a single writer, but with
-  // probe_payload set it is charged like the real payload read it stands in
-  // for, and the reply is charged at full payload size — it is the payload
-  // that would have won.
-  {
-    const SimMicros delay = hedge_delay(store_->server(candidates[0]).node().id());
-    if (delay > 0 && candidates.size() > 1 &&
-        cand[0].comp - cand[0].attempt_start > delay) {
-      counters_.hedges.inc();
-      BlobServer& alt = store_->server(candidates[1]);
-      const SimMicros h_start = cand[0].attempt_start + delay;
-      AttemptPlan hp =
-          plan_attempt(alt, h_start, req, static_cast<std::uint32_t>(subs.size()));
-      if (hp.delivered) {
-        CandRun h;
-        const auto hmarks = issue(alt, subs, Mode::hedge, false, h);
-        bool same = true;
-        for (std::size_t k = 0; k < subs.size(); ++k) {
-          if (subs[k]->stat_only) continue;
-          if (h.results[k].err != cand[0].results[k].err ||
-              h.results[k].version != cand[0].results[k].version) {
-            same = false;
-          }
-        }
-        if (same) {
-          charge(alt, hmarks, /*payload=*/true,
-                 h_start + net.transfer_us(req) + hp.extra_latency_us,
-                 hp.extra_latency_us, h);
-          for (std::size_t k = 0; k < subs.size(); ++k) {
-            cand[0].sub_done[k] = std::min(cand[0].sub_done[k], h.sub_done[k]);
-          }
-          cand[0].comp = std::min(cand[0].comp, h.comp);
-        }
-      }
-    }
-  }
-
   // Default every sub to the payload candidate's result (the payload is
   // already gathered in place).
   for (std::size_t k = 0; k < subs.size(); ++k) {
@@ -1307,9 +1183,6 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
     sub->covered = res.covered;
     sub->size = res.size;
     sub->version = res.version;
-    sub->latency_us = cand[0].sub_done[k] > cand[0].attempt_start
-                          ? cand[0].sub_done[k] - cand[0].attempt_start
-                          : 0;
   }
   SimMicros done = start;
   for (const CandRun& c : cand) done = std::max(done, c.comp);
@@ -1323,13 +1196,6 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
     std::map<std::uint32_t, std::vector<ReadSub*>> refetch;  // cand idx -> subs
     for (std::size_t k = 0; k < subs.size(); ++k) {
       ReadSub* sub = subs[k];
-      // A sub's reply is arbitrated once every vote for it has landed.
-      SimMicros avail = 0;
-      for (std::uint32_t j = 0; j < R; ++j) {
-        avail = std::max(avail, cand[j].sub_done[k]);
-      }
-      sub->latency_us =
-          avail > cand[0].attempt_start ? avail - cand[0].attempt_start : 0;
       Version maxv = 0;
       std::uint32_t win = 0;
       bool any = false;
@@ -1398,9 +1264,6 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
         sub->data_len = r.data_len;
         sub->covered = r.covered;
         sub->version = r.version;
-        sub->latency_us = rr.sub_done[i] > cand[0].attempt_start
-                              ? rr.sub_done[i] - cand[0].attempt_start
-                              : 0;
         counters_.quorum_refetches.inc();
       }
       done = std::max(done, rr.comp);
@@ -1474,15 +1337,12 @@ Result<Bytes> BlobClient::batched_striped_read(std::string_view key,
       subs.push_back(std::move(sub));
     }
 
-    // Group subs by their ordered candidate tuple: the first K live
-    // replicas in replica order, K sized for the quorum fan-out plus the
-    // hedge target. At R == 1 without hedging this degenerates to grouping
-    // by acting primary — exactly the pre-quorum batching. Subs sharing a
-    // tuple share all K envelopes, so a group costs K queueing trips total
+    // Group subs by their ordered candidate tuple: the first R live
+    // replicas in replica order. At R == 1 this degenerates to grouping by
+    // acting primary — exactly the pre-quorum batching. Subs sharing a
+    // tuple share all R envelopes, so a group costs R queueing trips total
     // regardless of its sub count.
     const std::uint32_t R = store_->config().read_quorum();
-    const std::uint32_t K =
-        std::max<std::uint32_t>(R, store_->config().hedge.enabled ? 2 : 1);
     std::map<std::vector<std::uint32_t>, std::vector<ReadSub*>> by_cands;
     for (auto& s : subs) {
       const auto replicas = store_->replicas_of(s.ekey);
@@ -1491,7 +1351,7 @@ Result<Bytes> BlobClient::batched_striped_read(std::string_view key,
       for (std::uint32_t rid : replicas) {
         if (store_->is_down(rid)) continue;
         cands.push_back(rid);
-        if (cands.size() >= K) break;
+        if (cands.size() >= R) break;
       }
       if (cands.empty()) return {Errc::unavailable, "all replicas down: " + s.ekey};
       by_cands[std::move(cands)].push_back(&s);
@@ -1520,15 +1380,6 @@ Result<Bytes> BlobClient::batched_striped_read(std::string_view key,
       if (fail.ok() && !g.status.ok()) fail = g.status;
     }
     if (agent_) agent_->advance_to(done);
-    // Batched completion marks feed the hedging histogram AFTER the group
-    // barrier, on the caller's thread (the histogram is not thread-safe and
-    // groups may fan out on the pool). Subs answered by an internal
-    // read_leg fallback carry latency 0 — read_leg recorded its own sample.
-    for (const auto& s : subs) {
-      if (!s.stat_only && s.latency_us > 0) {
-        record_read_latency(s.latency_us);
-      }
-    }
     if (!fail.ok()) return fail.error();
 
     // Membership cutover mid-wave: chunks the wave read from old owners may
@@ -1633,16 +1484,6 @@ BlobClient::ProbeRound BlobClient::quorum_probe(const std::string& ekey,
   return out;
 }
 
-SimMicros BlobClient::hedge_delay(std::uint32_t node) {
-  const HedgePolicy& h = store_->config().hedge;
-  if (!h.enabled) return 0;
-  const Histogram& lat = *read_latency_;  // a hedging client always has one
-  const SimMicros delay = lat.count() >= h.min_samples
-                              ? static_cast<SimMicros>(lat.percentile(h.percentile))
-                              : h.fixed_delay_us;
-  return delay > 1 && is_suspect(node) ? delay / 2 : delay;
-}
-
 Result<ReadOutcome> BlobClient::read_leg(const std::string& ekey, std::uint64_t off,
                                          std::uint64_t len, SimMicros start,
                                          SimMicros* completion) {
@@ -1705,7 +1546,7 @@ Result<ReadOutcome> BlobClient::read_leg(const std::string& ekey, std::uint64_t 
       auto r = srv.read(ekey, off, len, &svc);
       const std::uint64_t resp = kEnvelope + (r.ok() ? r.value().data.size() : 0);
       const SimMicros arr = d.attempt_start + net.transfer_us(req) + d.extra_latency_us;
-      SimMicros comp =
+      const SimMicros comp =
           srv.node().serve(arr, svc) + net.transfer_us(resp) + d.extra_latency_us;
 
       // Stale-epoch stamp check, before the reply is trusted: the replica
@@ -1716,29 +1557,6 @@ Result<ReadOutcome> BlobClient::read_leg(const std::string& ekey, std::uint64_t 
         stale = true;
         break;
       }
-
-      // Hedging: when this leg ran past the hedge delay, a speculative copy
-      // of the request goes to the next equally fresh candidate, and the
-      // caller takes whichever reply lands first (contents are identical).
-      const SimMicros delay = hedge_delay(srv.node().id());
-      if (delay > 0 && comp - d.attempt_start > delay && i + 1 < candidates.size()) {
-        counters_.hedges.inc();
-        BlobServer& alt = store_->server(candidates[i + 1]);
-        const SimMicros h_start = d.attempt_start + delay;
-        AttemptPlan hp = plan_attempt(alt, h_start, req);
-        if (hp.delivered) {
-          SimMicros hsvc = 0;
-          auto hr = alt.read(ekey, off, len, &hsvc);
-          if (hr.ok() == r.ok()) {
-            const SimMicros h_arr =
-                h_start + net.transfer_us(req) + hp.extra_latency_us;
-            const SimMicros h_comp = alt.node().serve(h_arr, hsvc) +
-                                     net.transfer_us(resp) + hp.extra_latency_us;
-            comp = std::min(comp, h_comp);
-          }
-        }
-      }
-      record_read_latency(comp - d.attempt_start);
       health_on_success(srv.node().id(), comp - d.attempt_start);
       *completion = comp;
       return r;  // a delivered reply is authoritative, not_found included
@@ -1873,8 +1691,8 @@ Result<Bytes> BlobClient::read(std::string_view key, std::uint64_t offset,
   }
 
   // Striped read: per-candidate-set multi-op envelopes plus the client
-  // metadata cache. R > 1 and hedged reads stay on it too — the envelopes
-  // carry per-sub version votes (see read_group_leg).
+  // metadata cache. R > 1 reads stay on it too — the envelopes carry
+  // per-sub version votes (see read_group_leg).
   return batched_striped_read(key, offset, len);
 }
 

@@ -32,7 +32,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -42,7 +41,6 @@
 #include "blob/store.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "sim/sim_clock.hpp"
@@ -70,7 +68,6 @@ namespace bsc::blob {
   X(bytes_written, "client.write.bytes", histogram)                             \
   /* Fault-tolerance machinery (see DESIGN.md "Fault model"). */                \
   X(retries, "client.retries", counter) /* re-sent after timeout/error */       \
-  X(hedges, "client.hedges", counter) /* speculative second read legs */        \
   X(failovers, "client.failovers", counter) /* read legs moved on */            \
   X(quorum_degraded_writes, "client.quorum.degraded_writes",                    \
     counter) /* acked mutations that missed >= 1 replica */                     \
@@ -167,9 +164,7 @@ class BlobTransaction;
 
 class BlobClient {
  public:
-  BlobClient(BlobStore& store, sim::SimAgent* agent) : store_(&store), agent_(agent) {
-    if (store.config().hedge.enabled) read_latency_.emplace();
-  }
+  BlobClient(BlobStore& store, sim::SimAgent* agent) : store_(&store), agent_(agent) {}
 
   // --- Blob Administration ---
   [[nodiscard]] Status create(std::string_view key);
@@ -204,32 +199,17 @@ class BlobClient {
  private:
   friend class BlobTransaction;
 
-  /// Fate of one fault-injected request attempt, planned from the leg's own
-  /// fork time (scatter-gather legs do not run at the agent's clock, so the
-  /// client charges costs itself instead of going through Transport::call).
-  struct AttemptPlan {
-    bool delivered = false;
-    SimMicros extra_latency_us = 0;  ///< per network leg, when delivered
-    SimMicros failed_at = 0;         ///< failure-detection time, when not
-    Errc err = Errc::ok;
-  };
-  /// `batch_subs` > 0 marks the attempt as a multi-op batch envelope: one
-  /// fault verdict for the whole envelope (drawn via Transport::admit_batch
-  /// so batch traffic is accounted separately). `attempt_deadline_us`
-  /// overrides the policy per-attempt deadline for the drop wait (the
-  /// remaining-op-budget clamp); 0 = use the policy value.
-  AttemptPlan plan_attempt(BlobServer& srv, SimMicros attempt_start,
-                           std::uint64_t request_bytes, std::uint32_t batch_subs = 0,
-                           SimMicros attempt_deadline_us = 0);
-
   /// Decorrelated-jitter backoff (simulated time): sleep drawn uniformly
   /// from [base, prev*3], clamped to the policy cap. Mutates *prev.
   SimMicros next_backoff(SimMicros* prev);
 
-  /// Drive one request leg to delivery, retrying per RetryPolicy with
-  /// backoff. On success `attempt_start` is the (possibly backed-off) send
-  /// time of the delivered attempt; on failure `failed_at` is when the last
-  /// attempt's failure was detected.
+  /// Drive one request leg to delivery (rpc::Transport::plan_attempt per
+  /// attempt, planned from the leg's own fork time), retrying per
+  /// RetryPolicy with backoff. `batch_subs` > 0 marks a multi-op batch
+  /// envelope: one fault verdict for the whole envelope. On success
+  /// `attempt_start` is the (possibly backed-off) send time of the delivered
+  /// attempt; on failure `failed_at` is when the last attempt's failure was
+  /// detected.
   struct LegDelivery {
     bool ok = false;
     SimMicros attempt_start = 0;
@@ -322,8 +302,8 @@ class BlobClient {
                              const std::vector<BlobServer::TxnOp>& ops);
 
   /// One read leg, forked from `start`. With read quorum 1 the leg fails
-  /// over through the live replica set (retrying per policy) and optionally
-  /// hedges; with a larger read quorum it first version-probes R replicas
+  /// over through the live replica set (retrying per policy, suspects
+  /// last); with a larger read quorum it first version-probes R replicas
   /// and reads from the freshest responder.
   Result<ReadOutcome> read_leg(const std::string& ekey, std::uint64_t off,
                                std::uint64_t len, SimMicros start, SimMicros* completion);
@@ -350,25 +330,12 @@ class BlobClient {
   /// count the refresh, plus a stale-epoch retry when the leg re-runs.
   void flush_stale_placement(const std::string& ekey, bool retry);
 
-  /// Hedge delay currently in force against `node`: the observed
-  /// read-latency percentile once warmed up, else the fixed delay (0 =
-  /// hedging dormant). A suspect node is hedged against at half the delay —
-  /// the whole point of tracking gray failure is not waiting the full p99 on
-  /// a node already known to be slow.
-  [[nodiscard]] SimMicros hedge_delay(std::uint32_t node);
-
-  /// Feed one delivered read-leg latency to hedge_delay's histogram (a no-op
-  /// when the store does not hedge).
-  void record_read_latency(SimMicros us) {
-    if (read_latency_) read_latency_->add(static_cast<std::uint64_t>(us));
-  }
-
   // --- overload resilience (deadline budgets + per-node breakers) ----------
 
   /// RAII scope of one public primitive call (defined in client.cpp): it
   /// publishes the call's metrics on every return path, and the outermost
   /// call installs `start + DeadlinePolicy::op_deadline_us` as the absolute
-  /// simulated-time budget that nested legs/retries/hedges all clamp
+  /// simulated-time budget that nested legs and retries all clamp
   /// against. The budget is a no-op when the policy is unbounded or a budget
   /// is already installed (nested primitive).
   class PrimCall;
@@ -445,19 +412,14 @@ class BlobClient {
     std::uint64_t covered = 0;         ///< extent-backed bytes among data_len
     std::uint64_t size = 0;            ///< stat subs
     Version version = 0;               ///< stat subs / arbitrated read version
-    /// Per-sub delivered latency (availability time - group attempt start),
-    /// folded into read_latency_ by the caller AFTER the group barrier —
-    /// the histogram is not thread-safe and groups may fan out on the pool.
-    SimMicros latency_us = 0;
   };
 
   /// One per-candidate-set read group: a full-payload envelope to
   /// `candidates[0]` plus one digest-only vote envelope per further quorum
   /// candidate, arbitrated per sub-op by version (digest tie-break), with
-  /// stale sub-ops re-fetched from the winning replica. Hedging composes: a
-  /// slow payload envelope arms a delayed duplicate to candidates[1]. When
-  /// an envelope cannot be delivered (fault injector), falls back to
-  /// per-chunk read_leg calls for this group's subs.
+  /// stale sub-ops re-fetched from the winning replica. When an envelope
+  /// cannot be delivered (fault injector), falls back to per-chunk read_leg
+  /// calls for this group's subs.
   Status read_group_leg(std::vector<ReadSub*>& subs,
                         const std::vector<std::uint32_t>& candidates,
                         SimMicros start, SimMicros* completion);
@@ -498,9 +460,6 @@ class BlobClient {
   sim::SimAgent* agent_;
   ClientCounters counters_;
   Rng rng_{0xb10bfa117ULL};  ///< backoff jitter; per-client, deterministic
-  /// Delivered read-leg latency; it only drives hedging, so it exists (and
-  /// records) only when the store hedges.
-  std::optional<Histogram> read_latency_;
   std::unordered_map<std::string, MetaEntry> meta_cache_;
   std::unordered_map<std::string, Placement> place_cache_;
   std::unique_ptr<ThreadPool> pool_;

@@ -243,38 +243,25 @@ void BlobServer::read_batch(const ReadSubOp* subs, std::size_t count,
       res.version = engine_.version(*sub.key).value_or(0);
       return &m.stat;
     }
-    std::uint64_t obj_size = 0;
     if (sub.digest_only) {
       // Answered from the extent index (span_probe folds the stored
       // per-extent checksums) — no payload bytes are read, so a quorum vote
       // costs what a stat does, and the reply carries only (version,
-      // digest). probe_payload votes charge the full read cost anyway: they
-      // stand in for a real payload serve on a hedged replica.
-      SpanProbeOutcome probe;
-      const Errc perr = [&] {
-        std::scoped_lock elk(engine_mu_);
-        auto pr = engine_.span_probe(*sub.key, sub.off, sub.len);
-        if (!pr.ok()) return pr.code();
-        probe = pr.value();
-        obj_size = engine_.size(*sub.key).value_or(0);
-        res.version = engine_.version(*sub.key).value_or(0);
-        return Errc::ok;
-      }();
-      if (perr != Errc::ok) {
-        res.err = perr;
-        t += 1;
+      // digest).
+      t += 1;
+      std::scoped_lock elk(engine_mu_);
+      auto pr = engine_.span_probe(*sub.key, sub.off, sub.len);
+      if (!pr.ok()) {
+        res.err = pr.code();
         return nullptr;
       }
-      res.digest = probe.digest;
-      res.data_len = probe.data_len;  // the payload bytes the vote avoided
-      res.covered = probe.covered;
-      if (!sub.probe_payload) {
-        t += 1;
-        return &m.stat;
-      }
-      t += svc_read(*sub.key, obj_size, probe.data_len, probe.extents_touched);
-      return &m.read;
+      res.version = engine_.version(*sub.key).value_or(0);
+      res.digest = pr.value().digest;
+      res.data_len = pr.value().data_len;  // the payload bytes the vote avoided
+      res.covered = pr.value().covered;
+      return &m.stat;
     }
+    std::uint64_t obj_size = 0;
     std::uint64_t span_digest = 0;
     auto r = [&] {
       std::scoped_lock elk(engine_mu_);

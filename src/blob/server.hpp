@@ -111,11 +111,6 @@ class BlobServer {
     /// client can accept a lower-versioned payload whose bytes match the
     /// winning replica's (version bump without content change).
     bool want_digest = false;
-    /// With digest_only: charge the full payload read cost anyway (cache /
-    /// disk / per-byte CPU). The hedged-read stand-in uses this — it models
-    /// a real payload serve on the alternate replica while keeping the
-    /// caller's buffer single-writer.
-    bool probe_payload = false;
     std::uint64_t len = 0;  ///< span length for digest_only subs (dst empty)
   };
 

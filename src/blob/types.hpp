@@ -40,20 +40,8 @@ struct RetryPolicy {
   SimMicros backoff_cap_us = 10000;      ///< backoff upper clamp
 };
 
-/// Read hedging: after a delivered read leg exceeds the hedge delay, charge
-/// a second speculative read to an equally fresh replica and take the
-/// faster completion. The delay adapts to the observed p99 of read-leg
-/// latency once enough samples exist; before that, `fixed_delay_us` is used
-/// (0 disables hedging until the histogram warms up).
-struct HedgePolicy {
-  bool enabled = false;
-  SimMicros fixed_delay_us = 0;         ///< 0 = adaptive only
-  std::uint32_t min_samples = 64;       ///< histogram warm-up before p99 kicks in
-  double percentile = 99.0;             ///< delay = this percentile of read latency
-};
-
 /// End-to-end operation budget + retry-amplification control. The per-op
-/// deadline is carried across every retry, failover, hedge, and batch
+/// deadline is carried across every retry, failover, and batch
 /// envelope of one client primitive: per-attempt deadlines are clamped to
 /// the remaining budget, and once it is spent the operation fails with
 /// Errc::deadline_exceeded instead of queueing more work behind a lost
@@ -73,10 +61,10 @@ struct DeadlinePolicy {
 /// failure count (errors, timeouts, and sheds alike); crossing the failure
 /// threshold opens a breaker: closed -> open (cooldown, no traffic) ->
 /// half_open (single probes) -> closed after `half_open_probes` successes,
-/// or straight back to open on a probe failure. Open/half-open nodes are
-/// demoted in read-candidate order and hedged against earlier; mutation
-/// forwards to an open-breaker replica convert to hinted handoff
-/// immediately instead of burning timeouts.
+/// or straight back to open on a probe failure. Suspect nodes (breaker not
+/// closed, or a latency EWMA far above the fleet's) are demoted to the back
+/// of read-candidate order; mutation forwards to an open-breaker replica
+/// convert to hinted handoff immediately instead of burning timeouts.
 struct BreakerPolicy {
   bool enabled = true;
   std::uint32_t failure_threshold = 5;   ///< consecutive failures to open
@@ -91,7 +79,6 @@ struct StoreConfig {
   std::uint32_t replication = 3;      ///< replicas per chunk (primary included)
   std::uint64_t chunk_bytes = 1 << 20; ///< striping unit across storage nodes (0 = off)
   std::uint32_t vnodes_per_node = 64; ///< ring virtual nodes
-  bool write_creates = true;          ///< RADOS-style implicit create on write
 
   /// Write quorum W. 0 (default) keeps the classic behavior: every *live*
   /// replica must ack (down replicas are repaired by resync). A non-zero
@@ -101,7 +88,6 @@ struct StoreConfig {
   std::uint32_t write_quorum = 0;
 
   RetryPolicy retry;
-  HedgePolicy hedge;
   DeadlinePolicy deadline;
   BreakerPolicy breaker;
 

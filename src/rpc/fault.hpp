@@ -11,7 +11,7 @@
 // never executed by the server. Response loss is folded into request loss —
 // a simplification that keeps mutations exactly-once per delivered attempt
 // (no double-apply on retry) while still exercising every client-side
-// recovery path (deadline, retry, failover, hedging, quorum, hints).
+// recovery path (deadline, retry, failover, quorum, hints).
 #pragma once
 
 #include <cstdint>

@@ -5,10 +5,10 @@
 namespace bsc::rpc {
 
 namespace {
-/// Transport-level series: one attempt per admit() (the blob data path asks
-/// for a verdict and charges costs itself, so admit is the one chokepoint
-/// every fault-injected request leg passes through), plus completed-call
-/// latency for the RPCs the transport drives end to end.
+/// Transport-level series: per plan_attempt (every fault-injected request
+/// leg passes through it) one attempt, its fault or shed, and one delivered
+/// call or one call failure; plus completed-call latency for the RPCs the
+/// transport drives end to end.
 struct TransportMetrics {
   obs::Counter& attempts;
   obs::Counter& drops;
@@ -18,7 +18,6 @@ struct TransportMetrics {
   obs::Counter& calls;
   obs::Counter& call_failures;
   obs::Counter& reliable_calls;
-  obs::Counter& oneways;
   obs::Counter& batches;
   obs::Counter& batch_subops;
   // Admission control: requests refused at the server's backlog bound.
@@ -38,7 +37,6 @@ TransportMetrics& transport_metrics() {
                             reg.counter("rpc.calls"),
                             reg.counter("rpc.call_failures"),
                             reg.counter("rpc.reliable_calls"),
-                            reg.counter("rpc.oneways"),
                             reg.counter("rpc.batches"),
                             reg.counter("rpc.batch.subops"),
                             reg.counter("server.shed.requests"),
@@ -52,20 +50,17 @@ TransportMetrics& transport_metrics() {
 Result<CallCost> Transport::call(sim::SimAgent& agent, sim::SimNode& server,
                                  std::uint64_t request_bytes, std::uint64_t response_bytes,
                                  SimMicros server_service_us, CallOptions opts) {
-  FaultVerdict verdict = admit(server, agent.now());
-  if (verdict.kind != FaultVerdict::Kind::deliver) {
-    Status st = charge_failure(agent, verdict, request_bytes, opts);
-    return st.error();
-  }
-
   const SimMicros start = agent.now();
-  const SimMicros arrival =
-      start + net().transfer_us(request_bytes) + verdict.extra_latency_us;
+  const Attempt a = plan_attempt(server, start, request_bytes, opts.deadline_us);
+  if (!a.delivered) {
+    agent.advance_to(a.failed_at);
+    return Error{a.err, "rpc attempt failed"};
+  }
+  const SimMicros arrival = start + net().transfer_us(request_bytes) + a.extra_latency_us;
   const SimMicros served = server.serve(arrival, server_service_us);
   const SimMicros completion =
-      served + net().transfer_us(response_bytes) + verdict.extra_latency_us;
+      served + net().transfer_us(response_bytes) + a.extra_latency_us;
   agent.advance_to(completion);
-  transport_metrics().calls.inc();
   transport_metrics().call_latency_us.add(completion - start);
   return CallCost{.start = start, .completion = completion};
 }
@@ -83,88 +78,67 @@ CallCost Transport::call_reliable(sim::SimAgent& agent, sim::SimNode& server,
   return {.start = start, .completion = completion};
 }
 
-FaultVerdict Transport::admit(sim::SimNode& server, SimMicros now) {
+Transport::Attempt Transport::plan_attempt(sim::SimNode& server, SimMicros start,
+                                           std::uint64_t request_bytes,
+                                           SimMicros deadline_us, std::uint32_t batch_subs) {
   auto& m = transport_metrics();
   m.attempts.inc();
-  FaultVerdict verdict;
-  if (injector_ != nullptr) {
-    verdict = injector_->decide(server.id(), now);
-    switch (verdict.kind) {
-      case FaultVerdict::Kind::drop: m.drops.inc(); break;
-      case FaultVerdict::Kind::error: m.errors.inc(); break;
-      case FaultVerdict::Kind::outage: m.outages.inc(); break;
-      case FaultVerdict::Kind::shed: break;  // injector never produces shed
-      case FaultVerdict::Kind::deliver: break;
-    }
-    if (verdict.kind != FaultVerdict::Kind::deliver) return verdict;
+  if (batch_subs > 0) {
+    m.batches.inc();
+    m.batch_subops.add(batch_subs);
   }
+  FaultVerdict v;
+  if (injector_ != nullptr) v = injector_->decide(server.id(), start);
   // Bounded-backlog admission: a request the network would deliver arrives
   // at the server (after its request leg's extra latency) and is bounced
   // there if the queue is over its configured bound.
-  const SimMicros arrival = now + verdict.extra_latency_us;
-  if (server.would_shed(arrival)) {
+  const SimMicros arrival = start + v.extra_latency_us;
+  if (v.kind == FaultVerdict::Kind::deliver && server.would_shed(arrival)) {
     server.note_shed();
     m.sheds.inc();
+    if (batch_subs > 0) m.shed_batches.inc();
     m.shed_queue_us.add(static_cast<std::uint64_t>(server.queue_delay(arrival)));
-    verdict.kind = FaultVerdict::Kind::shed;
+    v.kind = FaultVerdict::Kind::shed;
   }
-  return verdict;
-}
 
-FaultVerdict Transport::admit_batch(sim::SimNode& server, SimMicros now,
-                                    std::uint32_t sub_ops) {
-  auto& m = transport_metrics();
-  m.batches.inc();
-  m.batch_subops.add(sub_ops);
-  FaultVerdict v = admit(server, now);
-  if (v.kind == FaultVerdict::Kind::shed) m.shed_batches.inc();
-  return v;
-}
-
-Status Transport::charge_failure(sim::SimAgent& agent, const FaultVerdict& verdict,
-                                 std::uint64_t request_bytes, CallOptions opts) {
-  switch (verdict.kind) {
-    case FaultVerdict::Kind::drop: {
+  Attempt a;
+  switch (v.kind) {
+    case FaultVerdict::Kind::deliver:
+      m.calls.inc();
+      a.delivered = true;
+      a.extra_latency_us = v.extra_latency_us;
+      return a;
+    case FaultVerdict::Kind::drop:
       // The request is gone; the client cannot distinguish slow from lost
       // and burns its whole per-attempt deadline before concluding timeout.
-      const SimMicros wait = opts.deadline_us > 0 ? opts.deadline_us : kDefaultDropWaitUs;
-      agent.charge(wait);
-      transport_metrics().timeouts.inc();
-      transport_metrics().call_failures.inc();
-      return {Errc::timeout, "request lost"};
-    }
+      m.drops.inc();
+      m.timeouts.inc();
+      a.failed_at = start + (deadline_us > 0 ? deadline_us : kDefaultDropWaitUs);
+      a.err = Errc::timeout;
+      break;
     case FaultVerdict::Kind::error:
-      // The node answered, just unhelpfully: charge one round trip of the
-      // request envelope (the error reply is tiny).
-      agent.charge(2 * net().transfer_us(request_bytes));
-      transport_metrics().call_failures.inc();
-      return {Errc::unavailable, "transient server error"};
+      // The node answered, just unhelpfully: one round trip of the request
+      // envelope (the error reply is tiny).
+      m.errors.inc();
+      a.failed_at = start + 2 * net().transfer_us(request_bytes);
+      a.err = Errc::unavailable;
+      break;
     case FaultVerdict::Kind::outage:
       // Connection refused: detected after a single send attempt.
-      agent.charge(net().transfer_us(request_bytes));
-      transport_metrics().call_failures.inc();
-      return {Errc::unavailable, "node outage"};
+      m.outages.inc();
+      a.failed_at = start + net().transfer_us(request_bytes);
+      a.err = Errc::unavailable;
+      break;
     case FaultVerdict::Kind::shed:
-      // Load shed: the request arrived, the server bounced it before doing
-      // any work. One round trip of the request envelope — fast fail, the
-      // whole point of admission control vs. letting the deadline burn.
-      agent.charge(2 * net().transfer_us(request_bytes));
-      transport_metrics().call_failures.inc();
-      return {Errc::overloaded, "server shedding load"};
-    case FaultVerdict::Kind::deliver:
+      // Bounced before any work: one round trip of the request envelope — a
+      // fast fail, the whole point of admission control vs. letting the
+      // deadline burn.
+      a.failed_at = start + 2 * net().transfer_us(request_bytes);
+      a.err = Errc::overloaded;
       break;
   }
-  return {Errc::invalid_argument, "charge_failure on delivered verdict"};
-}
-
-SimMicros Transport::send_oneway(sim::SimAgent& agent, sim::SimNode& server,
-                                 std::uint64_t message_bytes,
-                                 SimMicros server_service_us) {
-  const SimMicros arrival = agent.now() + net().transfer_us(message_bytes);
-  // The sender only pays serialization/injection cost, not the full transfer.
-  agent.charge(net().profile().per_packet_us + 1);
-  transport_metrics().oneways.inc();
-  return server.serve(arrival, server_service_us);
+  m.call_failures.inc();
+  return a;
 }
 
 }  // namespace bsc::rpc

@@ -8,9 +8,11 @@
 // An optional FaultInjector makes individual calls fallible: a call may be
 // dropped (the client waits out its deadline and gets Errc::timeout),
 // rejected with a transient error or an outage refusal (Errc::unavailable
-// after a short round trip), or delivered late. `call_reliable` bypasses the
-// injector entirely — the store's maintenance traffic (resync, scrub,
-// rebalance) models an out-of-band repair channel with retries baked in.
+// after a short round trip), or delivered late. plan_attempt is the one rule
+// for an attempt's fate; `call` and the blob data path both use it.
+// `call_reliable` bypasses the injector entirely — the store's maintenance
+// traffic (resync, scrub, rebalance) models an out-of-band repair channel
+// with retries baked in.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +51,7 @@ class Transport {
   /// Execute a simulated RPC against `server`, subject to the installed
   /// fault injector (if any). On success advances `agent` past the response
   /// arrival and returns the timing breakdown. On failure advances `agent`
-  /// past the failure-detection point (full deadline for a drop, one short
-  /// round trip for an error/outage) and returns Errc::timeout /
-  /// Errc::unavailable.
+  /// to the failure-detection point (see plan_attempt) and returns its error.
   Result<CallCost> call(sim::SimAgent& agent, sim::SimNode& server,
                         std::uint64_t request_bytes, std::uint64_t response_bytes,
                         SimMicros server_service_us, CallOptions opts = {});
@@ -63,37 +63,33 @@ class Transport {
                          std::uint64_t request_bytes, std::uint64_t response_bytes,
                          SimMicros server_service_us);
 
-  /// Fault verdict for one request leg to `server` at the agent's current
-  /// time, without charging any cost. Client code that applies operations
-  /// directly on server objects (the blob data path) asks for a verdict
-  /// first, then charges the corresponding cost itself. A request the
-  /// injector would deliver is additionally checked against the server's
-  /// bounded backlog (sim::OverloadConfig): over the bound, the verdict is
-  /// `shed` and the caller fails fast with Errc::overloaded.
-  [[nodiscard]] FaultVerdict admit(sim::SimNode& server, SimMicros now);
+  /// Fate of one request attempt, planned from its own send time.
+  struct Attempt {
+    bool delivered = false;
+    SimMicros extra_latency_us = 0;  ///< added to each network leg, when delivered
+    SimMicros failed_at = 0;         ///< failure-detection time, when not
+    Errc err = Errc::ok;
+  };
 
-  /// One fault verdict for a whole multi-op batch envelope carrying
-  /// `sub_ops` sub-operations: the batch is one request on the wire, so it
-  /// draws exactly one verdict (all sub-ops share its fate). Accounted
-  /// separately (rpc.batches / rpc.batch.subops) on top of the rpc.attempts
-  /// the underlying admit records.
-  [[nodiscard]] FaultVerdict admit_batch(sim::SimNode& server, SimMicros now,
-                                         std::uint32_t sub_ops);
-
-  /// Charge `agent` for a failed attempt: the full deadline for a dropped
-  /// request, or one short round trip for an error/outage/shed rejection.
-  /// Returns the matching error. `deliver` verdicts are a programming error.
-  Status charge_failure(sim::SimAgent& agent, const FaultVerdict& verdict,
-                        std::uint64_t request_bytes, CallOptions opts);
-
-  /// One-way fire-and-forget message (used for pipelined replication).
-  /// Charges only the send leg to the agent; server service is queued at the
-  /// receiving node and the completion time is returned (but not awaited).
-  SimMicros send_oneway(sim::SimAgent& agent, sim::SimNode& server,
-                        std::uint64_t message_bytes, SimMicros server_service_us);
+  /// Plan one attempt to `server` sent at simulated `start`, without
+  /// charging anyone: the blob data path forks legs from their own start
+  /// times and charges costs itself. The attempt draws one fault verdict
+  /// (one per whole envelope when `batch_subs` > 0: a multi-op batch is one
+  /// request on the wire, accounted as rpc.batches / rpc.batch.subops too).
+  /// A request the injector would deliver is additionally checked against
+  /// the server's bounded backlog (sim::OverloadConfig). A failed attempt is
+  /// detected
+  ///   - drop: after `deadline_us` (kDefaultDropWaitUs when 0), Errc::timeout;
+  ///   - error or shed: after one request round trip, Errc::unavailable or
+  ///     Errc::overloaded;
+  ///   - outage: after one request transfer, Errc::unavailable.
+  /// Counts rpc.calls per delivered attempt, rpc.call_failures per failed
+  /// one, and rpc.timeouts per drop.
+  Attempt plan_attempt(sim::SimNode& server, SimMicros start, std::uint64_t request_bytes,
+                       SimMicros deadline_us, std::uint32_t batch_subs = 0);
 
   /// Install a fault injector (not owned; nullptr uninstalls). All
-  /// subsequent `call`/`admit` invocations consult it.
+  /// subsequent `call`/`plan_attempt` invocations consult it.
   void set_fault_injector(FaultInjector* injector) noexcept { injector_ = injector; }
   [[nodiscard]] FaultInjector* fault_injector() const noexcept { return injector_; }
 

@@ -209,14 +209,6 @@ TEST(QuorumBatchEquivalence, R3BatchedMatchesPerLeg) {
   expect_equivalent(run_script(on), run_script(off));
 }
 
-TEST(QuorumBatchEquivalence, HedgedBatchedMatchesPerLeg) {
-  StoreConfig on;
-  on.hedge.enabled = true;
-  on.hedge.fixed_delay_us = 1;  // hedge aggressively; results must not change
-  StoreConfig off = unstriped_cfg();
-  expect_equivalent(run_script(on), run_script(off));
-}
-
 // --- coalescing -----------------------------------------------------------
 
 TEST(BatchCoalescing, AdjacentChunksOnOnePrimaryShareASubHeader) {
@@ -491,40 +483,6 @@ TEST(QuorumBatchedReads, HolesArbitrateAtR2) {
   EXPECT_EQ(client.counters().quorum_refetches, 0u);
 }
 
-TEST(HedgedBatchedReads, HedgeComposesWithBatchedStriping) {
-  sim::Cluster cluster;
-  StoreConfig cfg;
-  cfg.hedge.enabled = true;
-  cfg.hedge.fixed_delay_us = 1;        // hedge on every group
-  cfg.hedge.min_samples = 1u << 30;    // stay on the fixed delay
-  BlobStore store(cluster, cfg);
-  sim::SimAgent agent;
-  BlobClient client(store, &agent);
-  ClientRegistryAgreement agree({&client});
-
-  const Bytes data = make_payload(25, 0, 6 * kChunk);
-  ASSERT_TRUE(client.write("h", 0, as_view(data)).ok());
-  auto r = client.read("h", 0, 6 * kChunk);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(equal(as_view(r.value()), as_view(data)));
-  EXPECT_GE(client.counters().hedges, 1u);
-  agree.check({"client.hedges"});
-
-  // Hedged AND quorum together: votes + hedges on the same envelopes.
-  StoreConfig qcfg = cfg;
-  qcfg.write_quorum = 2;
-  sim::Cluster cluster2;
-  BlobStore store2(cluster2, qcfg);
-  sim::SimAgent agent2;
-  BlobClient client2(store2, &agent2);
-  ASSERT_TRUE(client2.write("h", 0, as_view(data)).ok());
-  auto r2 = client2.read("h", 0, 6 * kChunk);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_TRUE(equal(as_view(r2.value()), as_view(data)));
-  EXPECT_GE(client2.counters().quorum_probes, 1u);
-  EXPECT_EQ(client2.counters().quorum_refetches, 0u);
-}
-
 // --- read accounting across the read paths (satellite) --------------------
 
 TEST(ReadAccounting, AllReadPathsDecomposeIdentically) {
@@ -586,7 +544,7 @@ TEST(ReadAccounting, AllReadPathsDecomposeIdentically) {
 
 TEST(ReadAccounting, EveryServerReadEntryPointChargesByOneRule) {
   // One object with three extents, holes between them and a tail hole,
-  // prepared identically on four servers (one per node). Each server serves
+  // prepared identically on three servers (one per node). Each server serves
   // it through a different entry point, first with the page cache dropped,
   // then warm: bytes, covered bytes and service time must all agree.
   const std::string key = "holey";
@@ -598,7 +556,7 @@ TEST(ReadAccounting, EveryServerReadEntryPointChargesByOneRule) {
     sim::SimNode node{0, sim::NodeRole::storage};
     BlobServer srv{node};
   };
-  std::array<Rig, 4> rigs;
+  std::array<Rig, 3> rigs;
   for (Rig& rig : rigs) {
     using Kind = BlobServer::TxnOp::Kind;
     const BlobServer::OpRef ops[] = {
@@ -635,17 +593,10 @@ TEST(ReadAccounting, EveryServerReadEntryPointChargesByOneRule) {
     s.covered = r.value().covered;
     return s;
   };
-  auto via_batch = [&](BlobServer& srv, bool probe) {
+  auto via_batch = [&](BlobServer& srv) {
     Served s;
-    BlobServer::ReadSubOp sub{.key = &key};
-    if (probe) {
-      sub.digest_only = true;
-      sub.probe_payload = true;
-      sub.len = kLen;
-    } else {
-      s.data.assign(kLen, std::byte{0});
-      sub.dst = MutableByteView{s.data};
-    }
+    s.data.assign(kLen, std::byte{0});
+    BlobServer::ReadSubOp sub{.key = &key, .dst = MutableByteView{s.data}};
     BlobServer::ReadSubResult res;
     srv.read_batch(&sub, 1, &res, &s.service);
     EXPECT_EQ(res.err, Errc::ok);
@@ -663,9 +614,8 @@ TEST(ReadAccounting, EveryServerReadEntryPointChargesByOneRule) {
     const Served ref = via_read(rigs[0].srv);
     EXPECT_TRUE(equal(as_view(ref.data), as_view(expected))) << pass;
     EXPECT_EQ(ref.covered, a.size() + b.size() + c.size()) << pass;
-    for (const Served& s : {via_read_locked(rigs[1].srv), via_batch(rigs[2].srv, false),
-                            via_batch(rigs[3].srv, true)}) {
-      if (!s.data.empty()) EXPECT_TRUE(equal(as_view(s.data), as_view(ref.data))) << pass;
+    for (const Served& s : {via_read_locked(rigs[1].srv), via_batch(rigs[2].srv)}) {
+      EXPECT_TRUE(equal(as_view(s.data), as_view(ref.data))) << pass;
       EXPECT_EQ(s.covered, ref.covered) << pass;
       EXPECT_EQ(s.service, ref.service) << pass;
     }

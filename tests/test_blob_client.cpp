@@ -188,17 +188,5 @@ TEST(BlobStoreConfig, ReplicationOneStillWorks) {
   EXPECT_EQ(store.replicas_of("k").size(), 1u);
 }
 
-TEST(BlobStoreConfig, WriteCreatesOffRequiresCreate) {
-  sim::Cluster cluster;
-  StoreConfig cfg;
-  cfg.write_creates = false;
-  BlobStore store(cluster, cfg);
-  sim::SimAgent agent;
-  BlobClient client(store, &agent);
-  EXPECT_EQ(client.write("k", 0, as_view(to_bytes("x"))).code(), Errc::not_found);
-  ASSERT_TRUE(client.create("k").ok());
-  EXPECT_TRUE(client.write("k", 0, as_view(to_bytes("x"))).ok());
-}
-
 }  // namespace
 }  // namespace bsc::blob

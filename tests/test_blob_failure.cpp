@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "blob/client.hpp"
@@ -204,6 +205,38 @@ TEST_F(FailureTest, InjectedOutageSurfacesUnavailableNotHang) {
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(equal(as_view(r.value()), as_view(to_bytes("payload"))));
   agree.check({"client.retries", "client.failovers", "client.batch.retries"});
+}
+
+TEST_F(FailureTest, EveryInjectedAttemptIsOneCallOrOneCallFailure) {
+  // Drops, transient errors and a dead node under mixed single-chunk and
+  // striped client traffic: every attempt the transport admits ends as one
+  // delivered call or one call failure, and every drop as one timeout.
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::global().snapshot();
+  rpc::FaultInjector inj(11);
+  store_.transport().set_fault_injector(&inj);
+  for (std::uint32_t n = 0; n < store_.server_count(); ++n) {
+    rpc::FaultPlan plan;
+    plan.drop_probability = 0.05;
+    plan.error_probability = 0.05;
+    if (n == 0) plan.outages.push_back({0, std::numeric_limits<SimMicros>::max()});
+    inj.set_plan(store_.server(n).node().id(), plan);
+  }
+  const std::uint64_t cb = store_.config().chunk_bytes;
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    const std::string key = "attempt-" + std::to_string(i);
+    const std::size_t len = i % 4 == 0 ? 2 * cb : 512;
+    (void)client_.write(key, 0, as_view(make_payload(i, 0, len)));
+    (void)client_.read(key, 0, len);
+  }
+  store_.transport().set_fault_injector(nullptr);
+
+  const auto c = obs::MetricsRegistry::global().snapshot().delta_since(before).counters;
+  EXPECT_GT(c.at("rpc.attempt.drops"), 0u);
+  EXPECT_GT(c.at("rpc.attempt.errors"), 0u);
+  EXPECT_GT(c.at("rpc.attempt.outages"), 0u);
+  EXPECT_GT(c.at("rpc.calls"), 0u);
+  EXPECT_EQ(c.at("rpc.attempts"), c.at("rpc.calls") + c.at("rpc.call_failures"));
+  EXPECT_EQ(c.at("rpc.timeouts"), c.at("rpc.attempt.drops"));
 }
 
 class QuorumTest : public ::testing::Test {

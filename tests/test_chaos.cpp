@@ -571,7 +571,7 @@ TEST(Chaos, MixedWorkloadSurvivesFaultScheduleDeterministically) {
       << "invariant violation in first run (seed " << seed << ")";
 
   // Same seed, fresh store: the op-by-op trace must replay identically —
-  // fault injection, retries, hedging and repair are all deterministic.
+  // fault injection, retries, failover and repair are all deterministic.
   ChaosOutcome second = ChaosRun(seed).run();
   ASSERT_EQ(first.trace.size(), second.trace.size());
   for (std::size_t i = 0; i < first.trace.size(); ++i) {

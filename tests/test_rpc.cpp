@@ -300,14 +300,5 @@ TEST(Transport, UnplannedNodesAreUnaffected) {
   EXPECT_TRUE(t.call(agent, cluster.storage_node(0), 10, 10, 5).ok());
 }
 
-TEST(Transport, OnewayDoesNotBlockSender) {
-  sim::Cluster cluster;
-  Transport t(cluster);
-  sim::SimAgent agent;
-  const SimMicros completion = t.send_oneway(agent, cluster.storage_node(0), 100, 5000);
-  EXPECT_LT(agent.now(), completion);  // sender returned before service ended
-  EXPECT_GT(completion, 5000);
-}
-
 }  // namespace
 }  // namespace bsc::rpc
