@@ -23,6 +23,10 @@ namespace {
 
 constexpr std::uint64_t kPayload = 4096;
 constexpr int kKeys = 64;
+// Every row runs this many ops: the sim columns are totals over the op
+// script divided by the op count, so it must not be left to google-benchmark,
+// which picks iteration counts from host wall-clock time.
+constexpr benchmark::IterationCount kOps = 20000;
 
 /// One client rig: cluster, store (quorum W=2), injector wired but empty.
 struct Rig {
@@ -93,7 +97,8 @@ void BM_WriteFaultFree(benchmark::State& state) {
                 static_cast<double>(state.iterations())
           : 0.0);
 }
-BENCHMARK(BM_WriteFaultFree)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_WriteFaultFree)->Arg(0)->Arg(1)->Arg(2)->Iterations(kOps)
+    ->Unit(benchmark::kMicrosecond);
 
 // --- completion time under drop faults -------------------------------------
 // Every node drops the given percentage of request legs; the client's retry
@@ -128,7 +133,8 @@ void BM_WriteUnderDrop(benchmark::State& state) {
   state.counters["hints"] =
       benchmark::Counter(static_cast<double>(rig.client.counters().hints_written));
 }
-BENCHMARK(BM_WriteUnderDrop)->Arg(1)->Arg(5)->Arg(10)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_WriteUnderDrop)->Arg(1)->Arg(5)->Arg(10)->Iterations(kOps)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ReadUnderDrop(benchmark::State& state) {
   Rig rig(2);
@@ -162,7 +168,8 @@ void BM_ReadUnderDrop(benchmark::State& state) {
           : 0.0);
   state.counters["failed_ops"] = benchmark::Counter(static_cast<double>(failed));
 }
-BENCHMARK(BM_ReadUnderDrop)->Arg(1)->Arg(5)->Arg(10)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ReadUnderDrop)->Arg(1)->Arg(5)->Arg(10)->Iterations(kOps)
+    ->Unit(benchmark::kMicrosecond);
 
 /// Console reporter that also captures every run for `--json <path>` output
 /// (the machine-readable perf trajectory; schema in EXPERIMENTS.md).

@@ -19,6 +19,11 @@ Two modes:
       gauge above 0, a histogram with a count above 0. Both flags may be
       given together.
 
+  check_bench_json.py --same-sim A.json B.json
+      Validate both files as bench results, then fail unless they hold the
+      same rows and every row's sim_* fields are exactly equal: two runs of
+      a bench whose simulated columns are functions of the model only.
+
 Exit code 0 on success; 1 with a message on the first violation.
 """
 
@@ -82,6 +87,20 @@ def check_bench_file(path):
         if row["ns_per_op"] < 0:
             fail(f"{path}: results[{i}].ns_per_op must be non-negative")
     print(f"{path}: OK ({len(results)} results)")
+    return results
+
+
+def check_same_sim(path_a, path_b):
+    a, b = ({row["name"]: row for row in check_bench_file(p)} for p in (path_a, path_b))
+    if a.keys() != b.keys():
+        fail(f"{path_a} and {path_b} hold different rows: "
+             f"{', '.join(sorted(a.keys() ^ b.keys()))}")
+    for name, row in a.items():
+        for field in sorted(f for f in row.keys() | b[name].keys() if f.startswith("sim_")):
+            if row.get(field) != b[name].get(field):
+                fail(f"{name}.{field} differs: {row.get(field)} in {path_a}, "
+                     f"{b[name].get(field)} in {path_b}")
+    print(f"{path_a} == {path_b}: sim columns identical ({len(a)} rows)")
 
 
 def series_value(doc, name):
@@ -128,12 +147,17 @@ def main():
     ap.add_argument("--require-nonzero", nargs="*", default=[],
                     help="series that must exist and be nonzero (counter/gauge "
                          "value, histogram count) in the --metrics snapshot")
+    ap.add_argument("--same-sim", nargs=2, metavar=("A", "B"),
+                    help="two bench json files whose sim_* columns must match "
+                         "exactly, row by row")
     args = ap.parse_args()
 
+    if args.same_sim:
+        check_same_sim(*args.same_sim)
     if args.metrics:
         check_metrics_file(args.metrics, args.require, args.require_nonzero)
-    if not args.metrics and not args.files:
-        fail("nothing to check: pass bench json files or --metrics")
+    if not args.metrics and not args.same_sim and not args.files:
+        fail("nothing to check: pass bench json files, --metrics or --same-sim")
     for path in args.files:
         check_bench_file(path)
 

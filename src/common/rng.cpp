@@ -87,6 +87,7 @@ Zipf::Zipf(std::uint64_t n, double theta) : n_(n ? n : 1), theta_(theta) {
   for (std::uint64_t i = 1; i <= n_; ++i) zetan_ += 1.0 / std::pow(static_cast<double>(i), theta_);
   double zeta2 = 1.0 + 1.0 / std::pow(2.0, theta_);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) / (1.0 - zeta2 / zetan_);
+  rank1_bound_ = 1.0 + std::pow(0.5, theta_);
 }
 
 std::uint64_t Zipf::sample(Rng& rng) const noexcept {
@@ -94,7 +95,7 @@ std::uint64_t Zipf::sample(Rng& rng) const noexcept {
   const double u = rng.next_double();
   const double uz = u * zetan_;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+  if (uz < rank1_bound_) return 1;
   auto v = static_cast<std::uint64_t>(
       static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
   return v >= n_ ? n_ - 1 : v;

@@ -43,7 +43,8 @@ class Rng {
 };
 
 /// Zipf-distributed integer sampler over {0, .., n-1} with exponent `theta`.
-/// Used for skewed access patterns (hot files / hot blobs).
+/// Its one caller is spark::generate_text, which draws word ranks from it;
+/// the sample sequence is pinned by tests, so any change moves the Spark data.
 class Zipf {
  public:
   Zipf(std::uint64_t n, double theta);
@@ -58,6 +59,7 @@ class Zipf {
   double alpha_;
   double zetan_;
   double eta_;
+  double rank1_bound_;  // 1 + 0.5^theta: a draw with 1 <= uz < this is rank 1
 };
 
 /// Deterministic payload: the byte at absolute offset `off` of stream `seed`.

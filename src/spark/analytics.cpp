@@ -1,27 +1,33 @@
 #include "spark/analytics.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
-
-#include "common/strings.hpp"
+#include <iterator>
 
 namespace bsc::spark {
 
 Bytes generate_text(std::uint64_t seed, std::uint64_t bytes, std::uint32_t vocabulary) {
   Rng rng(seed);
   Zipf zipf(vocabulary, 0.9);  // natural-ish word frequency skew
-  Bytes out;
-  out.reserve(bytes);
-  while (out.size() < bytes) {
-    const std::uint64_t word_id = zipf.sample(rng);
-    const std::string word = strfmt("w%llu", static_cast<unsigned long long>(word_id));
-    for (char c : word) {
-      if (out.size() >= bytes) break;
-      out.push_back(static_cast<std::byte>(c));
-    }
-    if (out.size() < bytes) {
-      out.push_back(static_cast<std::byte>(rng.chance(0.1) ? '\n' : ' '));
-    }
+  // Every word the sampler can return, "w<id>", rendered once: word `id` is
+  // words[starts[id], starts[id + 1]).
+  std::string words;
+  std::vector<std::size_t> starts{0};
+  starts.reserve(zipf.domain() + 1);
+  char word[24] = {'w'};
+  for (std::uint64_t id = 0; id < zipf.domain(); ++id) {
+    words.append(word, std::to_chars(word + 1, std::end(word), id).ptr);
+    starts.push_back(words.size());
+  }
+  Bytes out(bytes);
+  std::uint64_t pos = 0;
+  while (pos < bytes) {
+    const std::uint64_t id = zipf.sample(rng);
+    const std::uint64_t len = std::min<std::uint64_t>(starts[id + 1] - starts[id], bytes - pos);
+    std::memcpy(out.data() + pos, words.data() + starts[id], len);
+    pos += len;
+    if (pos < bytes) out[pos++] = static_cast<std::byte>(rng.chance(0.1) ? '\n' : ' ');
   }
   return out;
 }

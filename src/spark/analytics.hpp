@@ -22,7 +22,9 @@ namespace bsc::spark {
 // --- dataset generators -------------------------------------------------
 
 /// Whitespace/newline-separated text with a Zipf-distributed vocabulary
-/// (natural-language-ish word frequencies). Exactly `bytes` long.
+/// (natural-language-ish word frequencies). Exactly `bytes` long. The byte
+/// stream for a given (seed, bytes, vocabulary) is fixed: tests pin its
+/// digest, and every simulated Spark figure reads these bytes.
 [[nodiscard]] Bytes generate_text(std::uint64_t seed, std::uint64_t bytes,
                                   std::uint32_t vocabulary = 4096);
 

@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "common/hash.hpp"
 #include "spark/analytics.hpp"
 
 namespace bsc::spark {
@@ -35,6 +36,31 @@ TEST(Generators, TextVocabularyIsSkewed) {
     total += c;
   }
   EXPECT_GT(max_count, total / freq.size() * 10);
+}
+
+// The exact byte stream is part of the Spark workloads' contract: every
+// simulated figure of the Spark apps reads these bytes. One digest per
+// vocabulary folds the text's checksum over seeds and sizes, including sizes
+// that cut the first word and vocabulary 0 (one word, "w0").
+TEST(Generators, TextBytesArePinned) {
+  const std::uint32_t vocabularies[] = {0, 1, 2, 10, 1024, 4096, 100000, 1u << 20};
+  const std::uint64_t expected[] = {
+      1512878337333780668ULL,  1512878337333780668ULL, 13569644137705147589ULL,
+      18199504329009132553ULL, 6878790940491687661ULL, 7983391869268717426ULL,
+      7671302548297693036ULL,  12623688925656551092ULL};
+  const std::uint64_t seeds[] = {1, 7, 0x77};
+  const std::uint64_t sizes[] = {0, 1, 2, 3, 7, 4096, 100003, 1u << 20};
+  for (std::size_t v = 0; v < std::size(vocabularies); ++v) {
+    std::uint64_t digest = 0;
+    for (const std::uint64_t seed : seeds) {
+      for (const std::uint64_t size : sizes) {
+        const Bytes text = generate_text(seed, size, vocabularies[v]);
+        ASSERT_EQ(text.size(), size);
+        digest = hash_combine(digest, content_checksum(as_view(text)));
+      }
+    }
+    EXPECT_EQ(digest, expected[v]) << "vocabulary " << vocabularies[v];
+  }
 }
 
 TEST(Generators, EdgesShapeAndRange) {
