@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "adapter/blobfs.hpp"
 #include "blob/client.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
@@ -254,13 +255,20 @@ void BM_BlobTransactionCommit(benchmark::State& state) {
 BENCHMARK(BM_BlobTransactionCommit)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_RingLocate(benchmark::State& state) {
+  // Placement alone: the keys, BlobFs data-chunk keys of 64 files, are built
+  // before the timed loop.
   blob::HashRing ring;
   for (std::uint32_t n = 0; n < 8; ++n) ring.add_node(n);
   Rng rng(1);
+  std::vector<std::string> keys(4096);
+  for (auto& key : keys) {
+    const std::string path =
+        strfmt("/input/text/part-%05llu", static_cast<unsigned long long>(rng.next_below(64)));
+    key = adapter::BlobFs::chunk_key(path, rng.next_below(1024));
+  }
+  std::size_t i = 0;
   for (auto _ : state) {
-    const std::string key = strfmt("k-%llu",
-        static_cast<unsigned long long>(rng.next_below(1000000)));
-    benchmark::DoNotOptimize(ring.locate(key, 3));
+    benchmark::DoNotOptimize(ring.locate(keys[i++ % keys.size()], 3));
   }
 }
 BENCHMARK(BM_RingLocate);

@@ -1,7 +1,10 @@
 #include "common/rng.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "common/hash.hpp"
@@ -81,24 +84,102 @@ double Rng::next_exponential(double mean) noexcept {
 
 Rng Rng::fork() noexcept { return Rng(mix64(next())); }
 
+namespace {
+constexpr std::uint64_t kGridEnd = std::uint64_t{1} << Zipf::kGridBits;
+
+/// The first k in [0, kGridEnd] with pred(k), for a pred that is false at 0
+/// and (taken as) true at kGridEnd: steps outward from `guess` by doubling
+/// strides until it brackets the change, then bisects the bracket.
+template <class Pred>
+std::uint64_t first_where(Pred pred, std::uint64_t guess) {
+  std::uint64_t lo = std::min(guess, kGridEnd - 1);
+  std::uint64_t hi = lo;
+  for (std::uint64_t step = 1; lo > 0 && pred(lo); step *= 2) {
+    hi = lo;
+    lo = lo > step ? lo - step : 0;
+  }
+  for (std::uint64_t step = 1; hi < kGridEnd && !pred(hi); step *= 2) {
+    lo = hi;
+    hi = std::min(hi + step, kGridEnd);
+  }
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    (pred(mid) ? hi : lo) = mid;
+  }
+  return hi;
+}
+
+/// Grid index of probability u, for an analytic guess.
+std::uint64_t grid_guess(double u) {
+  return static_cast<std::uint64_t>(std::clamp(u, 0.0, 1.0) * 0x1.0p53);
+}
+}  // namespace
+
 Zipf::Zipf(std::uint64_t n, double theta) : n_(n ? n : 1), theta_(theta) {
+  if (!(theta > 0.0 && theta < 1.0)) {
+    std::fprintf(stderr, "bsc: Zipf theta must lie in (0, 1), got %g\n", theta);
+    std::abort();
+  }
   alpha_ = 1.0 / (1.0 - theta_);
   zetan_ = 0.0;
   for (std::uint64_t i = 1; i <= n_; ++i) zetan_ += 1.0 / std::pow(static_cast<double>(i), theta_);
   double zeta2 = 1.0 + 1.0 / std::pow(2.0, theta_);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) / (1.0 - zeta2 / zetan_);
   rank1_bound_ = 1.0 + std::pow(0.5, theta_);
+
+  seam_ = first_where(
+      [&](std::uint64_t k) { return static_cast<double>(k) * 0x1.0p-53 * zetan_ >= rank1_bound_; },
+      grid_guess(rank1_bound_ / zetan_));
+  // One tail pow argument spans about 1 / eta grid steps, and so does a pow
+  // misordering; a tail too coarse for the guard (theta very near 1) keeps
+  // the formula for every draw. For n <= 2 the tail holds no rank of its
+  // own (for n = 2 eta is 0 / 0).
+  const bool fine_tail = n_ <= 2 || eta_ * static_cast<double>(kGuard) >= 64.0;
+  table_ranks_ = fine_tail ? std::min(n_, kTableRanks) : 0;
+  first_k_.assign(table_ranks_ + 2, 0);
+  for (std::uint64_t r = 1; r <= table_ranks_; ++r) {
+    if (r == n_) {  // rank_at never exceeds n - 1: the head is the whole grid
+      first_k_[r] = kGridEnd;
+      continue;
+    }
+    // Analytic inverse: uz >= 1 for rank 1, n * x^alpha >= r in the tail.
+    const double u = r == 1 ? 1.0 / zetan_
+                            : 1.0 - (1.0 - std::pow(static_cast<double>(r) / static_cast<double>(n_),
+                                                    1.0 - theta_)) / eta_;
+    first_k_[r] = std::max(first_k_[r - 1],
+                           first_where([&](std::uint64_t k) { return rank_at(k) >= r; }, grid_guess(u)));
+  }
+  first_k_.back() = UINT64_MAX;
+
+  const std::uint64_t cells = std::bit_ceil(std::max<std::uint64_t>(1, 4 * table_ranks_));
+  guide_shift_ = static_cast<int>(kGridBits) - std::countr_zero(cells);
+  guide_.resize(cells);
+  std::uint64_t r = 0;
+  for (std::uint64_t c = 0; c < cells; ++c) {
+    while (first_k_[r + 1] <= c << guide_shift_) ++r;
+    guide_[c] = static_cast<std::uint16_t>(r);
+  }
 }
 
-std::uint64_t Zipf::sample(Rng& rng) const noexcept {
+std::uint64_t Zipf::rank_at(std::uint64_t k) const noexcept {
   // Gray et al. "Quickly generating billion-record synthetic databases".
-  const double u = rng.next_double();
+  const double u = static_cast<double>(k) * 0x1.0p-53;
   const double uz = u * zetan_;
   if (uz < 1.0) return 0;
   if (uz < rank1_bound_) return 1;
   auto v = static_cast<std::uint64_t>(
       static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
   return v >= n_ ? n_ - 1 : v;
+}
+
+std::uint64_t Zipf::sample_at(std::uint64_t k) const noexcept {
+  std::uint64_t r = guide_[k >> guide_shift_];
+  while (first_k_[r + 1] <= k) ++r;
+  if (r == table_ranks_ || k - first_k_[r] < kGuard || first_k_[r + 1] - k <= kGuard ||
+      k + kGuard - seam_ <= 2 * kGuard) {
+    return rank_at(k);
+  }
+  return r;
 }
 
 std::byte payload_byte(std::uint64_t seed, std::uint64_t off) noexcept {

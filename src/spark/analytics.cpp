@@ -3,29 +3,39 @@
 #include <algorithm>
 #include <charconv>
 #include <cstring>
-#include <iterator>
 
 namespace bsc::spark {
 
 Bytes generate_text(std::uint64_t seed, std::uint64_t bytes, std::uint32_t vocabulary) {
   Rng rng(seed);
   Zipf zipf(vocabulary, 0.9);  // natural-ish word frequency skew
-  // Every word the sampler can return, "w<id>", rendered once: word `id` is
-  // words[starts[id], starts[id + 1]).
-  std::string words;
-  std::vector<std::size_t> starts{0};
-  starts.reserve(zipf.domain() + 1);
-  char word[24] = {'w'};
+  // Every word the sampler can return, "w<id>", rendered once into its own
+  // 16-byte slot (at most 11 characters used): word `id` is the first
+  // lengths[id] bytes of slot `id`.
+  constexpr std::size_t kSlot = 16;
+  std::vector<char> slots(zipf.domain() * kSlot);
+  std::vector<std::uint8_t> lengths(zipf.domain());
   for (std::uint64_t id = 0; id < zipf.domain(); ++id) {
-    words.append(word, std::to_chars(word + 1, std::end(word), id).ptr);
-    starts.push_back(words.size());
+    char* word = slots.data() + id * kSlot;
+    word[0] = 'w';
+    lengths[id] = static_cast<std::uint8_t>(std::to_chars(word + 1, word + kSlot, id).ptr - word);
   }
   Bytes out(bytes);
   std::uint64_t pos = 0;
+  // While a whole slot fits, copy all of it: the bytes past the word are
+  // overwritten by the separator and the next word (or the tail loop below).
+  // A word and its separator end before `bytes`, so the separator is always
+  // written, as in the tail loop.
+  while (bytes - pos >= kSlot) {
+    const std::uint64_t id = zipf.sample(rng);
+    std::memcpy(out.data() + pos, slots.data() + id * kSlot, kSlot);
+    pos += lengths[id];
+    out[pos++] = static_cast<std::byte>(rng.chance(0.1) ? '\n' : ' ');
+  }
   while (pos < bytes) {
     const std::uint64_t id = zipf.sample(rng);
-    const std::uint64_t len = std::min<std::uint64_t>(starts[id + 1] - starts[id], bytes - pos);
-    std::memcpy(out.data() + pos, words.data() + starts[id], len);
+    const std::uint64_t len = std::min<std::uint64_t>(lengths[id], bytes - pos);
+    std::memcpy(out.data() + pos, slots.data() + id * kSlot, len);
     pos += len;
     if (pos < bytes) out[pos++] = static_cast<std::byte>(rng.chance(0.1) ? '\n' : ' ');
   }

@@ -24,7 +24,9 @@ namespace bsc::spark {
 /// Whitespace/newline-separated text with a Zipf-distributed vocabulary
 /// (natural-language-ish word frequencies). Exactly `bytes` long. The byte
 /// stream for a given (seed, bytes, vocabulary) is fixed: tests pin its
-/// digest, and every simulated Spark figure reads these bytes.
+/// digest, and every simulated Spark figure reads these bytes. Word ranks
+/// come from Zipf's threshold table, which returns exactly the reference
+/// formula's draws, so the digests are those of the per-word `pow` sampler.
 [[nodiscard]] Bytes generate_text(std::uint64_t seed, std::uint64_t bytes,
                                   std::uint32_t vocabulary = 4096);
 

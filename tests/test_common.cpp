@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/hash.hpp"
@@ -141,6 +145,68 @@ TEST(Zipf, SkewsTowardLowRanks) {
   // With theta=0.99 the head is heavily favored over uniform (1%).
   EXPECT_GT(low, kSamples / 10);
 }
+
+TEST(ZipfDeathTest, ThetaOutsideOpenUnitIntervalAborts) {
+  // At theta = 1 the tail exponent 1 / (1 - theta) divides by zero.
+  EXPECT_DEATH((void)Zipf(10, 1.0), "Zipf theta must lie in");
+  EXPECT_DEATH((void)Zipf(10, 1.5), "Zipf theta must lie in");
+  EXPECT_DEATH((void)Zipf(10, 0.0), "Zipf theta must lie in");
+  EXPECT_DEATH((void)Zipf(10, std::nan("")), "Zipf theta must lie in");
+}
+
+// sample() reads its rank from a threshold table; it must return exactly what
+// the reference formula rank_at() gives, at random grid indices and at every
+// index near a tabulated threshold, near the rank-1/tail seam and at the ends
+// of the grid, where the table hands over to the formula.
+using ZipfShape = std::pair<std::uint64_t, double>;  // (n, theta)
+class ZipfTable : public ::testing::TestWithParam<ZipfShape> {};
+
+TEST_P(ZipfTable, SampleEqualsReferenceFormula) {
+  const auto [n, theta] = GetParam();
+  const Zipf z(n, theta);
+  constexpr std::uint64_t kEnd = std::uint64_t{1} << Zipf::kGridBits;
+
+  // The table covers the whole head, and each threshold is a step of rank_at.
+  const auto thresholds = z.thresholds();
+  ASSERT_EQ(thresholds.size(), std::min<std::uint64_t>(n, Zipf::kTableRanks));
+  for (std::uint64_t r = 1; r <= thresholds.size(); ++r) {
+    const std::uint64_t t = thresholds[r - 1];
+    if (t == kEnd) continue;  // rank r never occurs
+    ASSERT_GE(z.rank_at(t), r);
+    ASSERT_LT(z.rank_at(t - 1), r);
+  }
+
+  std::uint64_t mismatches = 0;
+  const auto check = [&](std::uint64_t k) {
+    if (z.sample_at(k) != z.rank_at(k) && mismatches++ < 5) {
+      ADD_FAILURE() << "k " << k << ": table " << z.sample_at(k) << ", formula " << z.rank_at(k);
+    }
+  };
+  Rng rng(n);
+  for (int i = 0; i < 10'000'000; ++i) check(rng.next() >> 11);
+  std::vector<std::uint64_t> fences{0, z.seam()};
+  fences.insert(fences.end(), thresholds.begin(), thresholds.end());
+  constexpr std::uint64_t kReach = Zipf::kGuard + 4096;
+  for (const std::uint64_t f : fences) {
+    for (std::uint64_t k = f > kReach ? f - kReach : 0; k <= f + kReach && k < kEnd; ++k) check(k);
+  }
+  EXPECT_EQ(mismatches, 0u);
+
+  // sample() is sample_at() of one 53-bit draw.
+  Rng a(9);
+  Rng b(9);
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(z.sample(a), z.sample_at(b.next() >> 11));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ZipfTable,
+    ::testing::Values(ZipfShape{1, 0.9}, ZipfShape{2, 0.9}, ZipfShape{10, 0.9},
+                      ZipfShape{1000, 0.99}, ZipfShape{4096, 0.9}, ZipfShape{100000, 0.9},
+                      ZipfShape{1u << 20, 0.9}),
+    [](const auto& info) {
+      return "n" + std::to_string(info.param.first) + "_theta0_" +
+             std::to_string(static_cast<int>(info.param.second * 100 + 0.5));
+    });
 
 TEST(Payload, DeterministicAndOffsetConsistent) {
   const Bytes whole = make_payload(9, 0, 256);
