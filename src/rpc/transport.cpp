@@ -11,7 +11,6 @@ namespace {
 /// transport drives end to end.
 struct TransportMetrics {
   obs::Counter& attempts;
-  obs::Counter& drops;
   obs::Counter& errors;
   obs::Counter& outages;
   obs::Counter& timeouts;
@@ -30,7 +29,6 @@ struct TransportMetrics {
 TransportMetrics& transport_metrics() {
   auto& reg = obs::MetricsRegistry::global();
   static TransportMetrics m{reg.counter("rpc.attempts"),
-                            reg.counter("rpc.attempt.drops"),
                             reg.counter("rpc.attempt.errors"),
                             reg.counter("rpc.attempt.outages"),
                             reg.counter("rpc.timeouts"),
@@ -111,7 +109,6 @@ Transport::Attempt Transport::plan_attempt(sim::SimNode& server, SimMicros start
     case FaultVerdict::Kind::drop:
       // The request is gone; the client cannot distinguish slow from lost
       // and burns its whole per-attempt deadline before concluding timeout.
-      m.drops.inc();
       m.timeouts.inc();
       a.failed_at = start + (deadline_us > 0 ? deadline_us : kDefaultDropWaitUs);
       a.err = Errc::timeout;

@@ -1,6 +1,7 @@
 #include "spark/analytics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cstring>
 
@@ -68,63 +69,122 @@ Bytes generate_features(std::uint64_t seed, std::uint32_t rows, std::uint32_t fe
   return out;
 }
 
-std::uint64_t grep_count(ByteView text, std::string_view pattern) {
-  if (pattern.empty() || text.size() < pattern.size()) return 0;
-  std::uint64_t count = 0;
-  const char* hay = reinterpret_cast<const char*>(text.data());
-  std::size_t pos = 0;
-  while (pos + pattern.size() <= text.size()) {
-    const void* hit = std::memchr(hay + pos, pattern.front(), text.size() - pos);
-    if (!hit) break;
-    pos = static_cast<std::size_t>(static_cast<const char*>(hit) - hay);
-    if (pos + pattern.size() > text.size()) break;
-    if (std::memcmp(hay + pos, pattern.data(), pattern.size()) == 0) {
-      ++count;
-      pos += pattern.size();
-    } else {
-      ++pos;
-    }
-  }
-  return count;
+namespace {
+// Word-at-a-time (SWAR) helpers: eight text bytes in one little-endian
+// 64-bit word, byte k of the text in bits 8k..8k+7.
+constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
+constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+
+std::uint64_t load8(const std::byte* p) noexcept {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, 8);
+  if constexpr (std::endian::native == std::endian::big) return __builtin_bswap64(v);
+  return v;
 }
 
-namespace {
+constexpr std::uint64_t broadcast(char c) noexcept {
+  return kOnes * static_cast<unsigned char>(c);
+}
+
+/// Bit 7 of byte k is set iff byte k of `x` is zero. Exact: the masked add
+/// cannot carry out of a byte, so no byte's verdict leaks into its neighbour.
+constexpr std::uint64_t zero_bytes(std::uint64_t x) noexcept {
+  return ~(((x & kLow7) + kLow7) | x) & kHigh;
+}
+
 constexpr bool is_space(std::byte b) noexcept {
   return b == std::byte{' '} || b == std::byte{'\n'} || b == std::byte{'\t'} ||
          b == std::byte{'\r'};
 }
-}  // namespace
 
-std::uint64_t tokenize(ByteView text, Bytes* out) {
-  std::uint64_t tokens = 0;
+/// Bit 7 of byte k is set iff byte k of `v` is_space().
+constexpr std::uint64_t space_bytes(std::uint64_t v) noexcept {
+  return zero_bytes(v ^ broadcast(' ')) | zero_bytes(v ^ broadcast('\n')) |
+         zero_bytes(v ^ broadcast('\t')) | zero_bytes(v ^ broadcast('\r'));
+}
+
+/// Calls `fn(start, end)` for every maximal run of non-space bytes.
+template <typename Fn>
+void for_each_token(ByteView text, Fn&& fn) {
   std::size_t i = 0;
   while (i < text.size()) {
     while (i < text.size() && is_space(text[i])) ++i;
     const std::size_t start = i;
     while (i < text.size() && !is_space(text[i])) ++i;
-    if (i > start) {
-      ++tokens;
-      if (out) {
-        out->insert(out->end(), text.begin() + static_cast<std::ptrdiff_t>(start),
-                    text.begin() + static_cast<std::ptrdiff_t>(i));
-        out->push_back(std::byte{'\n'});
-      }
+    if (i > start) fn(start, i);
+  }
+}
+}  // namespace
+
+std::uint64_t grep_count(ByteView text, std::string_view pattern) {
+  const std::size_t m = pattern.size();
+  const std::size_t n = text.size();
+  if (m == 0 || n < m) return 0;
+  const std::byte* hay = text.data();
+  const std::uint64_t first = broadcast(pattern.front());
+  const std::uint64_t last = broadcast(pattern.back());
+  std::uint64_t count = 0;
+  std::size_t next = 0;  // matches may not start before the last one's end
+  const auto try_match = [&](std::size_t p) {
+    if (p >= next && std::memcmp(hay + p, pattern.data(), m) == 0) {
+      ++count;
+      next = p + m;
     }
+  };
+  // Eight candidate starts per step: a start is a candidate when its byte
+  // matches the pattern's first byte and the byte m-1 further its last.
+  std::size_t p = 0;
+  for (; p + m + 7 <= n; p += 8) {
+    std::uint64_t hits =
+        zero_bytes(load8(hay + p) ^ first) & zero_bytes(load8(hay + p + m - 1) ^ last);
+    while (hits != 0) {
+      try_match(p + static_cast<std::size_t>(std::countr_zero(hits)) / 8);
+      hits &= hits - 1;
+    }
+  }
+  for (; p + m <= n; ++p) try_match(p);
+  return count;
+}
+
+std::uint64_t tokenize(ByteView text, Bytes* out) {
+  if (out != nullptr) {
+    std::uint64_t tokens = 0;
+    for_each_token(text, [&](std::size_t start, std::size_t end) {
+      ++tokens;
+      out->insert(out->end(), text.begin() + static_cast<std::ptrdiff_t>(start),
+                  text.begin() + static_cast<std::ptrdiff_t>(end));
+      out->push_back(std::byte{'\n'});
+    });
+    return tokens;
+  }
+  // A token starts at a non-space byte whose predecessor is a space (or the
+  // start of the text). The predecessors' space flags are the word's own
+  // flags moved up one byte, with the previous word's last flag (`carry`)
+  // in byte 0.
+  std::uint64_t tokens = 0;
+  std::uint64_t carry = 0x80;  // the text's start acts as a space
+  std::size_t i = 0;
+  for (; i + 8 <= text.size(); i += 8) {
+    const std::uint64_t space = space_bytes(load8(text.data() + i));
+    const std::uint64_t starts = ~space & ((space << 8) | carry) & kHigh;
+    tokens += ((starts >> 7) * kOnes) >> 56;
+    carry = space >> 56;
+  }
+  bool prev_space = carry != 0;
+  for (; i < text.size(); ++i) {
+    const bool space = is_space(text[i]);
+    tokens += static_cast<std::uint64_t>(prev_space && !space);
+    prev_space = space;
   }
   return tokens;
 }
 
 std::unordered_map<std::string, std::uint64_t> word_frequencies(ByteView text) {
   std::unordered_map<std::string, std::uint64_t> freq;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && is_space(text[i])) ++i;
-    const std::size_t start = i;
-    while (i < text.size() && !is_space(text[i])) ++i;
-    if (i > start) {
-      ++freq[std::string(reinterpret_cast<const char*>(text.data()) + start, i - start)];
-    }
-  }
+  for_each_token(text, [&](std::size_t start, std::size_t end) {
+    ++freq[std::string(reinterpret_cast<const char*>(text.data()) + start, end - start)];
+  });
   return freq;
 }
 

@@ -41,11 +41,16 @@ namespace bsc::spark {
 
 // --- kernels -------------------------------------------------------------
 
-/// Count non-overlapping occurrences of `pattern` (Grep's inner loop).
+/// Count non-overlapping occurrences of `pattern`, leftmost first (Grep's
+/// inner loop). Word-at-a-time: eight candidate starts per step are filtered
+/// on the pattern's first and last byte, and each survivor is confirmed with
+/// memcmp, so the count is exactly that of the byte-at-a-time scan.
 [[nodiscard]] std::uint64_t grep_count(ByteView text, std::string_view pattern);
 
-/// Split into whitespace-delimited tokens; returns token count and, via
-/// `out` (optional), the concatenated "token\n" stream (Tokenizer's output).
+/// Split into tokens delimited by ' ', '\n', '\t' and '\r'; returns token
+/// count and, via `out` (optional), the concatenated "token\n" stream
+/// (Tokenizer's output). Without `out` the count is word-at-a-time (token
+/// starts are found eight bytes per step) and equals the byte loop's exactly.
 std::uint64_t tokenize(ByteView text, Bytes* out);
 
 /// Word-frequency table over the text (the classic WordCount reducer state).

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/hash.hpp"
 #include "spark/analytics.hpp"
@@ -169,6 +171,145 @@ TEST(Kernels, GrepFindsRealWordsInGeneratedText) {
   Bytes tokens;
   const std::uint64_t n = tokenize(as_view(text), &tokens);
   EXPECT_GT(n, 10000u);  // short words -> many tokens in 100 KB
+}
+
+// --- exactness of the word-at-a-time kernels -----------------------------
+//
+// The oracles are the byte-at-a-time loops the kernels replaced; the kernels
+// must return exactly their counts on any input.
+
+std::uint64_t grep_count_oracle(ByteView text, std::string_view pattern) {
+  if (pattern.empty() || text.size() < pattern.size()) return 0;
+  std::uint64_t count = 0;
+  const char* hay = reinterpret_cast<const char*>(text.data());
+  std::size_t pos = 0;
+  while (pos + pattern.size() <= text.size()) {
+    const void* hit = std::memchr(hay + pos, pattern.front(), text.size() - pos);
+    if (!hit) break;
+    pos = static_cast<std::size_t>(static_cast<const char*>(hit) - hay);
+    if (pos + pattern.size() > text.size()) break;
+    if (std::memcmp(hay + pos, pattern.data(), pattern.size()) == 0) {
+      ++count;
+      pos += pattern.size();
+    } else {
+      ++pos;
+    }
+  }
+  return count;
+}
+
+bool oracle_is_space(std::byte b) {
+  return b == std::byte{' '} || b == std::byte{'\n'} || b == std::byte{'\t'} ||
+         b == std::byte{'\r'};
+}
+
+std::uint64_t tokenize_oracle(ByteView text, Bytes* out) {
+  std::uint64_t tokens = 0;
+  std::size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && oracle_is_space(text[i])) ++i;
+    const std::size_t start = i;
+    while (i < text.size() && !oracle_is_space(text[i])) ++i;
+    if (i > start) {
+      ++tokens;
+      if (out) {
+        out->insert(out->end(), text.begin() + static_cast<std::ptrdiff_t>(start),
+                    text.begin() + static_cast<std::ptrdiff_t>(i));
+        out->push_back(std::byte{'\n'});
+      }
+    }
+  }
+  return tokens;
+}
+
+// Separators, word bytes, and high-bit bytes that differ from a separator or
+// a word byte only in bit 7 (0xa0 = ' ' | 0x80, 0x8a = '\n' | 0x80): a
+// carry or sign slip in the per-byte tests turns one into the other.
+constexpr unsigned char kAlphabet[] = {' ', '\n', '\t', '\r', 'w', '7', 'a',
+                                       0x80, 0xa0, 0x8a, 0xff};
+
+void fill_random(Rng& rng, Bytes& buf) {
+  for (std::byte& b : buf) {
+    b = static_cast<std::byte>(kAlphabet[rng.next_below(std::size(kAlphabet))]);
+  }
+}
+
+std::string as_string(ByteView v) {
+  return {reinterpret_cast<const char*>(v.data()), v.size()};
+}
+
+TEST(KernelExactness, TokenizeMatchesByteLoopAtEveryLengthAndOffset) {
+  Rng rng(0x70c);
+  Bytes buf(8 + 80);
+  for (std::size_t len = 0; len <= 80; ++len) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (int trial = 0; trial < 24; ++trial) {
+        fill_random(rng, buf);
+        const ByteView text = ByteView(buf).subspan(offset, len);
+        Bytes want_out;
+        const std::uint64_t want = tokenize_oracle(text, &want_out);
+        ASSERT_EQ(tokenize(text, nullptr), want)
+            << "len " << len << " offset " << offset << " text '" << as_string(text) << "'";
+        Bytes out;
+        ASSERT_EQ(tokenize(text, &out), want);
+        ASSERT_EQ(as_string(as_view(out)), as_string(as_view(want_out)));
+      }
+    }
+  }
+}
+
+TEST(KernelExactness, GrepCountMatchesByteLoopAtEveryLengthAndOffset) {
+  Rng rng(0x9e7);
+  Bytes buf(8 + 80);
+  // Self-overlapping, high-bit and longer-than-most-texts patterns; the
+  // loop below adds substrings of each text so that long patterns match too.
+  const std::vector<std::string> fixed = {
+      "w", "\xff", "\xa0", "aa", "aba", "w7", "\x80\xff", "aaa", " \n",
+      "aaaaaaaa", "aaaaaaaaa", "abaabaaba", "aaaaaaaaaaaaaaaaa"};
+  for (std::size_t len = 0; len <= 80; ++len) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (int trial = 0; trial < 12; ++trial) {
+        // Every other text is 'a'/'b' only, so that self-overlapping and
+        // long patterns occur many times in it.
+        if (trial % 2 == 0) {
+          fill_random(rng, buf);
+        } else {
+          for (std::byte& b : buf) b = rng.chance(0.7) ? std::byte{'a'} : std::byte{'b'};
+        }
+        const ByteView text = ByteView(buf).subspan(offset, len);
+        std::vector<std::string> patterns = fixed;
+        for (const std::size_t m : {1, 2, 3, 8, 9, 17}) {
+          if (m <= len) patterns.push_back(as_string(text.subspan(rng.next_below(len - m + 1), m)));
+        }
+        for (const std::string& pat : patterns) {
+          ASSERT_EQ(grep_count(text, pat), grep_count_oracle(text, pat))
+              << "len " << len << " offset " << offset << " pattern '" << pat << "' text '"
+              << as_string(text) << "'";
+        }
+      }
+    }
+  }
+}
+
+// The Spark Grep and Tokenizer tasks run the kernels over generate_text
+// corpora; their counts feed the simulated compute charge, so they are
+// pinned here as well as checked against the byte loops.
+TEST(KernelExactness, GeneratedCorpusCountsArePinned) {
+  struct Pin {
+    std::uint64_t seed;
+    std::uint64_t tokens;
+    std::uint64_t w7;
+  };
+  const Pin pins[] = {{1, 1636531, 74105}, {2, 1636536, 74581}, {3, 1636405, 74345}};
+  for (const Pin& pin : pins) {
+    const Bytes text = generate_text(pin.seed, 7u << 20);
+    const std::uint64_t tokens = tokenize(as_view(text), nullptr);
+    const std::uint64_t w7 = grep_count(as_view(text), "w7");
+    EXPECT_EQ(tokens, tokenize_oracle(as_view(text), nullptr)) << "seed " << pin.seed;
+    EXPECT_EQ(w7, grep_count_oracle(as_view(text), "w7")) << "seed " << pin.seed;
+    EXPECT_EQ(tokens, pin.tokens) << "seed " << pin.seed;
+    EXPECT_EQ(w7, pin.w7) << "seed " << pin.seed;
+  }
 }
 
 }  // namespace
