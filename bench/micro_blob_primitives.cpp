@@ -348,7 +348,7 @@ void BM_EngineLogGrowth(benchmark::State& state) {
   // 1.5 KiB appends to distinct keys of a fresh engine until its log holds
   // 64 MiB, then a fresh engine again. Nothing is overwritten, so no slot is
   // ever recycled: every append lands in a segment the log opened itself,
-  // the regime BM_EngineAppend's warm recycled slots cannot show.
+  // the regime BM_EngineAppend's recycled slots cannot show.
   constexpr std::uint64_t kAppend = 1536;
   constexpr std::size_t kKeys = (64ULL << 20) / kAppend;
   std::vector<std::string> keys;

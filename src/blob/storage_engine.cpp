@@ -74,68 +74,92 @@ void walk_overlaps(const Xs& xs, std::uint64_t off, std::uint64_t end, Out& out,
   }
 }
 
-/// Mappings of released segments, kept (pages resident) for the next
-/// segment of the same size in any engine of the process, newest first. Up
-/// to kSlots mappings and kBytes bytes are kept; the rest are unmapped. What
-/// a segment finds here depends only on the order in which the process's
-/// engines open and release segments.
-class SegmentPool {
- public:
-  static constexpr std::size_t kSlots = 64;
-  static constexpr std::size_t kBytes = std::size_t{512} << 20;
+}  // namespace
 
-  SegmentPool() { kept_.reserve(kSlots); }
-
-  void* take(std::size_t n) {
-    {
-      std::scoped_lock lk(mu_);
-      for (auto it = kept_.rbegin(); it != kept_.rend(); ++it) {
-        if (it->second != n) continue;
-        void* p = it->first;
-        kept_.erase(std::next(it).base());
-        bytes_ -= n;
-        return p;
-      }
-    }
-    void* p = ::mmap(nullptr, n, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED) throw std::bad_alloc();
-    return p;
-  }
-
-  void give(void* p, std::size_t n) noexcept {
-    {
-      std::scoped_lock lk(mu_);
-      if (kept_.size() < kSlots && bytes_ + n <= kBytes) {
-        kept_.emplace_back(p, n);  // within the reserved capacity: no allocation
-        bytes_ += n;
-        return;
-      }
-    }
-    (void)::munmap(p, n);
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<std::pair<void*, std::size_t>> kept_;  ///< (mapping, bytes)
-  std::size_t bytes_ = 0;                            ///< sum over kept_
+struct SegmentPool::Metrics {
+  obs::Counter& maps;
+  obs::Counter& reuses;
+  obs::Gauge& kept_bytes;
 };
 
-/// Never destroyed, so an engine that outlives static destruction can still
-/// release its segments.
-SegmentPool& segment_pool() {
-  static auto* pool = new SegmentPool;
+SegmentPool& SegmentPool::process() {
+  auto& reg = obs::MetricsRegistry::global();
+  static const Metrics metrics{reg.counter("engine.segment.maps"),
+                               reg.counter("engine.segment.reuses"),
+                               reg.gauge("engine.segment.kept_bytes")};
+  static auto* pool = new SegmentPool(&metrics);
   return *pool;
 }
-}  // namespace
+
+SegmentPool::~SegmentPool() {
+  for (const auto& [p, n] : kept_) (void)::munmap(p, n);
+}
+
+void* SegmentPool::take(std::size_t n) {
+  std::scoped_lock lk(mu_);
+  // Room for every give(), grown geometrically so that a pool of many
+  // mappings does not reallocate on every take.
+  const std::size_t room = kept_.size() + live_count_ + 1;
+  if (kept_.capacity() < room) kept_.reserve(std::max(room, 2 * kept_.capacity()));
+  void* p = nullptr;
+  for (auto it = kept_.rbegin(); it != kept_.rend(); ++it) {
+    if (it->second != n) continue;
+    p = it->first;
+    kept_.erase(std::next(it).base());
+    kept_bytes_ -= n;
+    if (metrics_) metrics_->reuses.inc();
+    break;
+  }
+  if (p == nullptr) {
+    auto fits = kept_.begin();
+    for (; fits != kept_.end() && live_bytes_ + kept_bytes_ + n > high_water_; ++fits) {
+      (void)::munmap(fits->first, fits->second);
+      kept_bytes_ -= fits->second;
+    }
+    kept_.erase(kept_.begin(), fits);
+    p = ::mmap(nullptr, n, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    if (metrics_) metrics_->maps.inc();
+  }
+  ++live_count_;
+  live_bytes_ += n;
+  high_water_ = std::max(high_water_, live_bytes_);
+  if (metrics_) metrics_->kept_bytes.set(static_cast<std::int64_t>(kept_bytes_));
+  return p;
+}
+
+void SegmentPool::give(void* p, std::size_t n) noexcept {
+  std::scoped_lock lk(mu_);
+  kept_.emplace_back(p, n);  // within the capacity take() reserved: no allocation
+  kept_bytes_ += n;
+  --live_count_;
+  live_bytes_ -= n;
+  if (metrics_) metrics_->kept_bytes.set(static_cast<std::int64_t>(kept_bytes_));
+}
+
+std::size_t SegmentPool::mapped_bytes() const {
+  std::scoped_lock lk(mu_);
+  return live_bytes_ + kept_bytes_;
+}
+
+std::size_t SegmentPool::kept_bytes() const {
+  std::scoped_lock lk(mu_);
+  return kept_bytes_;
+}
+
+std::size_t SegmentPool::high_water() const {
+  std::scoped_lock lk(mu_);
+  return high_water_;
+}
 
 void LogSegment::open(std::uint64_t capacity) {
   release();
-  data_ = static_cast<std::byte*>(segment_pool().take(capacity));
+  data_ = static_cast<std::byte*>(SegmentPool::process().take(capacity));
   capacity_ = capacity;
 }
 
 void LogSegment::release() noexcept {
-  if (data_ != nullptr) segment_pool().give(data_, capacity_);
+  if (data_ != nullptr) SegmentPool::process().give(data_, capacity_);
   data_ = nullptr;
   size_ = 0;
   capacity_ = 0;
@@ -189,11 +213,8 @@ bool StorageEngine::contains(const std::string& key) const {
 std::pair<std::uint32_t, std::uint64_t> StorageEngine::append_to_log(ByteView data) {
   if (segments_[active_].size() + data.size() > cfg_.segment_bytes &&
       !segments_[active_].empty()) {
-    // Seal the active segment and open a fresh one. Prefer a recycled
-    // fully-dead slot: its buffer's pages are already faulted in, and cold
-    // first-touch faults — not the copy itself — dominate append cost on a
-    // log that only ever grows (steady-state overwrite workloads retire
-    // whole segments continuously).
+    // Seal the active segment and move to a released slot index, or a new
+    // one. Either way the segment opens below with a pooled mapping.
     const std::uint32_t sealed = active_;
     if (!free_slots_.empty()) {
       active_ = free_slots_.back();
@@ -208,8 +229,7 @@ std::pair<std::uint32_t, std::uint64_t> StorageEngine::append_to_log(ByteView da
   LogSegment& seg = segments_[active_];
   // Open the segment at its full capacity in one allocation (a payload of
   // segment size or more gets exactly its own size), so it never
-  // reallocates or moves while it fills. A recycled warm slot already holds
-  // the capacity.
+  // reallocates or moves while it fills.
   const std::uint64_t need = std::max<std::uint64_t>(cfg_.segment_bytes, data.size());
   if (seg.empty() && seg.capacity() < need) seg.open(need);
   const std::uint64_t seg_off = seg.size();
@@ -229,12 +249,10 @@ void StorageEngine::maybe_recycle(std::uint32_t segment) {
   if (segment == active_ || seg_live_[segment] != 0 || segments_[segment].empty()) {
     return;
   }
-  // Every byte in the segment is dead: no live extent references it, so the
-  // buffer can be reused wholesale. clear() keeps the capacity (warm pages);
-  // past kWarmSlots the buffer goes back to the segment pool and only the
-  // slot is recycled.
-  segments_[segment].clear();
-  if (free_slots_.size() >= kWarmSlots) segments_[segment].release();
+  // Every byte in the segment is dead: no live extent references it, so its
+  // mapping goes back to the segment pool, whose newest kept mapping of this
+  // size the next segment open takes (pages still resident).
+  segments_[segment].release();
   free_slots_.push_back(segment);
 }
 

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,15 +38,65 @@ struct EngineConfig {
   double compact_dead_ratio = 0.5;           ///< compaction trigger threshold
 };
 
+/// Mappings for log segments, the one recycler of their memory. give()
+/// keeps every mapping it is handed (its pages stay resident); take(n)
+/// hands back the newest kept mapping of exactly n bytes, or else unmaps
+/// kept mappings, oldest first, until a fresh mapping of n bytes fits under
+/// high_water() and maps it. The budget is the pool's own past: mapped
+/// bytes (live plus kept) never exceed the most it ever had live, so
+/// keeping mappings never raises peak memory, and a process that builds
+/// clusters one after another reuses resident pages instead of faulting
+/// fresh ones in. What a take finds depends only on the order of takes and
+/// gives. Thread-safe.
+class SegmentPool {
+ public:
+  /// A private pool that publishes no metrics (tests); engines use process().
+  SegmentPool() = default;
+  SegmentPool(const SegmentPool&) = delete;
+  SegmentPool& operator=(const SegmentPool&) = delete;
+  /// Unmaps the kept mappings; every taken one must have been given back.
+  ~SegmentPool();
+
+  /// The pool every LogSegment uses. Process-wide on purpose: a pool owned
+  /// and released with each store would fault every page of every cluster
+  /// again. Never destroyed, so an engine that outlives static destruction
+  /// can still release its segments. Publishes engine.segment.maps (fresh
+  /// mappings), engine.segment.reuses and engine.segment.kept_bytes.
+  static SegmentPool& process();
+
+  /// A mapping of exactly `n` bytes: reused (old bytes intact) or fresh
+  /// (zeroed). Throws std::bad_alloc when the system has no memory to map.
+  void* take(std::size_t n);
+  /// Keep `p`, which take(n) returned; never unmaps or allocates.
+  void give(void* p, std::size_t n) noexcept;
+
+  [[nodiscard]] std::size_t mapped_bytes() const;  ///< live plus kept
+  [[nodiscard]] std::size_t kept_bytes() const;
+  [[nodiscard]] std::size_t high_water() const;    ///< most bytes ever live
+
+ private:
+  struct Metrics;
+  explicit SegmentPool(const Metrics* metrics) : metrics_(metrics) {}
+
+  const Metrics* metrics_ = nullptr;
+  mutable std::mutex mu_;
+  /// (mapping, bytes), oldest first. give() never allocates: take() keeps
+  /// the capacity at least kept_.size() + live_count_.
+  std::vector<std::pair<void*, std::size_t>> kept_;
+  std::size_t kept_bytes_ = 0;  ///< sum over kept_
+  std::size_t live_count_ = 0;  ///< mappings taken and not given back
+  std::size_t live_bytes_ = 0;
+  std::size_t high_water_ = 0;  ///< max of live_bytes_
+};
+
 /// One log segment's bytes: a buffer of fixed capacity that appends copy
 /// into and that never moves. Its memory bypasses the heap: open() takes a
-/// mapping of the same size that a released segment left in the
-/// process-wide segment pool (its pages still resident), or maps a fresh
-/// one whose pages commit on first touch; release() returns the mapping to
-/// the pool, which unmaps what it cannot keep. Through the heap, whether a
-/// new segment's appends fault would hang on the allocator's history in the
-/// whole process: on a benchmark that builds a fresh cluster every pass,
-/// runs of one build spread from 84 to 141 k ops/s (4-core x86 host).
+/// mapping from SegmentPool::process() (a released segment's, pages still
+/// resident, or a fresh one whose pages commit on first touch) and
+/// release() gives it back. Through the heap, whether a new segment's
+/// appends fault would hang on the allocator's history in the whole
+/// process: on a benchmark that builds a fresh cluster every pass, runs of
+/// one build spread from 84 to 141 k ops/s (4-core x86 host).
 class LogSegment {
  public:
   LogSegment() = default;
@@ -79,8 +130,6 @@ class LogSegment {
     if (!data.empty()) std::memcpy(data_ + size_, data.data(), data.size());
     size_ += data.size();
   }
-  /// Empty the segment but keep its buffer (and its resident pages).
-  void clear() noexcept { size_ = 0; }
 
   [[nodiscard]] std::byte* data() noexcept { return data_; }
   [[nodiscard]] const std::byte* data() const noexcept { return data_; }
@@ -275,9 +324,8 @@ class StorageEngine {
   /// live count) and recycle the slot if the segment is now fully dead.
   void retire_bytes(std::uint32_t segment, std::uint64_t n);
 
-  /// If `segment` is sealed, non-empty and fully dead, clear its buffer and
-  /// put the slot on the free list so the next sealed-segment transition
-  /// reuses it (warm pages) instead of faulting a fresh allocation.
+  /// If `segment` is sealed, non-empty and fully dead, give its mapping back
+  /// to the segment pool and put the slot index on the free list.
   void maybe_recycle(std::uint32_t segment);
 
   /// Replace [off, off+len) of the object's extent list with a new extent.
@@ -306,10 +354,7 @@ class StorageEngine {
   std::vector<LogSegment> segments_;
   std::uint32_t active_ = 0;                ///< index of the open (append) segment
   std::vector<std::uint64_t> seg_live_;     ///< live bytes per segment slot
-  std::vector<std::uint32_t> free_slots_;   ///< fully-dead slots ready for reuse
-  /// Slots beyond this many on the free list drop their buffer memory (the
-  /// slot itself is still reused, it just re-reserves on next open).
-  static constexpr std::size_t kWarmSlots = 8;
+  std::vector<std::uint32_t> free_slots_;   ///< released slot indices ready for reuse
   std::uint64_t live_bytes_ = 0;
   std::uint64_t dead_bytes_ = 0;
   persist::Journal* journal_ = nullptr;

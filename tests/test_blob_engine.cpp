@@ -1,12 +1,16 @@
 // Unit + property tests for the per-node log-structured blob engine.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <iterator>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "blob/storage_engine.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "persist/fault_file.hpp"
 #include "persist/wal.hpp"
 
@@ -305,6 +309,126 @@ TEST(LogSegment, ReleasedBufferServesTheNextSegmentOfItsSize) {
   LogSegment d = std::move(c);
   EXPECT_EQ(d.capacity(), n);
   EXPECT_EQ(c.capacity(), 0u);  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(SegmentPool, KeepsEveryReleasedMappingAndHandsThemBackNewestFirst) {
+  SegmentPool pool;
+  constexpr std::size_t n = 2 * 4096;
+  constexpr std::size_t kCount = 100;  // more mappings than any fixed cap of 64
+  std::vector<void*> maps;
+  for (std::size_t i = 0; i < kCount; ++i) maps.push_back(pool.take(n));
+  EXPECT_EQ(pool.high_water(), kCount * n);
+  for (void* p : maps) pool.give(p, n);
+  EXPECT_EQ(pool.kept_bytes(), kCount * n);
+  EXPECT_EQ(pool.mapped_bytes(), kCount * n);
+  for (auto it = maps.rbegin(); it != maps.rend(); ++it) EXPECT_EQ(pool.take(n), *it);
+  EXPECT_EQ(pool.kept_bytes(), 0u);
+  EXPECT_EQ(pool.mapped_bytes(), kCount * n);
+  for (void* p : maps) pool.give(p, n);
+}
+
+TEST(SegmentPool, MissUnmapsOldestKeptMappingsToStayUnderHighWater) {
+  SegmentPool pool;
+  constexpr std::size_t small = 4096;
+  constexpr std::size_t big = 3 * small;
+  std::vector<void*> smalls;
+  for (int i = 0; i < 4; ++i) smalls.push_back(pool.take(small));
+  for (void* p : smalls) pool.give(p, small);
+  ASSERT_EQ(pool.high_water(), 4 * small);
+  // A miss of another size unmaps the three oldest to make room for itself.
+  void* x = pool.take(big);
+  EXPECT_EQ(pool.kept_bytes(), small);
+  EXPECT_EQ(pool.mapped_bytes(), 4 * small);
+  EXPECT_EQ(pool.high_water(), 4 * small);
+  EXPECT_EQ(pool.take(small), smalls.back());  // the newest is the one kept
+  // With nothing left to unmap, a miss maps past the mark and raises it.
+  void* y = pool.take(big);
+  EXPECT_EQ(pool.mapped_bytes(), 2 * big + small);
+  EXPECT_EQ(pool.high_water(), 2 * big + small);
+  pool.give(x, big);
+  pool.give(smalls.back(), small);
+  pool.give(y, big);
+  EXPECT_EQ(pool.kept_bytes(), pool.mapped_bytes());
+  EXPECT_LE(pool.mapped_bytes(), pool.high_water());
+}
+
+TEST(SegmentPool, ReusedMappingKeepsItsBytesAndAFreshOneIsZeroed) {
+  SegmentPool pool;
+  constexpr std::size_t n = 2 * 4096;
+  auto* p = static_cast<std::byte*>(pool.take(n));
+  std::memset(p, 0x5a, n);
+  pool.give(p, n);
+  auto* reused = static_cast<std::byte*>(pool.take(n));
+  EXPECT_EQ(reused, p);
+  EXPECT_EQ(reused[0], std::byte{0x5a});
+  EXPECT_EQ(reused[n - 1], std::byte{0x5a});
+  auto* fresh = static_cast<std::byte*>(pool.take(n));
+  EXPECT_NE(fresh, p);
+  EXPECT_EQ(fresh[0], std::byte{0});
+  EXPECT_EQ(fresh[n - 1], std::byte{0});
+  pool.give(reused, n);
+  pool.give(fresh, n);
+}
+
+TEST(SegmentPool, ConcurrentOwnersNeverShareAMapping) {
+  // Each owner stamps every page of its mapping, yields, and checks the
+  // stamps before giving it back: a stamp that changed under its owner means
+  // one mapping was handed to two owners at once. Rounds alternate two sizes
+  // so misses also unmap kept mappings while other threads hold theirs.
+  SegmentPool pool;
+  constexpr std::size_t kPage = 4096;
+  constexpr std::size_t kThreads = 8;
+  constexpr std::uint64_t kRounds = 400;
+  std::atomic<std::uint64_t> clashes{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&pool, &clashes, t] {
+      for (std::uint64_t r = 0; r < kRounds; ++r) {
+        const std::size_t n = (r % 2 == 0 ? 4 : 6) * kPage;
+        auto* p = static_cast<std::byte*>(pool.take(n));
+        const std::uint64_t stamp = (std::uint64_t{t} << 32) | r;
+        for (std::size_t off = 0; off < n; off += kPage) std::memcpy(p + off, &stamp, 8);
+        std::this_thread::yield();
+        for (std::size_t off = 0; off < n; off += kPage) {
+          std::uint64_t seen = 0;
+          std::memcpy(&seen, p + off, 8);
+          if (seen != stamp) clashes.fetch_add(1, std::memory_order_relaxed);
+        }
+        pool.give(p, n);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(clashes.load(), 0u);
+  EXPECT_EQ(pool.kept_bytes(), pool.mapped_bytes());
+  EXPECT_LE(pool.mapped_bytes(), pool.high_water());
+  EXPECT_LE(pool.high_water(), kThreads * 6 * kPage);
+}
+
+TEST(Engine, DeadSegmentMappingServesTheNextSegmentOpen) {
+  // A segment size no other test uses, so the process pool keeps no other
+  // mapping of it.
+  constexpr std::uint64_t kSeg = 5 * 4096 + 3;
+  auto& reg = obs::MetricsRegistry::global();
+  const obs::Counter& maps = reg.counter("engine.segment.maps");
+  const obs::Counter& reuses = reg.counter("engine.segment.reuses");
+  SegmentPool& pool = SegmentPool::process();
+  StorageEngine e(EngineConfig{.segment_bytes = kSeg});
+  ExpectedObjects want;
+  write_both(e, want, "a", 0, make_payload(11, 0, 4 * 4096));
+  write_both(e, want, "b", 0, make_payload(12, 0, 4 * 4096));  // seals segment 0
+  const std::uint64_t kept = pool.kept_bytes();
+  ASSERT_TRUE(e.remove("a").ok());  // segment 0 is now fully dead
+  want.erase("a");
+  EXPECT_EQ(pool.kept_bytes(), kept + kSeg);
+  const std::uint64_t maps_before = maps.value();
+  const std::uint64_t reuses_before = reuses.value();
+  write_both(e, want, "c", 0, make_payload(13, 0, 4 * 4096));  // seals 1, reopens slot 0
+  EXPECT_EQ(e.segments_total(), 2u);
+  EXPECT_EQ(maps.value(), maps_before);
+  EXPECT_EQ(reuses.value(), reuses_before + 1);
+  EXPECT_EQ(pool.kept_bytes(), kept);
+  expect_contents(e, want);
 }
 
 TEST(Engine, SteadyStateOverwriteRecyclesSegmentSlots) {
