@@ -382,6 +382,7 @@ Status BlobClient::mutation_leg(const std::string& ekey,
     start += 2 * store_->cluster().net().transfer_us(kProbeReq);
   }
   const std::vector<std::uint32_t>& replicas = p.replicas;
+  read_metas(k);
 
   // Applicability check against the acting primary's current state, so the
   // apply below cannot fail on one replica and succeed on another. Ops in a
@@ -389,19 +390,18 @@ Status BlobClient::mutation_leg(const std::string& ekey,
   const auto acting = store_->first_up(replicas);
   if (!acting) return {Errc::unavailable, "all replicas down: " + ekey};
   BlobServer& primary = store_->server(*acting);
-  bool exists = !primary.version_matches(ekey, 0);
-  const bool pre_exists = exists;
+  bool exists = k.meta_on(*acting).version != 0;
   if (info != nullptr) {
-    // Piggyback the pre-leg size on the lock round already holding every
-    // replica — the striped paths use it for chunk layout instead of a
-    // separate stat round. In quorum mode the freshest live replica is
-    // authoritative (a stale primary may have missed acked writes).
+    // The pre-leg size rides on the metas read under the lock round — the
+    // striped paths use it for chunk layout instead of a separate stat
+    // round. In quorum mode the freshest live replica is authoritative (a
+    // stale primary may have missed acked writes).
     info->pre_size = 0;
-    if (pre_exists) {
+    if (exists) {
       if (store_->config().write_quorum == 0) {
-        info->pre_size = primary.peek_size(ekey).value_or(0);
-      } else if (const auto best = store_->freshest(ekey, replicas)) {
-        info->pre_size = store_->server(best->index).peek_size(ekey).value_or(0);
+        info->pre_size = k.meta_on(*acting).length;
+      } else if (const auto best = freshest_of(k)) {
+        info->pre_size = k.metas[*best].length;
       }
     }
   }
@@ -441,7 +441,7 @@ Status BlobClient::mutation_leg(const std::string& ekey,
     return precheck;
   }
 
-  plan_versions(primary, pre_exists, ops.size(), k);
+  plan_versions(*acting, ops.size(), k);
   if (info != nullptr) info->new_version = k.new_version;
   std::vector<BlobServer::OpRef> refs;
   refs.reserve(ops.size());
@@ -479,7 +479,7 @@ Status BlobClient::mutation_leg(const std::string& ekey,
       continue;
     }
     BlobServer& rep = store_->server(rid);
-    if (!rep.version_matches(ekey, k.pre_version)) {
+    if (k.meta_on(rid).version != k.pre_version) {
       // Behind (missed earlier ops): applying would interleave histories.
       k.missed.push_back(rid);
       continue;
@@ -526,11 +526,42 @@ Status BlobClient::mutation_leg(const std::string& ekey,
   return settle_replicas(primary, settled, miss_err);
 }
 
-void BlobClient::plan_versions(BlobServer& primary, bool pre_exists, std::uint64_t nops,
-                               KeyLeg& k) {
-  k.pre_version = pre_exists ? primary.peek_version(*k.ekey).value_or(0) : 0;
-  const auto best = store_->freshest(*k.ekey, k.place.replicas);
-  const Version base = std::max(k.pre_version, best ? best->version : 0);
+const ObjectMeta& BlobClient::KeyLeg::meta_on(std::uint32_t node) const {
+  static const ObjectMeta absent;
+  const std::size_t nr = place.replicas.size();
+  for (std::size_t i = 0; i < nr; ++i) {
+    if (place.replicas[i] == node) return metas[i];
+  }
+  for (std::size_t i = 0; i < place.pending.size(); ++i) {
+    if (place.pending[i] == node) return metas[nr + i];
+  }
+  return absent;
+}
+
+void BlobClient::read_metas(KeyLeg& k) {
+  k.metas.clear();
+  k.metas.reserve(k.place.replicas.size() + k.place.pending.size());
+  for (const auto* nodes : {&k.place.replicas, &k.place.pending}) {
+    for (std::uint32_t n : *nodes) {
+      k.metas.push_back(store_->server(n).peek_meta(*k.ekey).value_or(ObjectMeta{}));
+    }
+  }
+}
+
+std::optional<std::size_t> BlobClient::freshest_of(const KeyLeg& k) const {
+  std::optional<std::size_t> best;
+  for (std::size_t i = 0; i < k.place.replicas.size(); ++i) {
+    const Version v = k.metas[i].version;
+    if (v == 0 || store_->is_down(k.place.replicas[i])) continue;
+    if (!best || v > k.metas[*best].version) best = i;
+  }
+  return best;
+}
+
+void BlobClient::plan_versions(std::uint32_t acting, std::uint64_t nops, KeyLeg& k) {
+  k.pre_version = k.meta_on(acting).version;
+  const auto best = freshest_of(k);
+  const Version base = std::max(k.pre_version, best ? k.metas[*best].version : 0);
   k.new_version = base + nops;
   k.continue_versions = base > k.pre_version;
 }
@@ -545,7 +576,7 @@ void BlobClient::mirror_pending(BlobServer& primary, const KeyLeg& k,
       continue;
     }
     BlobServer& tgt = store_->server(tid);
-    if (!tgt.version_matches(*k.ekey, k.pre_version)) continue;  // copy not landed yet
+    if (k.meta_on(tid).version != k.pre_version) continue;  // copy not landed yet
     LegDelivery dd = try_deliver(tgt, launch, req);
     if (!dd.ok) {
       if (primary.add_hint(tid, *k.ekey)) counters_.hints_written.inc();
@@ -734,7 +765,8 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   run_idx.reserve(subs.size());
   for (std::size_t i = 0; i < subs.size(); ++i) {
     BatchSub& sub = *subs[i];
-    const bool exists = !primary.version_matches(sub.ekey, 0);
+    read_metas(st[i]);
+    const bool exists = st[i].meta_on(primary_id).version != 0;
     if (!exists && sub.op.kind != BlobServer::TxnOp::Kind::write) {
       if (sub.tolerate_not_found) continue;
       // Pay one failed round trip, as mutation_leg's precheck does.
@@ -744,7 +776,7 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
       return {Errc::not_found, sub.ekey};
     }
     st[i].ends_removed = sub.op.kind == BlobServer::TxnOp::Kind::remove;
-    plan_versions(primary, exists, 1, st[i]);
+    plan_versions(primary_id, 1, st[i]);
     run_idx.push_back(i);
   }
   if (run_idx.empty()) return Status::success();  // all holes: nothing to send
@@ -855,7 +887,7 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
     for (std::size_t j = 0; j < run_idx.size(); ++j) {
       const std::size_t i = run_idx[j];
       if (!replicated_here(i)) continue;
-      if (!rep.version_matches(subs[i]->ekey, st[i].pre_version)) {
+      if (st[i].meta_on(rid).version != st[i].pre_version) {
         st[i].missed.push_back(rid);  // behind: applying would interleave
       } else {
         fwd.push_back(j);

@@ -257,6 +257,9 @@ class BlobClient {
   struct KeyLeg {
     const std::string* ekey = nullptr;
     Placement place;                 ///< replicas + pending dual-write targets
+    /// The key's length and version on each node of place.replicas, then of
+    /// place.pending, read once by read_metas under the leg's stripes.
+    std::vector<ObjectMeta> metas;
     Version pre_version = 0;         ///< see plan_versions
     Version new_version = 0;
     bool continue_versions = false;
@@ -268,16 +271,31 @@ class BlobClient {
     void lift(BlobServer& srv) const {
       if (continue_versions && !ends_removed) (void)srv.force_version(*ekey, new_version);
     }
+
+    /// The key's meta on locked node `node` (version 0: absent).
+    [[nodiscard]] const ObjectMeta& meta_on(std::uint32_t node) const;
   };
 
-  /// Replica-version bookkeeping, read under the held stripes (the version
-  /// exchange piggybacks on the lock round). `pre_version` is the
-  /// authoritative base a replica must be at to apply the ops (else it missed
-  /// earlier ops and would diverge — it gets a hint instead). The post-apply
-  /// version continues above the highest version any live replica holds, so
-  /// versions never regress across remove/recreate cycles, keeping
-  /// "max version = freshest" true for quorum arbitration.
-  void plan_versions(BlobServer& primary, bool pre_exists, std::uint64_t nops, KeyLeg& k);
+  /// The leg's one engine visit per locked node: fills k.metas. The caller
+  /// holds the key's stripe on every node of k.place, and every path that
+  /// changes a version takes a stripe or the structure lock exclusive, so
+  /// the metas stay exact for the rest of the leg. An absent key reads as
+  /// version 0, which no present object holds (versions start at 1).
+  void read_metas(KeyLeg& k);
+
+  /// Index into k.place.replicas of the live replica holding the highest
+  /// version of the key (the first such in replica order), from k.metas;
+  /// nullopt when no live replica holds it.
+  [[nodiscard]] std::optional<std::size_t> freshest_of(const KeyLeg& k) const;
+
+  /// Replica-version bookkeeping from k.metas. `pre_version` is the acting
+  /// primary's version: the authoritative base a replica must be at to apply
+  /// the ops (else it missed earlier ops and would diverge — it gets a hint
+  /// instead). The post-apply version continues above the highest version
+  /// any live replica holds, so versions never regress across
+  /// remove/recreate cycles, keeping "max version = freshest" true for
+  /// quorum arbitration.
+  void plan_versions(std::uint32_t acting, std::uint64_t nops, KeyLeg& k);
 
   /// Dual-write targets (open migration window): the new-only owners get the
   /// key's applied ops too, launched at `launch`, version-gated exactly like

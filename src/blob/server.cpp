@@ -234,13 +234,13 @@ void BlobServer::read_batch(const ReadSubOp* subs, std::size_t count,
     if (sub.stat_only) {
       t += 1;
       std::scoped_lock elk(engine_mu_);
-      auto s = engine_.size(*sub.key);
+      auto s = engine_.meta(*sub.key);
       if (!s.ok()) {
         res.err = Errc::not_found;
         return &m.stat;
       }
-      res.size = s.value();
-      res.version = engine_.version(*sub.key).value_or(0);
+      res.size = s.value().length;
+      res.version = s.value().version;
       return &m.stat;
     }
     if (sub.digest_only) {
@@ -255,26 +255,21 @@ void BlobServer::read_batch(const ReadSubOp* subs, std::size_t count,
         res.err = pr.code();
         return nullptr;
       }
-      res.version = engine_.version(*sub.key).value_or(0);
+      res.version = pr.value().version;
       res.digest = pr.value().digest;
       res.data_len = pr.value().data_len;  // the payload bytes the vote avoided
       res.covered = pr.value().covered;
       return &m.stat;
     }
-    std::uint64_t obj_size = 0;
     std::uint64_t span_digest = 0;
     auto r = [&] {
       std::scoped_lock elk(engine_mu_);
       auto rr = engine_.read_into(*sub.key, sub.off, sub.dst);
-      if (rr.ok()) {
-        obj_size = engine_.size(*sub.key).value_or(0);
-        res.version = engine_.version(*sub.key).value_or(0);
-        if (sub.want_digest) {
-          // Same extent-index fold the digest-only votes use, so both sides
-          // of an arbitration compare digests with one definition.
-          auto pr = engine_.span_probe(*sub.key, sub.off, sub.dst.size());
-          if (pr.ok()) span_digest = pr.value().digest;
-        }
+      if (rr.ok() && sub.want_digest) {
+        // Same extent-index fold the digest-only votes use, so both sides of
+        // an arbitration compare digests with one definition.
+        auto pr = engine_.span_probe(*sub.key, sub.off, sub.dst.size());
+        if (pr.ok()) span_digest = pr.value().digest;
       }
       return rr;
     }();
@@ -285,8 +280,9 @@ void BlobServer::read_batch(const ReadSubOp* subs, std::size_t count,
     const auto& out = r.value();
     res.data_len = out.data_len;
     res.covered = out.covered;
+    res.version = out.version;
     res.digest = span_digest;
-    t += svc_read(*sub.key, obj_size, out.data_len, out.extents_touched);
+    t += svc_read(*sub.key, out.length, out.data_len, out.extents_touched);
     return &m.read;
   };
   for (std::size_t i = 0; i < count; ++i) {
@@ -304,11 +300,9 @@ Result<BlobStat> BlobServer::stat(const std::string& key, SimMicros* service_us)
   std::shared_lock lk(mu_);
   *service_us = costs_.cpu_op_us;
   std::scoped_lock elk(engine_mu_);
-  auto s = engine_.size(key);
+  auto s = engine_.meta(key);
   if (!s.ok()) return s.error();
-  auto v = engine_.version(key);
-  if (!v.ok()) return v.error();
-  return BlobStat{key, s.value(), v.value()};
+  return BlobStat{key, s.value().length, s.value().version};
 }
 
 std::vector<BlobStat> BlobServer::scan(const std::string& prefix, SimMicros* service_us) {
@@ -360,7 +354,7 @@ Status BlobServer::apply_ops(const OpRef* ops, std::size_t count, SimMicros* ser
           series = &m.write;
           auto r = engine_.write(*op.key, op.offset, op.data, true, op.checksum);
           st = status_of(r);
-          if (r.ok()) obj_size = engine_.size(*op.key).value_or(0);
+          if (r.ok()) obj_size = r.value().length;
           break;
         }
         case TxnOp::Kind::truncate:
@@ -418,6 +412,11 @@ Result<Version> BlobServer::peek_version(const std::string& key) {
   return engine_.version(key);
 }
 
+Result<ObjectMeta> BlobServer::peek_meta(const std::string& key) {
+  std::scoped_lock elk(engine_mu_);
+  return engine_.meta(key);
+}
+
 Status BlobServer::force_version(const std::string& key, Version v) {
   std::scoped_lock elk(engine_mu_);
   return engine_.set_version(key, v);
@@ -452,8 +451,7 @@ Status BlobServer::install_copy_locked(const std::string& key, ByteView data,
   SimMicros t = costs_.cpu_op_us + svc_bytes_cpu(data.size());
   if (st.ok()) {
     t += node_->disk().service_us(data.size(), /*sequential=*/true);
-    std::uint64_t obj_size = peek_size(key).value_or(0);
-    node_->cache().touch_write(fnv1a64(key), obj_size);
+    node_->cache().touch_write(fnv1a64(key), logical_size);  // the copy's length
   }
   *service_us = t;
   return st;
@@ -464,15 +462,14 @@ Result<ReadOutcome> BlobServer::read_locked(const std::string& key, std::uint64_
   // Caller holds lock_exclusive(), a KeyLock on `key`, or (via read()) the
   // shared structure lock.
   OpPublisher pub(server_metrics().read, service_us);
-  std::uint64_t obj_size = 0;
   auto r = [&] {
     std::scoped_lock elk(engine_mu_);
-    auto rr = engine_.read(key, off, len);
-    if (rr.ok()) obj_size = engine_.size(key).value_or(0);
-    return rr;
+    return engine_.read(key, off, len);
   }();
   SimMicros t = costs_.cpu_op_us;
-  if (r.ok()) t += svc_read(key, obj_size, r.value().data.size(), r.value().extents_touched);
+  if (r.ok()) {
+    t += svc_read(key, r.value().length, r.value().data.size(), r.value().extents_touched);
+  }
   *service_us = t;
   return r;
 }

@@ -194,6 +194,9 @@ class BlobServer {
   /// Quorum reads arbitrate replica freshness with this.
   [[nodiscard]] Result<Version> peek_version(const std::string& key);
 
+  /// peek_size and peek_version in one engine visit (same locking contract).
+  [[nodiscard]] Result<ObjectMeta> peek_meta(const std::string& key);
+
   /// Overwrite the key's version (journaled). Caller holds lock_exclusive()
   /// or a KeyLock on `key`. The replication layer uses this to keep
   /// versions monotonic across remove/recreate cycles and identical on

@@ -256,16 +256,17 @@ void StorageEngine::maybe_recycle(std::uint32_t segment) {
   free_slots_.push_back(segment);
 }
 
-void StorageEngine::supersede_range(ObjectRec& rec, std::uint64_t off, std::uint64_t len) {
+std::vector<StorageEngine::Extent>::iterator StorageEngine::supersede_range(
+    std::vector<Extent>& xs, std::vector<Extent>::iterator first, std::uint64_t off,
+    std::uint64_t len) {
   const std::uint64_t end = off + len;
-  auto& xs = rec.extents;
-  const auto first = first_ending_after(xs.begin(), xs.end(), off);
   auto last = first;
   while (last != xs.end() && last->log_off < end) ++last;
-  if (first == last) return;  // nothing overlaps
+  if (first == last) return first;  // nothing overlaps: insert before the run
   // Overlap: keep the non-overlapping left/right slices, kill the middle.
   // Only the run's first extent can stick out on the left and only its last
   // on the right, so at most two trimmed pieces replace the run.
+  const bool left_kept = first->log_off < off;  // the new extent goes after it
   std::array<Extent, 2> pieces;
   std::size_t n = 0;
   for (auto it = first; it != last; ++it) {
@@ -288,8 +289,9 @@ void StorageEngine::supersede_range(ObjectRec& rec, std::uint64_t off, std::uint
       pieces[n++] = right;
     }
   }
-  xs.insert(xs.erase(first, last), pieces.begin(),
-            pieces.begin() + static_cast<std::ptrdiff_t>(n));
+  const auto at = xs.insert(xs.erase(first, last), pieces.begin(),
+                            pieces.begin() + static_cast<std::ptrdiff_t>(n));
+  return left_kept ? std::next(at) : at;
 }
 
 Result<WriteOutcome> StorageEngine::write(const std::string& key, std::uint64_t offset,
@@ -304,27 +306,26 @@ Result<WriteOutcome> StorageEngine::write(const std::string& key, std::uint64_t 
   }
   ObjectRec& rec = it->second;
   if (!data.empty()) {
-    // In-place fast path: a write that exactly replaces one existing extent
-    // overwrites its segment bytes directly. Extents never overlap, so an
-    // exact match means no other extent touches the range — no supersede or
-    // append churn, no dead-byte growth, and under steady-state full-chunk
-    // overwrites (the striped-write pattern) the destination stays
-    // cache-warm instead of streaming into a fresh cold slot every round.
-    const auto hit = first_ending_after(rec.extents.begin(), rec.extents.end(), offset);
-    if (hit != rec.extents.end() && hit->log_off == offset && hit->len == data.size()) {
+    // One binary search finds the run the write overlaps; the in-place
+    // check, the supersede and the insert all start from it.
+    auto& xs = rec.extents;
+    const auto hit = first_ending_after(xs.begin(), xs.end(), offset);
+    if (hit != xs.end() && hit->log_off == offset && hit->len == data.size()) {
+      // In-place fast path: a write that exactly replaces one existing
+      // extent overwrites its segment bytes directly. Extents never overlap,
+      // so an exact match means no other extent touches the range — no
+      // supersede or append churn, no dead-byte growth, and under
+      // steady-state full-chunk overwrites (the striped-write pattern) the
+      // destination stays cache-warm instead of streaming into a fresh cold
+      // slot every round.
       std::copy(data.begin(), data.end(), segments_[hit->segment].data() + hit->seg_off);
       hit->checksum = checksum != 0 ? checksum : content_checksum(data);
     } else {
-      supersede_range(rec, offset, data.size());
+      const auto pos = supersede_range(xs, hit, offset, data.size());
       auto [seg, seg_off] = append_to_log(data);
-      Extent e{.log_off = offset, .segment = seg, .seg_off = seg_off,
-               .len = data.size(),
-               .checksum = checksum != 0 ? checksum : content_checksum(data)};
-      auto pos = std::lower_bound(rec.extents.begin(), rec.extents.end(), e,
-                                  [](const Extent& a, const Extent& b) {
-                                    return a.log_off < b.log_off;
-                                  });
-      rec.extents.insert(pos, e);
+      xs.insert(pos, Extent{.log_off = offset, .segment = seg, .seg_off = seg_off,
+                            .len = data.size(),
+                            .checksum = checksum != 0 ? checksum : content_checksum(data)});
       live_bytes_ += data.size();
     }
   }
@@ -343,7 +344,7 @@ Result<WriteOutcome> StorageEngine::write(const std::string& key, std::uint64_t 
   engine_metrics().writes.inc();
   engine_metrics().bytes_written.add(data.size());
   return WriteOutcome{.bytes = data.size(), .sequential_disk = true,
-                      .version = rec.version};
+                      .version = rec.version, .length = rec.length};
 }
 
 Result<ReadOutcome> StorageEngine::read(const std::string& key, std::uint64_t offset,
@@ -352,6 +353,8 @@ Result<ReadOutcome> StorageEngine::read(const std::string& key, std::uint64_t of
   if (it == objects_.end()) return {Errc::not_found, key};
   const ObjectRec& rec = it->second;
   ReadOutcome out;
+  out.length = rec.length;
+  out.version = rec.version;
   if (offset >= rec.length) return out;
   out.data.assign(std::min(len, rec.length - offset), std::byte{0});  // holes read as zero
   const ReadIntoOutcome in = copy_out(rec, offset, out.data);
@@ -366,13 +369,15 @@ Result<ReadIntoOutcome> StorageEngine::read_into(const std::string& key,
   auto it = objects_.find(key);
   if (it == objects_.end()) return {Errc::not_found, key};
   const ObjectRec& rec = it->second;
-  if (offset >= rec.length || dst.empty()) return ReadIntoOutcome{};
+  if (offset >= rec.length || dst.empty()) {
+    return ReadIntoOutcome{.length = rec.length, .version = rec.version};
+  }
   return copy_out(rec, offset, dst);
 }
 
 ReadIntoOutcome StorageEngine::copy_out(const ObjectRec& rec, std::uint64_t offset,
                                         MutableByteView dst) const {
-  ReadIntoOutcome out;
+  ReadIntoOutcome out{.length = rec.length, .version = rec.version};
   out.data_len = std::min<std::uint64_t>(dst.size(), rec.length - offset);
   walk_overlaps(rec.extents, offset, offset + out.data_len, out,
                 [&](const Extent& e, std::uint64_t lo, std::uint64_t hi) {
@@ -390,7 +395,7 @@ Result<SpanProbeOutcome> StorageEngine::span_probe(const std::string& key,
   auto it = objects_.find(key);
   if (it == objects_.end()) return {Errc::not_found, key};
   const ObjectRec& rec = it->second;
-  SpanProbeOutcome out;
+  SpanProbeOutcome out{.version = rec.version};
   out.digest = 0x9d5c0a7c3f4e1b27ULL;  // nonzero seed: 0 means "no digest" on the wire
   if (offset >= rec.length || len == 0) return out;
   out.data_len = std::min(len, rec.length - offset);
@@ -471,6 +476,12 @@ Result<Version> StorageEngine::version(const std::string& key) const {
   return it->second.version;
 }
 
+Result<ObjectMeta> StorageEngine::meta(const std::string& key) const {
+  auto it = objects_.find(key);
+  if (it == objects_.end()) return {Errc::not_found, key};
+  return ObjectMeta{.length = it->second.length, .version = it->second.version};
+}
+
 Status StorageEngine::set_version(const std::string& key, Version v) {
   auto it = objects_.find(key);
   if (it == objects_.end()) return {Errc::not_found, key};
@@ -485,6 +496,8 @@ std::vector<BlobStat> StorageEngine::scan(const std::string& prefix) const {
     if (!prefix.empty() && key.compare(0, prefix.size(), prefix) != 0) continue;
     out.push_back({key, rec.length, rec.version});
   }
+  std::sort(out.begin(), out.end(),
+            [](const BlobStat& a, const BlobStat& b) { return a.key < b.key; });
   return out;
 }
 

@@ -4,7 +4,12 @@
 // disk — this is the mechanical root of the blob stack's write advantage
 // over update-in-place file systems). A per-object extent index maps
 // logical object ranges onto segment extents; overwrites supersede extents
-// and leave dead bytes behind, which `compact()` reclaims.
+// and leave dead bytes behind, which `compact()` reclaims. The object index
+// is a hash map: every per-key op costs one lookup, and the ops hand back
+// the object's length and version with their outcome so callers never look
+// the key up again. Only scan() needs key order, and it sorts what it
+// returns; compaction and checkpoints walk the index in hash order, so only
+// the physical log layout depends on it.
 //
 // The engine is deliberately single-node and unlocked: thread safety and
 // distribution live one layer up (blob::BlobServer / blob::BlobStore).
@@ -17,11 +22,13 @@
 // and versions exactly (physical segment layout may differ).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -125,10 +132,19 @@ class LogSegment {
   void release() noexcept;
 
   /// Copy `data` to the end. The caller keeps size() + data.size() within
-  /// capacity().
+  /// capacity(). Then prefetch, for writing, the next min(data.size(),
+  /// kPrefetchMax) bytes of the tail: a reused mapping's pages have long left
+  /// the cache, and the next append of a similar size finds its lines
+  /// warm instead of stalling on each one.
   void append(ByteView data) noexcept {
-    if (!data.empty()) std::memcpy(data_ + size_, data.data(), data.size());
+    if (data.empty()) return;
+    std::memcpy(data_ + size_, data.data(), data.size());
     size_ += data.size();
+    const std::uint64_t ahead = std::min<std::uint64_t>(
+        std::min<std::uint64_t>(data.size(), kPrefetchMax), capacity_ - size_);
+    for (std::uint64_t i = 0; i < ahead; i += kCacheLine) {
+      __builtin_prefetch(data_ + size_ + i, 1, 3);
+    }
   }
 
   [[nodiscard]] std::byte* data() noexcept { return data_; }
@@ -139,9 +155,18 @@ class LogSegment {
   [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }
 
  private:
+  static constexpr std::uint64_t kPrefetchMax = 16 << 10;  ///< tail prefetch cap
+  static constexpr std::uint64_t kCacheLine = 64;
+
   std::byte* data_ = nullptr;
   std::uint64_t size_ = 0;
   std::uint64_t capacity_ = 0;
+};
+
+/// An object's logical length and version, read in one index lookup.
+struct ObjectMeta {
+  std::uint64_t length = 0;
+  Version version = 0;
 };
 
 /// Outcome of a write, carrying what the cost model needs.
@@ -149,6 +174,7 @@ struct WriteOutcome {
   std::uint64_t bytes = 0;
   bool sequential_disk = true;  ///< log-structured appends always are
   Version version = 0;
+  std::uint64_t length = 0;     ///< object length after the write
 };
 
 /// Outcome of a read: data plus the number of distinct extents touched
@@ -160,6 +186,8 @@ struct ReadOutcome {
   Bytes data;
   std::uint32_t extents_touched = 0;
   std::uint64_t covered = 0;
+  std::uint64_t length = 0;   ///< the object's length (also on reads at/past EOF)
+  Version version = 0;        ///< the object's version
 };
 
 /// Outcome of a read_into: like ReadOutcome but the data went straight into
@@ -168,6 +196,8 @@ struct ReadIntoOutcome {
   std::uint64_t data_len = 0;   ///< bytes within the object (what a wire reply would carry)
   std::uint64_t covered = 0;    ///< extent-backed bytes among data_len
   std::uint32_t extents_touched = 0;
+  std::uint64_t length = 0;     ///< the object's length (also on reads at/past EOF)
+  Version version = 0;          ///< the object's version
 };
 
 /// Outcome of a span_probe: the digest a quorum vote ships plus the exact
@@ -178,6 +208,7 @@ struct SpanProbeOutcome {
   std::uint64_t data_len = 0;   ///< bytes a payload read would carry
   std::uint64_t covered = 0;    ///< extent-backed bytes among data_len
   std::uint32_t extents_touched = 0;
+  Version version = 0;          ///< the object's version
 };
 
 class StorageEngine {
@@ -265,6 +296,8 @@ class StorageEngine {
 
   Result<std::uint64_t> size(const std::string& key) const;
   Result<Version> version(const std::string& key) const;
+  /// size() and version() in one lookup.
+  Result<ObjectMeta> meta(const std::string& key) const;
 
   /// Force the object's version to `v` without touching its contents.
   /// Repair paths (resync, scrub, hint drain, rebalance) use this to install
@@ -275,7 +308,8 @@ class StorageEngine {
 
   /// All keys in lexicographic order, optionally filtered by prefix.
   /// The walk always visits every object (the namespace is flat; prefix
-  /// filtering is not an index) — the cost model reflects that.
+  /// filtering is not an index) — the cost model reflects that. The index is
+  /// unordered, so the matches are sorted before they are returned.
   [[nodiscard]] std::vector<BlobStat> scan(const std::string& prefix = {}) const;
 
   [[nodiscard]] std::uint64_t object_count() const noexcept { return objects_.size(); }
@@ -328,8 +362,13 @@ class StorageEngine {
   /// to the segment pool and put the slot index on the free list.
   void maybe_recycle(std::uint32_t segment);
 
-  /// Replace [off, off+len) of the object's extent list with a new extent.
-  void supersede_range(ObjectRec& rec, std::uint64_t off, std::uint64_t len);
+  /// Retire [off, off+len) from an extent list whose run overlapping it
+  /// starts at `first` (the first extent ending past `off`): the run is
+  /// replaced by its non-overlapping left/right slices. Returns where an
+  /// extent starting at `off` now belongs, between those slices.
+  std::vector<Extent>::iterator supersede_range(std::vector<Extent>& xs,
+                                                std::vector<Extent>::iterator first,
+                                                std::uint64_t off, std::uint64_t len);
 
   /// Copy the extent bytes of `rec` overlapping [offset, offset + dst.size())
   /// — clipped at the object's length, offset < length — into the pre-zeroed
@@ -349,7 +388,7 @@ class StorageEngine {
   Version take_floor(const std::string& key);
 
   EngineConfig cfg_;
-  std::map<std::string, ObjectRec> objects_;
+  std::unordered_map<std::string, ObjectRec> objects_;  ///< unordered: see scan()
   std::map<std::string, Version> removed_floors_;  ///< last version of removed keys
   std::vector<LogSegment> segments_;
   std::uint32_t active_ = 0;                ///< index of the open (append) segment

@@ -136,6 +136,114 @@ TEST(Engine, ScanSortedAndPrefixFiltered) {
   EXPECT_EQ(e.scan("zzz").size(), 0u);
 }
 
+// The object index is a hash map, so three keys can come out sorted by
+// luck. Thousands of keys created in shuffled order, with removes and
+// recreates on top, must still scan exactly like an ordered map of them.
+TEST(Engine, ScanMatchesOrderedReferenceAtScale) {
+  StorageEngine e;
+  Rng rng(42);
+  std::vector<std::string> keys;
+  for (int dir = 0; dir < 12; ++dir) {
+    for (int i = 0; i < 100; ++i) {
+      keys.push_back("d" + std::to_string(dir) + "/f" + std::to_string(i));
+    }
+  }
+  for (std::size_t i = keys.size() - 1; i > 0; --i) {
+    std::swap(keys[i], keys[rng.next_below(i + 1)]);
+  }
+  std::map<std::string, std::pair<std::uint64_t, Version>> ref;
+  for (const std::string& k : keys) {
+    const std::uint64_t len = 1 + rng.next_below(64);
+    auto w = e.write(k, 0, as_view(make_payload(len, 0, len)), true);
+    ASSERT_TRUE(w.ok());
+    ref[k] = {len, w.value().version};
+  }
+  // Remove a third, then recreate half of those: recreated keys continue
+  // their version sequence and land back in the index out of order.
+  for (std::size_t i = 0; i < keys.size(); i += 3) {
+    ASSERT_TRUE(e.remove(keys[i]).ok());
+    ref.erase(keys[i]);
+  }
+  for (std::size_t i = 0; i < keys.size(); i += 6) {
+    ASSERT_TRUE(e.create(keys[i]).ok());
+    ref[keys[i]] = {0, e.version(keys[i]).value()};
+  }
+  ASSERT_GE(ref.size(), 1000u);
+  ASSERT_EQ(e.object_count(), ref.size());
+
+  auto expect_scan = [&](const std::string& prefix) {
+    std::vector<BlobStat> want;
+    for (const auto& [k, lv] : ref) {
+      if (k.compare(0, prefix.size(), prefix) == 0) want.push_back({k, lv.first, lv.second});
+    }
+    const std::vector<BlobStat> got = e.scan(prefix);
+    ASSERT_EQ(got.size(), want.size()) << "prefix=" << prefix;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].key, want[i].key) << "prefix=" << prefix << " i=" << i;
+      ASSERT_EQ(got[i].size, want[i].size) << want[i].key;
+      ASSERT_EQ(got[i].version, want[i].version) << want[i].key;
+    }
+  };
+  expect_scan("");
+  expect_scan("d1");   // d1/ plus d10/ and d11/
+  expect_scan("d7/");
+  expect_scan("d3/f9");
+  expect_scan("nope");
+}
+
+// Write and read outcomes carry the object's length and version, so callers
+// need no follow-up size()/version() lookup: they must equal what those
+// report, over holes and for reads at or past the end.
+TEST(Engine, OutcomesCarryLengthAndVersion) {
+  StorageEngine e;
+  auto expect_reads = [&](const std::string& key, std::uint64_t off, std::uint64_t len) {
+    const std::uint64_t size = e.size(key).value();
+    const Version v = e.version(key).value();
+    auto r = e.read(key, off, len);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value().length, size) << "off=" << off;
+    EXPECT_EQ(r.value().version, v) << "off=" << off;
+    Bytes dst(len);
+    auto ri = e.read_into(key, off, MutableByteView(dst.data(), dst.size()));
+    ASSERT_TRUE(ri.ok());
+    EXPECT_EQ(ri.value().length, size) << "off=" << off;
+    EXPECT_EQ(ri.value().version, v) << "off=" << off;
+    auto sp = e.span_probe(key, off, len);
+    ASSERT_TRUE(sp.ok());
+    EXPECT_EQ(sp.value().version, v) << "off=" << off;
+    auto m = e.meta(key);
+    ASSERT_TRUE(m.ok());
+    EXPECT_EQ(m.value().length, size);
+    EXPECT_EQ(m.value().version, v);
+  };
+  // A write past a hole, then one filling part of it.
+  auto w1 = e.write("k", 1000, as_view(make_payload(1, 1000, 200)), true);
+  ASSERT_TRUE(w1.ok());
+  EXPECT_EQ(w1.value().length, 1200u);
+  EXPECT_EQ(w1.value().version, e.version("k").value());
+  auto w2 = e.write("k", 100, as_view(make_payload(2, 100, 50)), true);
+  ASSERT_TRUE(w2.ok());
+  EXPECT_EQ(w2.value().length, 1200u);  // inside the object: length unchanged
+  EXPECT_EQ(w2.value().version, w1.value().version + 1);
+  for (std::uint64_t off : {0u, 120u, 500u, 1100u, 1199u, 1200u, 5000u}) {
+    expect_reads("k", off, 300);
+    if (HasFatalFailure()) return;
+  }
+  // A sparse grow leaves a hole at the end; an empty write still reports.
+  ASSERT_TRUE(e.truncate("k", 4096).ok());
+  expect_reads("k", 3000, 2000);
+  auto w3 = e.write("k", 4096, ByteView{}, true);
+  ASSERT_TRUE(w3.ok());
+  EXPECT_EQ(w3.value().length, 4096u);
+  EXPECT_EQ(w3.value().version, e.version("k").value());
+  // A fresh empty object reads at its end.
+  ASSERT_TRUE(e.create("empty").ok());
+  expect_reads("empty", 0, 10);
+  EXPECT_EQ(e.read("gone", 0, 1).code(), Errc::not_found);
+  EXPECT_EQ(e.read_into("gone", 0, {}).code(), Errc::not_found);
+  EXPECT_EQ(e.meta("gone").code(), Errc::not_found);
+}
+
 // Expected contents and version of one object a log-layout test wrote.
 struct Expected {
   Bytes data;
@@ -557,6 +665,8 @@ class EngineModel {
     ASSERT_TRUE(equal(as_view(r.value().data), expect))
         << "read key=" << key << " off=" << off << " len=" << len;
     ASSERT_EQ(r.value().covered, covered) << "read key=" << key << " off=" << off;
+    ASSERT_EQ(r.value().length, o.data.size()) << "read key=" << key;
+    ASSERT_EQ(r.value().version, e.version(key).value()) << "read key=" << key;
 
     // read_into writes extent-backed bytes only: holes and the part past
     // the object's end keep the sentinel.
@@ -566,6 +676,8 @@ class EngineModel {
     ASSERT_TRUE(ri.ok());
     ASSERT_EQ(ri.value().data_len, expect.size());
     ASSERT_EQ(ri.value().covered, covered) << "read_into key=" << key << " off=" << off;
+    ASSERT_EQ(ri.value().length, o.data.size()) << "read_into key=" << key;
+    ASSERT_EQ(ri.value().version, r.value().version) << "read_into key=" << key;
     for (std::uint64_t i = 0; i < len; ++i) {
       const bool backed = i < expect.size() && o.covered[off + i];
       ASSERT_EQ(dst[i], backed ? expect[i] : kSentinel)
@@ -600,8 +712,11 @@ TEST_P(EngineRandomProgram, MatchesReferenceModel) {
       const auto off = rng.next_below(4000);
       const auto len = 1 + rng.next_below(700);
       const Bytes data = make_payload(seed ^ step, off, len);
-      ASSERT_TRUE(e.write(key, off, as_view(data), true).ok());
+      auto w = e.write(key, off, as_view(data), true);
+      ASSERT_TRUE(w.ok());
       model.write(key, off, as_view(data));
+      ASSERT_EQ(w.value().length, model.size(key)) << "step=" << step;
+      ASSERT_EQ(w.value().version, e.version(key).value()) << "step=" << step;
     } else if (action < 8) {
       const auto nsz = rng.next_below(4500);
       auto r = e.truncate(key, nsz);

@@ -386,6 +386,87 @@ TEST_F(QuorumTest, GroupLegHintsEveryMissBeforeJudgingQuorum) {
   store_.recover_server(y);
 }
 
+TEST_F(QuorumTest, LaggingReplicaSkippedAndOutversionedByLaterWrites) {
+  // A replica that is up but behind: the fault injector drops every forward
+  // to it during one striped write, so it misses that write's base leg
+  // (chunk 0, a single-key leg) and its chunk-1 sub (a batch group leg).
+  // Later fault-free writes of both shapes must skip it on version mismatch
+  // and leave it hinted, continue the version above the freshest replica,
+  // and keep quorum reads returning the latest bytes.
+  const std::uint64_t cb = store_.config().chunk_bytes;
+  std::string key;
+  for (int n = 0; n < 1000 && key.empty(); ++n) {
+    const std::string k = "lag-" + std::to_string(n);
+    // The lagging node is the second replica of both keys, so every quorum
+    // read (R = 2) has to arbitrate against its stale copy.
+    if (store_.replicas_of(k)[1] == store_.replicas_of(chunk_engine_key(k, 1))[1]) key = k;
+  }
+  ASSERT_FALSE(key.empty());
+  const std::string c1 = chunk_engine_key(key, 1);
+  const std::uint32_t lag = store_.replicas_of(key)[1];
+
+  // Versions on every replica of `ekey`: the fresh ones at `fresh`, the
+  // lagging one at `stale`.
+  auto expect_versions = [&](const std::string& ekey, Version fresh, Version stale) {
+    for (std::uint32_t n : store_.replicas_of(ekey)) {
+      EXPECT_EQ(store_.server(n).peek_version(ekey).value_or(0), n == lag ? stale : fresh)
+          << ekey << " on node " << n;
+    }
+  };
+  Bytes want = make_payload(50, 0, cb + 4096);
+  auto expect_latest = [&] {
+    auto r = client_.read(key, 0, want.size());
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(equal(as_view(r.value()), as_view(want)));
+  };
+
+  ClientRegistryAgreement agree({&client_});
+  ASSERT_TRUE(client_.write(key, 0, as_view(want)).ok());
+  expect_versions(key, 2, 2);  // write + grow
+  expect_versions(c1, 1, 1);
+
+  rpc::FaultInjector inj(5);
+  rpc::FaultPlan drop_all;
+  drop_all.drop_probability = 1.0;
+  inj.set_plan(store_.server(lag).node().id(), drop_all);
+  store_.transport().set_fault_injector(&inj);
+  want = make_payload(51, 0, cb + 4096);
+  ASSERT_TRUE(client_.write(key, 0, as_view(want)).ok());
+  store_.transport().set_fault_injector(nullptr);
+  EXPECT_EQ(client_.counters().hints_written, 2u);
+  EXPECT_EQ(client_.counters().quorum_degraded_writes, 2u);
+  expect_versions(key, 4, 2);
+  expect_versions(c1, 2, 1);
+  expect_latest();
+
+  // Fault-free single-chunk write: the lagging replica is reachable but
+  // skipped; its pending hint for the key is already there.
+  const Bytes head = make_payload(52, 0, 4096);
+  ASSERT_TRUE(client_.write(key, 0, as_view(head)).ok());
+  std::copy(head.begin(), head.end(), want.begin());
+  EXPECT_EQ(client_.counters().hints_written, 2u);
+  EXPECT_EQ(client_.counters().quorum_degraded_writes, 3u);
+  expect_versions(key, 5, 2);
+  expect_latest();
+
+  // Fault-free striped write: the base leg and the chunk-1 group leg both
+  // skip it.
+  want = make_payload(53, 0, cb + 4096);
+  ASSERT_TRUE(client_.write(key, 0, as_view(want)).ok());
+  EXPECT_EQ(client_.counters().hints_written, 2u);
+  EXPECT_EQ(client_.counters().quorum_degraded_writes, 5u);
+  expect_versions(key, 7, 2);
+  expect_versions(c1, 3, 1);
+  expect_latest();
+
+  std::uint64_t pending = 0;
+  for (std::uint32_t n = 0; n < store_.server_count(); ++n) {
+    pending += store_.server(n).hint_count();
+  }
+  EXPECT_EQ(pending, 2u);
+  agree.check({"client.quorum.degraded_writes", "client.hints.written"});
+}
+
 TEST_F(FailureTest, ResyncWithNothingToDoIsZero) {
   ASSERT_TRUE(client_.write("healthy", 0, as_view(to_bytes("x"))).ok());
   // No failure happened: resync finds content already equal but still
