@@ -10,7 +10,35 @@
 
 namespace bsc::adapter {
 
-BlobFs::BlobFs(blob::BlobStore& store, BlobFsConfig cfg) : store_(&store), cfg_(cfg) {}
+namespace {
+std::atomic<std::uint64_t> next_fs_id{1};
+
+/// The client this thread used last, and the BlobFs it belongs to.
+struct ThreadClient {
+  std::uint64_t fs_id = 0;
+  blob::BlobClient* client = nullptr;
+};
+thread_local ThreadClient last_client;
+}  // namespace
+
+BlobFs::BlobFs(blob::BlobStore& store, BlobFsConfig cfg)
+    : store_(&store), cfg_(cfg), id_(next_fs_id.fetch_add(1, std::memory_order_relaxed)) {}
+
+blob::BlobClient& BlobFs::thread_client() {
+  if (last_client.fs_id != id_) {
+    std::lock_guard<std::mutex> lk(clients_mu_);
+    auto& c = clients_[std::this_thread::get_id()];
+    if (!c) c = std::make_unique<blob::BlobClient>(*store_, nullptr);
+    last_client = {id_, c.get()};
+  }
+  return *last_client.client;
+}
+
+blob::BlobClient& BlobFs::client_for(const vfs::IoCtx& ctx) {
+  blob::BlobClient& c = thread_client();
+  c.start_call(ctx.agent);
+  return c;
+}
 
 std::string BlobFs::meta_key(std::string_view norm_path) {
   return "m!" + std::string{norm_path};
@@ -124,7 +152,7 @@ Status BlobFs::flush_size(blob::BlobClient& client, OpenFile& of) {
 Result<vfs::FileHandle> BlobFs::open(const vfs::IoCtx& ctx, std::string_view path,
                                      vfs::OpenFlags flags, vfs::Mode mode) {
   if (!flags.read && !flags.write) return {Errc::invalid_argument, "open without r/w"};
-  auto client = client_for(ctx);
+  auto& client = client_for(ctx);
   const std::string norm = normalize_path(path);
   auto meta = load_meta(client, norm);
   Meta cached;
@@ -143,6 +171,7 @@ Result<vfs::FileHandle> BlobFs::open(const vfs::IoCtx& ctx, std::string_view pat
     cached = std::move(meta).take();
   }
   if (flags.truncate && cached.size > 0) {
+    // truncate() restarts this thread's client; `client` is not used again.
     auto ts = truncate(ctx, norm, 0);
     if (!ts.ok()) return ts.error();
     cached.size = 0;
@@ -164,7 +193,7 @@ Status BlobFs::close(const vfs::IoCtx& ctx, vfs::FileHandle fh) {
     of = std::move(it->second);
     handles_.erase(it);
   }
-  auto client = client_for(ctx);
+  auto& client = client_for(ctx);
   return flush_size(client, of);
 }
 
@@ -185,6 +214,7 @@ Result<Bytes> BlobFs::read(const vfs::IoCtx& ctx, vfs::FileHandle fh, std::uint6
   // missing chunks (holes) and pieces cut short by a chunk's end.
   Bytes out;
   const std::uint64_t cb = cfg_.chunk_bytes;
+  blob::BlobClient& cc = thread_client();
   sim::SimAgent join_point = ctx.agent ? ctx.agent->fork() : sim::SimAgent{};
   std::uint64_t cur = offset;
   const std::uint64_t end = offset + len;
@@ -193,7 +223,7 @@ Result<Bytes> BlobFs::read(const vfs::IoCtx& ctx, vfs::FileHandle fh, std::uint6
     const std::uint64_t in_chunk = cur % cb;
     const std::uint64_t n = std::min(cb - in_chunk, end - cur);
     sim::SimAgent worker = ctx.agent ? ctx.agent->fork() : sim::SimAgent{};
-    blob::BlobClient cc(*store_, ctx.agent ? &worker : nullptr);
+    cc.start_call(ctx.agent ? &worker : nullptr);
     auto piece = cc.read(chunk_key(of.path, chunk), in_chunk, n);
     if (piece.ok()) {
       if (cur == offset) {
@@ -224,6 +254,7 @@ Result<std::uint64_t> BlobFs::write(const vfs::IoCtx& ctx, vfs::FileHandle fh,
 
   // Parallel chunk writes (fork/join as in read()).
   const std::uint64_t cb = cfg_.chunk_bytes;
+  blob::BlobClient& cc = thread_client();
   sim::SimAgent join_point = ctx.agent ? ctx.agent->fork() : sim::SimAgent{};
   std::uint64_t cur = offset;
   const std::uint64_t end = offset + data.size();
@@ -232,7 +263,7 @@ Result<std::uint64_t> BlobFs::write(const vfs::IoCtx& ctx, vfs::FileHandle fh,
     const std::uint64_t in_chunk = cur % cb;
     const std::uint64_t n = std::min(cb - in_chunk, end - cur);
     sim::SimAgent worker = ctx.agent ? ctx.agent->fork() : sim::SimAgent{};
-    blob::BlobClient cc(*store_, ctx.agent ? &worker : nullptr);
+    cc.start_call(ctx.agent ? &worker : nullptr);
     auto w = cc.write(chunk_key(of.path, chunk), in_chunk,
                       subview(data, cur - offset, n));
     if (!w.ok()) return w.error();
@@ -254,7 +285,7 @@ Status BlobFs::sync(const vfs::IoCtx& ctx, vfs::FileHandle fh) {
   // cached size growth to the metadata blob (capability flush).
   auto h = lookup_handle(fh);
   if (!h.ok()) return h.error();
-  auto client = client_for(ctx);
+  auto& client = client_for(ctx);
   return flush_size(client, *h.value());
 }
 
@@ -281,7 +312,7 @@ Status BlobFs::remove_file_blobs(blob::BlobClient& client, std::string_view norm
 
 Status BlobFs::truncate(const vfs::IoCtx& ctx, std::string_view path,
                         std::uint64_t new_size) {
-  auto client = client_for(ctx);
+  auto& client = client_for(ctx);
   const std::string norm = normalize_path(path);
   auto meta = load_meta(client, norm);
   if (!meta.ok()) return meta.error();
@@ -306,7 +337,7 @@ Status BlobFs::truncate(const vfs::IoCtx& ctx, std::string_view path,
 }
 
 Status BlobFs::unlink(const vfs::IoCtx& ctx, std::string_view path) {
-  auto client = client_for(ctx);
+  auto& client = client_for(ctx);
   const std::string norm = normalize_path(path);
   auto meta = load_meta(client, norm);
   if (!meta.ok()) return meta.error();
@@ -315,7 +346,7 @@ Status BlobFs::unlink(const vfs::IoCtx& ctx, std::string_view path) {
 }
 
 Status BlobFs::mkdir(const vfs::IoCtx& ctx, std::string_view path, vfs::Mode mode) {
-  auto client = client_for(ctx);
+  auto& client = client_for(ctx);
   const std::string norm = normalize_path(path);
   if (norm == "/") return {Errc::already_exists, "/"};
   if (load_meta(client, norm).ok()) return {Errc::already_exists, norm};
@@ -334,7 +365,7 @@ Status BlobFs::mkdir(const vfs::IoCtx& ctx, std::string_view path, vfs::Mode mod
 }
 
 Status BlobFs::rmdir(const vfs::IoCtx& ctx, std::string_view path) {
-  auto client = client_for(ctx);
+  auto& client = client_for(ctx);
   const std::string norm = normalize_path(path);
   if (norm == "/") return {Errc::invalid_argument, "cannot remove /"};
   auto meta = load_meta(client, norm);
@@ -349,7 +380,7 @@ Status BlobFs::rmdir(const vfs::IoCtx& ctx, std::string_view path) {
 
 Result<std::vector<vfs::DirEntry>> BlobFs::readdir(const vfs::IoCtx& ctx,
                                                    std::string_view path) {
-  auto client = client_for(ctx);
+  auto& client = client_for(ctx);
   const std::string norm = normalize_path(path);
   if (norm != "/") {
     auto meta = load_meta(client, norm);
@@ -387,7 +418,7 @@ Result<std::vector<vfs::DirEntry>> BlobFs::readdir(const vfs::IoCtx& ctx,
 }
 
 Result<vfs::FileInfo> BlobFs::stat(const vfs::IoCtx& ctx, std::string_view path) {
-  auto client = client_for(ctx);
+  auto& client = client_for(ctx);
   const std::string norm = normalize_path(path);
   if (norm == "/") {
     return vfs::FileInfo{"/", vfs::FileType::directory, 0, 0777, 0, 0, 0};
@@ -399,7 +430,7 @@ Result<vfs::FileInfo> BlobFs::stat(const vfs::IoCtx& ctx, std::string_view path)
 }
 
 Status BlobFs::rename(const vfs::IoCtx& ctx, std::string_view from, std::string_view to) {
-  auto client = client_for(ctx);
+  auto& client = client_for(ctx);
   const std::string nf = normalize_path(from);
   const std::string nt = normalize_path(to);
   auto meta = load_meta(client, nf);
@@ -427,7 +458,7 @@ Status BlobFs::rename(const vfs::IoCtx& ctx, std::string_view from, std::string_
 }
 
 Status BlobFs::chmod(const vfs::IoCtx& ctx, std::string_view path, vfs::Mode mode) {
-  auto client = client_for(ctx);
+  auto& client = client_for(ctx);
   const std::string norm = normalize_path(path);
   auto meta = load_meta(client, norm);
   if (!meta.ok()) return meta.error();
@@ -438,7 +469,7 @@ Status BlobFs::chmod(const vfs::IoCtx& ctx, std::string_view path, vfs::Mode mod
 
 Result<std::string> BlobFs::getxattr(const vfs::IoCtx& ctx, std::string_view path,
                                      std::string_view name) {
-  auto client = client_for(ctx);
+  auto& client = client_for(ctx);
   auto meta = load_meta(client, normalize_path(path));
   if (!meta.ok()) return meta.error();
   for (const auto& [k, v] : meta.value().xattrs) {
@@ -449,7 +480,7 @@ Result<std::string> BlobFs::getxattr(const vfs::IoCtx& ctx, std::string_view pat
 
 Status BlobFs::setxattr(const vfs::IoCtx& ctx, std::string_view path, std::string_view name,
                         std::string_view value) {
-  auto client = client_for(ctx);
+  auto& client = client_for(ctx);
   const std::string norm = normalize_path(path);
   auto meta = load_meta(client, norm);
   if (!meta.ok()) return meta.error();

@@ -28,6 +28,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -107,17 +108,20 @@ class BlobFs final : public vfs::FileSystem {
   Result<Meta> load_meta(blob::BlobClient& client, std::string_view norm_path);
   Status store_meta(blob::BlobClient& client, std::string_view norm_path, const Meta& m);
 
-  /// A per-call client bound to the caller's agent. Constructing one
-  /// allocates nothing, but its first call pays a ring placement lookup and
-  /// fills its placement and health maps. Counted
-  /// with a replaced operator new on the default store: a single-chunk
-  /// 1.5 KiB blob write makes 13 heap allocations through a fresh client
-  /// and 6 through a reused one, and a BlobFs call averages 13.3 per 1.5 KiB
-  /// write and 12 per 1 KiB read. A long-lived client per I/O context is
-  /// ROADMAP direction 2.
-  [[nodiscard]] blob::BlobClient client_for(const vfs::IoCtx& ctx) {
-    return blob::BlobClient(*store_, ctx.agent);
-  }
+  /// The calling thread's client, started on a new call bound to the
+  /// caller's agent (BlobClient::start_call). Each thread gets one client per
+  /// BlobFs, built on its first call and kept until the BlobFs is destroyed,
+  /// the way SPDK gives each thread one I/O channel. Reuse keeps placements,
+  /// counters and map buckets; start_call gives back a new client's health,
+  /// backoff and metadata-cache state, so the simulated model is the one a
+  /// fresh client per call gave. The client holds the agent for this call
+  /// only; read() and write() re-point it at each chunk's forked agent.
+  /// tests/test_alloc_counts.cpp pins the heap allocations this leaves per
+  /// small read and write.
+  [[nodiscard]] blob::BlobClient& client_for(const vfs::IoCtx& ctx);
+  /// The calling thread's client without starting a call. The lookup takes
+  /// no lock once the thread has used this BlobFs last.
+  [[nodiscard]] blob::BlobClient& thread_client();
 
   /// Handles are owned by one logical thread (the FileSystem contract), so
   /// returning a raw pointer into the map is safe until that thread closes.
@@ -130,6 +134,12 @@ class BlobFs final : public vfs::FileSystem {
 
   blob::BlobStore* store_;
   BlobFsConfig cfg_;
+  /// Process-unique and never reused, so a thread's cached client is never
+  /// mistaken for one of a later BlobFs built at the same address.
+  const std::uint64_t id_;
+
+  std::mutex clients_mu_;  ///< guards clients_; taken on a thread's cache miss only
+  std::unordered_map<std::thread::id, std::unique_ptr<blob::BlobClient>> clients_;
 
   std::shared_mutex handles_mu_;
   std::unordered_map<vfs::FileHandle, OpenFile> handles_;

@@ -172,10 +172,41 @@ SimMicros BlobClient::attempt_deadline_at(SimMicros t) const noexcept {
   return policy;
 }
 
+BlobClient::~BlobClient() { give_back_open_breakers(); }
+
+void BlobClient::start_call(sim::SimAgent* agent) {
+  // No lock: between calls the fan-out pool is idle, and its last
+  // parallel_for already handed every write back to this thread.
+  agent_ = agent;
+  give_back_open_breakers();
+  for (auto& entry : health_) entry.second = NodeHealth{};
+  fleet_ewma_us_ = 0.0;
+  fleet_samples_ = 0;
+  retry_tokens_ = -1.0;
+  rng_ = Rng{kBackoffSeed};
+  if (!meta_cache_.empty()) meta_cache_.clear();
+  if (const std::uint64_t epoch = store_->ring_epoch(); epoch != place_epoch_) {
+    place_cache_.clear();
+    place_epoch_ = epoch;
+  }
+}
+
+void BlobClient::give_back_open_breakers() const {
+  std::int64_t open = 0;
+  for (const auto& entry : health_) {
+    if (entry.second.state != NodeHealth::Breaker::closed) ++open;
+  }
+  if (open > 0) client_metrics().breaker_open_nodes.add(-open);
+}
+
 void BlobClient::health_on_success(std::uint32_t node, SimMicros latency_us) {
   if (!store_->config().breaker.enabled) return;
-  const BreakerPolicy& bp = store_->config().breaker;
   std::lock_guard<std::mutex> lk(health_mu_);
+  health_on_success_locked(node, latency_us);
+}
+
+void BlobClient::health_on_success_locked(std::uint32_t node, SimMicros latency_us) {
+  const BreakerPolicy& bp = store_->config().breaker;
   NodeHealth& h = health_[node];
   h.consecutive_failures = 0;
   if (latency_us > 0) {  // 0 = delivery confirmation only, no latency sample
@@ -200,10 +231,8 @@ void BlobClient::health_on_success(std::uint32_t node, SimMicros latency_us) {
   }
 }
 
-void BlobClient::health_on_failure(std::uint32_t node, SimMicros now) {
-  if (!store_->config().breaker.enabled) return;
+void BlobClient::health_on_failure_locked(std::uint32_t node, SimMicros now) {
   const BreakerPolicy& bp = store_->config().breaker;
-  std::lock_guard<std::mutex> lk(health_mu_);
   NodeHealth& h = health_[node];
   ++h.consecutive_failures;
   if (h.state == NodeHealth::Breaker::half_open ||
@@ -217,6 +246,31 @@ void BlobClient::health_on_failure(std::uint32_t node, SimMicros now) {
     h.half_open_successes = 0;
     counters_.breaker_opens.inc();
   }
+}
+
+void BlobClient::earn_retry_token_locked() {
+  const DeadlinePolicy& dp = store_->config().deadline;
+  if (retry_tokens_ < 0.0) retry_tokens_ = dp.retry_token_cap;  // initial fill
+  retry_tokens_ = std::min(dp.retry_token_cap, retry_tokens_ + dp.retry_token_ratio);
+}
+
+bool BlobClient::settle_attempt(std::uint32_t node, bool delivered, SimMicros failed_at,
+                                bool refill, bool take_token) {
+  const bool breaker_on = store_->config().breaker.enabled;
+  if (!breaker_on && !refill && !take_token) return true;
+  std::lock_guard<std::mutex> lk(health_mu_);
+  if (refill) earn_retry_token_locked();
+  if (breaker_on) {
+    if (delivered) {
+      health_on_success_locked(node, 0);  // latency EWMA is fed at leg completion
+    } else {
+      health_on_failure_locked(node, failed_at);
+    }
+  }
+  if (!take_token) return true;
+  if (retry_tokens_ < 1.0) return false;
+  retry_tokens_ -= 1.0;
+  return true;
 }
 
 bool BlobClient::breaker_allows(std::uint32_t node, SimMicros now) {
@@ -244,10 +298,8 @@ bool BlobClient::breaker_allows(std::uint32_t node, SimMicros now) {
   return true;
 }
 
-bool BlobClient::is_suspect(std::uint32_t node) {
-  if (!store_->config().breaker.enabled) return false;
+bool BlobClient::is_suspect_locked(std::uint32_t node) const {
   const BreakerPolicy& bp = store_->config().breaker;
-  std::lock_guard<std::mutex> lk(health_mu_);
   auto it = health_.find(node);
   if (it == health_.end()) return false;
   const NodeHealth& h = it->second;
@@ -259,8 +311,9 @@ bool BlobClient::is_suspect(std::uint32_t node) {
 void BlobClient::demote_suspects(std::vector<std::uint32_t>& candidates) {
   if (!store_->config().breaker.enabled || candidates.size() < 2) return;
   // Candidates are server indices; health is keyed by SimNode id.
+  std::lock_guard<std::mutex> lk(health_mu_);
   const auto suspect_idx = [this](std::uint32_t server_index) {
-    return is_suspect(store_->server(server_index).node().id());
+    return is_suspect_locked(store_->server(server_index).node().id());
   };
   const auto first_suspect =
       std::find_if(candidates.begin(), candidates.end(), suspect_idx);
@@ -269,12 +322,6 @@ void BlobClient::demote_suspects(std::vector<std::uint32_t>& candidates) {
       candidates.begin(), candidates.end(),
       [&suspect_idx](std::uint32_t n) { return !suspect_idx(n); });
   counters_.breaker_demotions.inc();
-}
-
-BlobClient::NodeHealth::Breaker BlobClient::breaker_state(std::uint32_t node) {
-  std::lock_guard<std::mutex> lk(health_mu_);
-  auto it = health_.find(node);
-  return it == health_.end() ? NodeHealth::Breaker::closed : it->second.state;
 }
 
 BlobClient::LegDelivery BlobClient::try_deliver(BlobServer& srv, SimMicros start,
@@ -290,25 +337,12 @@ BlobClient::LegDelivery BlobClient::try_deliver(BlobServer& srv, SimMicros start
   // Each fresh leg earns retry tokens; each retry below spends one. The
   // bucket is client-wide, so a correlated failure drains it and retries
   // stop fleet-wide instead of amplifying the overload. Batched legs run
-  // try_deliver on pool threads, so the bucket is updated under health_mu_.
+  // try_deliver on pool threads, so the bucket is updated under health_mu_,
+  // in the same round that records an attempt's outcome (settle_attempt).
   const bool bucket_on = dp.retry_token_cap > 0.0;
-  if (bucket_on) {
-    std::lock_guard<std::mutex> lk(health_mu_);
-    if (retry_tokens_ < 0.0) retry_tokens_ = dp.retry_token_cap;  // initial fill
-    retry_tokens_ = std::min(dp.retry_token_cap, retry_tokens_ + dp.retry_token_ratio);
-  }
+  bool refill = bucket_on;  // this leg's earned token, not yet added
   for (std::uint32_t a = 0; a < attempts; ++a) {
     if (a > 0) {
-      bool suppressed = false;
-      if (bucket_on) {
-        std::lock_guard<std::mutex> lk(health_mu_);
-        suppressed = retry_tokens_ < 1.0;
-        if (!suppressed) retry_tokens_ -= 1.0;
-      }
-      if (suppressed) {
-        counters_.retries_suppressed.inc();
-        break;
-      }
       t += next_backoff(&prev);
       counters_.retries.inc();
     }
@@ -325,16 +359,26 @@ BlobClient::LegDelivery BlobClient::try_deliver(BlobServer& srv, SimMicros start
     const rpc::Transport::Attempt p = store_->transport().plan_attempt(
         srv.node(), t, request_bytes, attempt_deadline, batch_subs);
     if (p.delivered) {
+      settle_attempt(node, true, 0, refill, false);
       out.ok = true;
       out.attempt_start = t;
       out.extra_latency_us = p.extra_latency_us;
-      health_on_success(node, 0);  // latency EWMA is fed at leg completion
       return out;
     }
     if (p.err == Errc::overloaded) counters_.sheds_observed.inc();
-    health_on_failure(node, p.failed_at);
+    const bool want_token = bucket_on && a + 1 < attempts;
+    const bool token = settle_attempt(node, false, p.failed_at, refill, want_token);
+    refill = false;
     t = p.failed_at;
     out.err = p.err;
+    if (!token) {
+      counters_.retries_suppressed.inc();
+      break;
+    }
+  }
+  if (refill) {  // the op's budget ran out before the first attempt
+    std::lock_guard<std::mutex> lk(health_mu_);
+    earn_retry_token_locked();
   }
   out.failed_at = t;
   return out;
@@ -631,11 +675,10 @@ Status BlobClient::settle_replicas(BlobServer& primary, std::span<KeyLeg* const>
   return Status::success();
 }
 
-Status BlobClient::replicated_mutation(std::string_view key,
-                                       const std::vector<BlobServer::TxnOp>& ops) {
+Status BlobClient::replicated_mutation(const std::vector<BlobServer::TxnOp>& ops) {
   const SimMicros start = agent_ ? agent_->now() : 0;
   SimMicros completion = start;
-  Status st = mutation_leg(std::string{key}, ops, start, &completion);
+  Status st = mutation_leg(ops.front().key, ops, start, &completion);
   if (agent_) agent_->advance_to(completion);
   return st;
 }
@@ -658,8 +701,9 @@ void BlobClient::cache_put(const std::string& key, MetaEntry e) {
   put_capped(meta_cache_, key, e, kMetaCacheCap);
 }
 
-void BlobClient::cache_erase(const std::string& key) {
-  if (meta_cache_.erase(key) > 0) counters_.metacache_invalidations.inc();
+void BlobClient::cache_erase(std::string_view key) {
+  if (meta_cache_.empty()) return;  // the common case builds no key string
+  if (meta_cache_.erase(std::string{key}) > 0) counters_.metacache_invalidations.inc();
 }
 
 Placement BlobClient::locate(const std::string& ekey) {
@@ -1564,14 +1608,14 @@ Result<ReadOutcome> BlobClient::read_leg(const std::string& ekey, std::uint64_t 
     demote_suspects(candidates);
 
     bool stale = false;
-    Error last{Errc::unavailable, "unreachable: " + ekey};
+    Errc last = Errc::unavailable;  // the message is built only on failure
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       if (i > 0) counters_.failovers.inc();
       BlobServer& srv = store_->server(candidates[i]);
       LegDelivery d = try_deliver(srv, t, req);
       if (!d.ok) {
         t = d.failed_at;
-        last = {d.err, "unreachable: " + ekey};
+        last = d.err;
         continue;
       }
       SimMicros svc = 0;
@@ -1595,7 +1639,7 @@ Result<ReadOutcome> BlobClient::read_leg(const std::string& ekey, std::uint64_t 
     }
     if (stale) continue;
     *completion = t;
-    return last;
+    return {last, "unreachable: " + ekey};
   }
 }
 
@@ -1632,14 +1676,14 @@ Result<BlobStat> BlobClient::stat_leg(const std::string& ekey, SimMicros start,
 
     bool stale = false;
     SimMicros t = start;
-    Error last{Errc::unavailable, "unreachable: " + ekey};
+    Errc last = Errc::unavailable;  // the message is built only on failure
     for (std::size_t i = 0; i < lives.size(); ++i) {
       if (i > 0) counters_.failovers.inc();
       BlobServer& srv = store_->server(lives[i]);
       LegDelivery d = try_deliver(srv, t, kProbeReq);
       if (!d.ok) {
         t = d.failed_at;
-        last = {d.err, "unreachable: " + ekey};
+        last = d.err;
         continue;
       }
       SimMicros svc = 0;
@@ -1659,16 +1703,15 @@ Result<BlobStat> BlobClient::stat_leg(const std::string& ekey, SimMicros start,
     }
     if (stale) continue;
     *completion = t;
-    return last;
+    return {last, "unreachable: " + ekey};
   }
 }
 
 Status BlobClient::create(std::string_view key) {
   PrimCall call(*this, counters_.creates, client_metrics().create, key);
   if (key.empty()) return {Errc::invalid_argument, "empty blob key"};
-  cache_erase(std::string{key});
-  return replicated_mutation(
-      key, {{BlobServer::TxnOp::Kind::create, std::string{key}, 0, {}, 0}});
+  cache_erase(key);
+  return replicated_mutation({{BlobServer::TxnOp::Kind::create, std::string{key}, 0, {}, 0}});
 }
 
 Status BlobClient::remove(std::string_view key) {
@@ -1784,10 +1827,10 @@ Result<std::uint64_t> BlobClient::write(std::string_view key, std::uint64_t offs
   if (cb == 0 || end <= cb) {
     // Single-chunk fast path. Any cached size/version for this key is stale
     // the moment the mutation lands.
-    cache_erase(std::string{key});
+    cache_erase(key);
     std::vector<BlobServer::TxnOp> ops;
     ops.push_back(view_write(std::string{key}, offset, data));
-    Status st = replicated_mutation(key, ops);
+    Status st = replicated_mutation(ops);
     if (!st.ok()) return st.error();
     counters_.bytes_written.add(data.size());
     return data.size();

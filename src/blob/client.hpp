@@ -165,6 +165,22 @@ class BlobTransaction;
 class BlobClient {
  public:
   BlobClient(BlobStore& store, sim::SimAgent* agent) : store_(&store), agent_(agent) {}
+  /// Gives back the `client.breaker.open_nodes` count of every node whose
+  /// breaker this client left open or half-open.
+  ~BlobClient();
+  BlobClient(const BlobClient&) = delete;
+  BlobClient& operator=(const BlobClient&) = delete;
+
+  /// Starts one call of a client reused across calls (BlobFs keeps one per
+  /// thread): re-points the client at `agent` and gives every field that
+  /// steers simulated time or fault handling a new client's value — node
+  /// health (reset in place, which answers exactly as an absent entry), the
+  /// fleet latency EWMA, the retry-token bucket, the backoff Rng and the
+  /// metadata cache. Placements, counters, map buckets and the fan-out pool
+  /// are kept; cached placements are dropped when the ring epoch moved since
+  /// the last call. Native clients, which keep their health across calls,
+  /// never call it.
+  void start_call(sim::SimAgent* agent);
 
   // --- Blob Administration ---
   [[nodiscard]] Status create(std::string_view key);
@@ -314,10 +330,10 @@ class BlobClient {
   Status settle_replicas(BlobServer& primary, std::span<KeyLeg* const> keys,
                          Errc miss_err);
 
-  /// Single-leg convenience wrapper: runs the leg at the agent's current
-  /// time and advances the agent to its completion.
-  Status replicated_mutation(std::string_view key,
-                             const std::vector<BlobServer::TxnOp>& ops);
+  /// Single-leg convenience wrapper: runs the leg (every op on the first
+  /// op's key) at the agent's current time and advances the agent to its
+  /// completion.
+  Status replicated_mutation(const std::vector<BlobServer::TxnOp>& ops);
 
   /// One read leg, forked from `start`. With read quorum 1 the leg fails
   /// over through the live replica set (retrying per policy, suspects
@@ -378,19 +394,32 @@ class BlobClient {
   /// Record one delivered (latency-bearing) or failed attempt against node.
   /// `node` is the SimNode id (what try_deliver sees), NOT the server index;
   /// demote_suspects converts from candidate server indices at its boundary.
+  /// The `_locked` forms expect health_mu_ held.
   void health_on_success(std::uint32_t node, SimMicros latency_us);
-  void health_on_failure(std::uint32_t node, SimMicros now);
+  void health_on_success_locked(std::uint32_t node, SimMicros latency_us);
+  void health_on_failure_locked(std::uint32_t node, SimMicros now);
+  /// try_deliver's one health_mu_ round per attempt: adds the leg's earned
+  /// retry token when `refill` (the leg's first round), records the
+  /// attempt's outcome against `node`, and when `take_token` spends the token
+  /// the next retry needs. Returns false when the bucket had none to spend.
+  bool settle_attempt(std::uint32_t node, bool delivered, SimMicros failed_at,
+                      bool refill, bool take_token);
+  /// A fresh leg's retry-token refill (the first one fills the bucket).
+  void earn_retry_token_locked();
+  /// Each node whose breaker is open or half-open holds one unit of the
+  /// `client.breaker.open_nodes` gauge; subtract them all.
+  void give_back_open_breakers() const;
   /// Breaker gate for non-mandatory traffic to `node` at time `now`.
   /// closed -> allowed; open past its cooldown -> transitions to half_open
   /// and admits this caller as the single probe; open otherwise -> refused.
   [[nodiscard]] bool breaker_allows(std::uint32_t node, SimMicros now);
   /// Suspect = breaker not closed, or warmed-up latency EWMA far above the
-  /// fleet mean (gray failure: up but slow).
-  [[nodiscard]] bool is_suspect(std::uint32_t node);
+  /// fleet mean (gray failure: up but slow). Caller holds health_mu_.
+  [[nodiscard]] bool is_suspect_locked(std::uint32_t node) const;
   /// Stable-partition healthy candidates ahead of suspects (availability is
-  /// preserved: suspects stay in the list, at the back).
+  /// preserved: suspects stay in the list, at the back). One health_mu_
+  /// round judges every candidate.
   void demote_suspects(std::vector<std::uint32_t>& candidates);
-  [[nodiscard]] NodeHealth::Breaker breaker_state(std::uint32_t node);
 
   // --- batched scatter-gather (every striped primitive) --------------------
 
@@ -466,7 +495,7 @@ class BlobClient {
   };
   static constexpr std::size_t kMetaCacheCap = 4096;
   void cache_put(const std::string& key, MetaEntry e);
-  void cache_erase(const std::string& key);
+  void cache_erase(std::string_view key);
 
   /// Run fn(0..n) for a wave's groups: on a lazily-created pool in
   /// fault-free runs, sequentially in order when a fault injector is
@@ -477,9 +506,11 @@ class BlobClient {
   BlobStore* store_;
   sim::SimAgent* agent_;
   ClientCounters counters_;
-  Rng rng_{0xb10bfa117ULL};  ///< backoff jitter; per-client, deterministic
+  static constexpr std::uint64_t kBackoffSeed = 0xb10bfa117ULL;
+  Rng rng_{kBackoffSeed};  ///< backoff jitter; per-client, deterministic
   std::unordered_map<std::string, MetaEntry> meta_cache_;
   std::unordered_map<std::string, Placement> place_cache_;
+  std::uint64_t place_epoch_ = 0;  ///< ring epoch place_cache_ was last checked at
   std::unique_ptr<ThreadPool> pool_;
   // Overload resilience state.
   SimMicros op_deadline_at_ = 0;  ///< absolute budget of the op in flight (0 = none)

@@ -2,9 +2,15 @@
 // scan-based directory emulation, and the documented semantic reductions.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <thread>
+#include <vector>
+
 #include "adapter/blobfs.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
+#include "obs/metrics.hpp"
+#include "rpc/fault.hpp"
 #include "vfs/helpers.hpp"
 
 namespace bsc::adapter {
@@ -189,6 +195,213 @@ TEST_F(BlobFsTest, AtomicUnlinkViaTransaction) {
   blob::BlobClient client(store, &a);
   EXPECT_TRUE(client.scan("m!/atomic").value().empty());
   EXPECT_TRUE(client.scan("d!/atomic").value().empty());
+}
+
+// --- One client per (BlobFs, thread) -------------------------------------
+//
+// BlobFs keeps one BlobClient per calling thread and starts each call with
+// BlobClient::start_call. These tests pin what that reuse must not change:
+// thread isolation, instance isolation, lifetime, and membership changes.
+
+std::uint64_t series(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
+TEST(BlobFsClients, EightThreadsEachOnOwnFiles) {
+  sim::Cluster cluster;
+  blob::BlobStore store(cluster);
+  BlobFs fs(store);
+  constexpr int kThreads = 8;
+  constexpr int kFiles = 4;
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&fs, &failures, t] {
+      sim::SimAgent agent;
+      vfs::IoCtx ctx{&agent, 100, 100};
+      for (int round = 0; round < 3; ++round) {
+        for (int f = 0; f < kFiles; ++f) {
+          const std::string path = strfmt("/t%d-f%d", t, f);
+          const Bytes data =
+              make_payload(static_cast<std::uint64_t>(t * 100 + f * 10 + round), 0,
+                           static_cast<std::size_t>(1000 + 700 * f));
+          if (!vfs::write_file(fs, ctx, path, as_view(data)).ok()) ++failures[t];
+          auto back = vfs::read_file(fs, ctx, path);
+          if (!back.ok() || !equal(as_view(back.value()), as_view(data))) ++failures[t];
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
+  sim::SimAgent agent;
+  vfs::IoCtx ctx{&agent, 0, 0};
+  auto ls = fs.readdir(ctx, "/");
+  ASSERT_TRUE(ls.ok());
+  EXPECT_EQ(ls.value().size(), static_cast<std::size_t>(kThreads * kFiles));
+}
+
+TEST(BlobFsClients, TwoInstancesShareOneStore) {
+  sim::Cluster cluster;
+  blob::BlobStore store(cluster);
+  BlobFs a(store);
+  BlobFs b(store);
+  sim::SimAgent agent;
+  vfs::IoCtx ctx{&agent, 100, 100};
+  // Alternate instances on one thread: each call must reach its own
+  // instance's client, and both see one namespace.
+  for (int i = 0; i < 6; ++i) {
+    BlobFs& writer = i % 2 == 0 ? a : b;
+    BlobFs& reader = i % 2 == 0 ? b : a;
+    const std::string path = strfmt("/shared-%d", i);
+    const Bytes data = make_payload(static_cast<std::uint64_t>(i), 0, 1536);
+    ASSERT_TRUE(vfs::write_file(writer, ctx, path, as_view(data)).ok());
+    auto back = vfs::read_file(reader, ctx, path);
+    ASSERT_TRUE(back.ok()) << path;
+    EXPECT_TRUE(equal(as_view(back.value()), as_view(data))) << path;
+  }
+  ASSERT_TRUE(a.unlink(ctx, "/shared-0").ok());
+  EXPECT_EQ(b.stat(ctx, "/shared-0").code(), Errc::not_found);
+}
+
+TEST(BlobFsClients, RebuiltOnSameThreadUsesItsOwnStore) {
+  // The second BlobFs is built in the first one's storage, on another store:
+  // a thread cache keyed by address would hand it the destroyed instance's
+  // client, bound to the first store.
+  sim::Cluster c1;
+  sim::Cluster c2;
+  blob::BlobStore s1(c1);
+  blob::BlobStore s2(c2);
+  sim::SimAgent agent;
+  vfs::IoCtx ctx{&agent, 100, 100};
+  std::optional<BlobFs> fs;
+  fs.emplace(s1);
+  ASSERT_TRUE(vfs::write_file(*fs, ctx, "/first", as_view(make_payload(1, 0, 1536))).ok());
+  fs.reset();
+  fs.emplace(s2);
+  const Bytes data = make_payload(2, 0, 1536);
+  ASSERT_TRUE(vfs::write_file(*fs, ctx, "/second", as_view(data)).ok());
+  auto back = vfs::read_file(*fs, ctx, "/second");
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(equal(as_view(back.value()), as_view(data)));
+  EXPECT_EQ(fs->stat(ctx, "/first").code(), Errc::not_found);
+  sim::SimAgent a;
+  blob::BlobClient on_first(s1, &a);
+  EXPECT_FALSE(on_first.exists("m!/second"));
+  EXPECT_TRUE(on_first.exists("m!/first"));
+}
+
+TEST(BlobFsClients, MembershipChangeDropsCachedPlacements) {
+  sim::ClusterSpec spec;
+  spec.storage_nodes = 12;
+  sim::Cluster cluster(spec);
+  blob::BlobStore store(cluster);
+  BlobFs fs(store);
+  sim::SimAgent agent;
+  vfs::IoCtx ctx{&agent, 100, 100};
+  const Bytes data = make_payload(11, 0, 600000);  // three chunks
+  ASSERT_TRUE(vfs::write_file(fs, ctx, "/moving", as_view(data)).ok());
+
+  ASSERT_TRUE(store.begin_add_server(cluster.compute_node(0)).ok());
+  blob::Rebalancer* rb = store.rebalancer();
+  ASSERT_NE(rb, nullptr);
+  while (!rb->done()) ASSERT_TRUE(rb->step(&agent).ok());
+  ASSERT_TRUE(rb->finalize(&agent).ok());
+
+  // The thread's client cached every chunk's placement at the old epoch. A
+  // stale entry would be caught by a server's newer epoch stamp and flushed
+  // (client.epoch.refreshes); dropping the cache at call start means no leg
+  // ever routes by one.
+  const std::uint64_t refreshes = series("client.epoch.refreshes");
+  auto back = vfs::read_file(fs, ctx, "/moving");
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(equal(as_view(back.value()), as_view(data)));
+  const Bytes tail = make_payload(12, 0, 1536);
+  auto h = fs.open(ctx, "/moving", vfs::OpenFlags::rw());
+  ASSERT_TRUE(h.ok());
+  ASSERT_TRUE(fs.write(ctx, h.value(), 524288, as_view(tail)).ok());
+  ASSERT_TRUE(fs.close(ctx, h.value()).ok());
+  auto again = vfs::read_file(fs, ctx, "/moving");
+  ASSERT_TRUE(again.ok());
+  Bytes want = data;
+  std::copy(tail.begin(), tail.end(), want.begin() + 524288);
+  EXPECT_TRUE(equal(as_view(again.value()), as_view(want)));
+  EXPECT_EQ(series("client.epoch.refreshes"), refreshes);
+}
+
+TEST(BlobFsClients, HealthIsPerCallWhileNativeClientsKeepIt) {
+  // One replica turns slow. A native client reused across reads builds up
+  // its latency samples and demotes it; a BlobFs call starts from a new
+  // client's health, so reads through one BlobFs context never do.
+  sim::Cluster cluster;
+  blob::BlobStore store(cluster);
+  BlobFs fs(store);
+  sim::SimAgent agent;
+  vfs::IoCtx ctx{&agent, 100, 100};
+  constexpr int kFiles = 24;
+  for (int f = 0; f < kFiles; ++f) {
+    ASSERT_TRUE(vfs::write_file(fs, ctx, strfmt("/slow-%02d", f),
+                                as_view(make_payload(static_cast<std::uint64_t>(f), 0,
+                                                     1024)))
+                    .ok());
+  }
+  rpc::FaultInjector injector{/*seed=*/7};
+  store.transport().set_fault_injector(&injector);
+  const std::uint32_t slow =
+      store.server(store.replicas_of(BlobFs::chunk_key("/slow-00", 0))[0]).node().id();
+  rpc::FaultPlan gray;
+  gray.added_latency_us = 2000;
+  injector.set_plan(slow, gray);
+  const std::uint32_t min_samples = store.config().breaker.suspect_min_samples;
+
+  const std::uint64_t demotions = series("client.breaker.demotions");
+  std::vector<vfs::FileHandle> handles;
+  for (int f = 0; f < kFiles; ++f) {
+    auto h = fs.open(ctx, strfmt("/slow-%02d", f), vfs::OpenFlags::rd());
+    ASSERT_TRUE(h.ok());
+    handles.push_back(h.value());
+  }
+  for (std::uint32_t round = 0; round < 2 * min_samples; ++round) {
+    for (const vfs::FileHandle fh : handles) ASSERT_TRUE(fs.read(ctx, fh, 0, 1024).ok());
+  }
+  for (const vfs::FileHandle fh : handles) ASSERT_TRUE(fs.close(ctx, fh).ok());
+  EXPECT_EQ(series("client.breaker.demotions"), demotions);
+
+  sim::SimAgent native_agent;
+  blob::BlobClient native(store, &native_agent);
+  for (std::uint32_t round = 0; round < 2 * min_samples; ++round) {
+    for (int f = 0; f < kFiles; ++f) {
+      ASSERT_TRUE(native.read(BlobFs::chunk_key(strfmt("/slow-%02d", f), 0), 0, 1024).ok());
+    }
+  }
+  EXPECT_GT(native.counters().breaker_demotions.value(), 0u);
+  EXPECT_GT(series("client.breaker.demotions"), demotions);
+  store.transport().set_fault_injector(nullptr);
+}
+
+TEST(BlobFsClients, MetadataCacheNeverHitsAcrossCalls) {
+  // Each call starts with an empty metadata cache, as a new client did:
+  // open, sync and truncate re-read the metadata blob every time. A cut
+  // into a chunk caches the chunk's size; a cache kept across calls would
+  // answer the atomic unlink's per-chunk exists() from it, for free.
+  sim::Cluster cluster;
+  blob::BlobStore store(cluster);
+  BlobFs fs(store, BlobFsConfig{.atomic_meta_updates = true});
+  sim::SimAgent agent;
+  vfs::IoCtx ctx{&agent, 100, 100};
+  const std::uint64_t hits = series("client.metacache.hits");
+  for (int i = 0; i < 4; ++i) {
+    auto h = fs.open(ctx, "/meta", vfs::OpenFlags::rw());
+    ASSERT_TRUE(h.ok());
+    ASSERT_TRUE(fs.write(ctx, h.value(), static_cast<std::uint64_t>(i) * 2048,
+                         as_view(make_payload(static_cast<std::uint64_t>(i), 0, 2048)))
+                    .ok());
+    ASSERT_TRUE(fs.sync(ctx, h.value()).ok());
+    ASSERT_TRUE(fs.close(ctx, h.value()).ok());
+    ASSERT_TRUE(fs.truncate(ctx, "/meta", static_cast<std::uint64_t>(i) * 2048 + 1024).ok());
+  }
+  ASSERT_TRUE(fs.unlink(ctx, "/meta").ok());
+  EXPECT_EQ(series("client.metacache.hits"), hits);
 }
 
 }  // namespace

@@ -301,6 +301,110 @@ TEST(Overload, ReadsDemoteSuspectReplicasAfterBreakerOpens) {
   agree.check({"client.failovers", "client.breaker.demotions"});
 }
 
+TEST(Overload, ClientGivesBackOpenBreakerGauge) {
+  // client.breaker.open_nodes counts nodes whose breaker is open or
+  // half-open. A client destroyed (or restarted with start_call) with such a
+  // breaker must give its units back, or the gauge drifts upward forever.
+  StoreConfig cfg;
+  cfg.write_quorum = 2;
+  Rig rig(cfg);
+  rig.install_injector();
+  obs::Gauge& open_nodes = obs::MetricsRegistry::global().gauge("client.breaker.open_nodes");
+  const std::int64_t before = open_nodes.value();
+
+  const std::uint32_t victim = 3;
+  const auto keys = secondary_keys(rig.store, victim, 16);
+  ASSERT_EQ(keys.size(), 16u);
+  rig.injector.set_plan(rig.node_of(victim).id(), forever_outage());
+  const Bytes data = make_payload(10, 0, 512);
+  {
+    sim::SimAgent agent;
+    BlobClient client(rig.store, &agent);
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(client.write(keys[static_cast<std::size_t>(i)], 0, as_view(data)).ok());
+    }
+    ASSERT_GE(client.counters().breaker_opens, 1u);
+    EXPECT_EQ(open_nodes.value(), before + 1);
+  }
+  EXPECT_EQ(open_nodes.value(), before);
+
+  // Half-open: the replica recovers and one probe succeeds, one short of
+  // the two that close the breaker. start_call gives the unit back too.
+  for (int i = 6; i < 12; ++i) {
+    ASSERT_TRUE(rig.client.write(keys[static_cast<std::size_t>(i)], 0, as_view(data)).ok());
+  }
+  ASSERT_GE(rig.client.counters().breaker_opens, 1u);
+  rig.injector.clear_all();
+  rig.agent.advance_to(rig.agent.now() + cfg.breaker.open_cooldown_us + 1000);
+  ASSERT_TRUE(rig.client.write(keys[12], 0, as_view(data)).ok());
+  ASSERT_GE(rig.client.counters().breaker_probes, 1u);
+  ASSERT_EQ(rig.client.counters().breaker_closes, 0u);
+  EXPECT_EQ(open_nodes.value(), before + 1);
+  rig.client.start_call(&rig.agent);
+  EXPECT_EQ(open_nodes.value(), before);
+}
+
+TEST(Overload, StartCallAnswersAsANewClient) {
+  // Two identical rigs replay one faulted history. Afterwards rig a keeps
+  // its client and calls start_call, rig b builds a new client: every
+  // simulated time and fault-handling count must then match. The history
+  // leaves an open breaker and a latency suspect behind, so a health entry
+  // reset in place has to answer exactly as an absent one.
+  Rig a;
+  Rig b;
+  std::vector<std::string> keys;
+  for (int i = 0; i < 24; ++i) keys.push_back(strfmt("reset-%02d", i));
+  const auto history = [&keys](Rig& rig) {
+    rig.install_injector();
+    const Bytes data = make_payload(11, 0, 1024);
+    for (const auto& k : keys) ASSERT_TRUE(rig.client.write(k, 0, as_view(data)).ok());
+    rpc::FaultPlan gray;
+    gray.added_latency_us = 2000;
+    rig.injector.set_plan(rig.node_of(rig.store.replicas_of(keys[0])[0]).id(), gray);
+    rig.injector.set_plan(rig.node_of(rig.store.replicas_of(keys[1])[0]).id(),
+                          forever_outage());
+  };
+  const auto reads = [&keys](BlobClient& c, int rounds) {
+    for (int r = 0; r < rounds; ++r) {
+      for (const auto& k : keys) ASSERT_TRUE(c.read(k, 0, 1024).ok()) << k;
+    }
+  };
+  history(a);
+  history(b);
+  reads(a.client, 3);
+  reads(b.client, 3);
+  ASSERT_GE(a.client.counters().breaker_opens, 1u);
+  ASSERT_GT(a.client.counters().breaker_demotions, 0u);
+  ASSERT_EQ(a.agent.now(), b.agent.now());
+
+  a.client.start_call(&a.agent);
+  const ClientCounters& ca = a.client.counters();
+  const std::vector<std::uint64_t> base = {
+      ca.failovers, ca.retries, ca.breaker_opens, ca.breaker_probes,
+      ca.breaker_closes, ca.breaker_demotions, ca.hints_written, ca.retries_suppressed};
+  BlobClient fresh(b.store, &b.agent);
+  reads(a.client, 2);
+  reads(fresh, 2);
+  a.injector.clear_all();  // the outage replica is a primary: writes need it back
+  b.injector.clear_all();
+  const Bytes more = make_payload(12, 0, 1024);
+  for (const auto& k : keys) {
+    ASSERT_TRUE(a.client.write(k, 0, as_view(more)).ok());
+    ASSERT_TRUE(fresh.write(k, 0, as_view(more)).ok());
+  }
+  const ClientCounters& cf = fresh.counters();
+  EXPECT_EQ(a.agent.now(), b.agent.now());
+  EXPECT_EQ(ca.failovers - base[0], cf.failovers.value());
+  EXPECT_EQ(ca.retries - base[1], cf.retries.value());
+  EXPECT_EQ(ca.breaker_opens - base[2], cf.breaker_opens.value());
+  EXPECT_EQ(ca.breaker_probes - base[3], cf.breaker_probes.value());
+  EXPECT_EQ(ca.breaker_closes - base[4], cf.breaker_closes.value());
+  EXPECT_EQ(ca.breaker_demotions - base[5], cf.breaker_demotions.value());
+  EXPECT_EQ(ca.hints_written - base[6], cf.hints_written.value());
+  EXPECT_EQ(ca.retries_suppressed - base[7], cf.retries_suppressed.value());
+  EXPECT_GT(cf.breaker_demotions.value(), 0u);
+}
+
 TEST(Overload, DisabledBreakerKeepsLegacyBehavior) {
   StoreConfig cfg;
   cfg.write_quorum = 2;
