@@ -21,10 +21,25 @@ const vfs::IoCtx kStagingCtx{nullptr, 500, 500};
 
 constexpr SimMicros kComputePerReqUs = 15;  ///< per-request application compute
 
+/// Write `size` bytes of payload stream `seed` to `path` in 1 MiB calls,
+/// generating each call's bytes into one reused buffer.
 Status stage_file(vfs::FileSystem& fs, std::string_view path, std::uint64_t size,
                   std::uint64_t seed) {
-  const Bytes data = make_payload(seed, 0, size);
-  return vfs::write_file(fs, kStagingCtx, path, as_view(data), 1 << 20);
+  constexpr std::uint64_t kCall = 1 << 20;
+  auto fh = fs.open(kStagingCtx, path, vfs::OpenFlags::wr());
+  if (!fh.ok()) return fh.error();
+  Bytes buf(std::min(size, kCall));
+  for (std::uint64_t off = 0; off < size;) {
+    const MutableByteView chunk(buf.data(), std::min(kCall, size - off));
+    fill_payload(seed, off, chunk);
+    auto w = fs.write(kStagingCtx, fh.value(), off, chunk);
+    if (!w.ok()) {
+      (void)fs.close(kStagingCtx, fh.value());
+      return w.error();
+    }
+    off += w.value();
+  }
+  return fs.close(kStagingCtx, fh.value());
 }
 
 /// Sequentially read [off, off+len) of `fh` in `req`-sized calls, charging
@@ -46,11 +61,12 @@ Result<std::uint64_t> read_range(mpiio::MpiIo& io, vfs::FileHandle fh, std::uint
 /// Sequentially write [off, off+len) in `req`-sized calls of synthetic data.
 Status write_range(mpiio::MpiIo& io, vfs::FileHandle fh, std::uint64_t off,
                    std::uint64_t len, std::uint64_t req, std::uint64_t seed) {
+  Bytes buf(std::min(req, len));
   std::uint64_t done = 0;
   while (done < len) {
-    const std::uint64_t n = std::min(req, len - done);
-    const Bytes chunk = make_payload(seed, off + done, n);
-    auto w = io.write_at(fh, off + done, as_view(chunk));
+    const MutableByteView chunk(buf.data(), std::min(req, len - done));
+    fill_payload(seed, off + done, chunk);
+    auto w = io.write_at(fh, off + done, chunk);
     if (!w.ok()) return w.error();
     done += w.value();
     io.ctx().charge(kComputePerReqUs);
@@ -171,6 +187,7 @@ Status run_mom(vfs::FileSystem& fs, sim::Cluster& cluster, const HpcAppSpec& spe
     if (!df.ok()) return df.error();
 
     const std::uint64_t fslice = forcing / (kSteps * spec.ranks);
+    Bytes dump(per_dump_per_rank);
     std::uint64_t diag_off = 0;
     for (std::uint32_t step = 0; step < kSteps; ++step) {
       const std::uint64_t foff =
@@ -181,10 +198,9 @@ Status run_mom(vfs::FileSystem& fs, sim::Cluster& cluster, const HpcAppSpec& spe
       if ((step + 1) % kDiagInterval == 0) {
         // Collective write: contiguous per-rank slices, aggregated by the
         // MPI-IO layer into large sequential storage calls.
-        const Bytes chunk =
-            make_payload(seed ^ step, rank * per_dump_per_rank, per_dump_per_rank);
-        auto w = io.write_at_all(df.value(),
-                                 diag_off + rank * per_dump_per_rank, as_view(chunk));
+        fill_payload(seed ^ step, rank * per_dump_per_rank, dump);
+        auto w = io.write_at_all(df.value(), diag_off + rank * per_dump_per_rank,
+                                 as_view(dump));
         if (!w.ok()) return w.error();
         diag_off += per_dump_per_rank * spec.ranks;
       }

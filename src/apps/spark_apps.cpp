@@ -156,11 +156,12 @@ Status write_part_task(spark::TaskContext& tc, const std::string& path,
                        std::uint64_t bytes, std::uint64_t req, std::uint64_t seed) {
   auto fh = tc.fs->open(tc.io, path, vfs::OpenFlags::wr());
   if (!fh.ok()) return fh.error();
+  Bytes buf(std::min(req, bytes));
   std::uint64_t done = 0;
   while (done < bytes) {
-    const std::uint64_t n = std::min(req, bytes - done);
-    const Bytes chunk = make_payload(seed, done, n);
-    auto w = tc.fs->write(tc.io, fh.value(), done, as_view(chunk));
+    const MutableByteView chunk(buf.data(), std::min(req, bytes - done));
+    fill_payload(seed, done, chunk);
+    auto w = tc.fs->write(tc.io, fh.value(), done, chunk);
     if (!w.ok()) {
       (void)tc.fs->close(tc.io, fh.value());
       return w.error();

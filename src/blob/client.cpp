@@ -395,9 +395,11 @@ Status BlobClient::mutation_leg(const std::string& ekey,
   // migration state under those same stripes, so a placement that re-reads
   // identically is stable for the rest of the leg; a mismatch means the
   // cached entry went stale (membership moved) — flush it, pay one refresh
-  // round trip, and retry against the authoritative placement. The final
-  // pass proceeds on whatever it locked: finalize()'s verify sweep repairs
-  // any drift a pathological race could leave behind.
+  // round trip, and retry against the authoritative placement. With no
+  // window open and the ring at the placement's epoch there is nothing to
+  // re-read (BlobStore::placement_current). The final pass proceeds on
+  // whatever it locked: finalize()'s verify sweep repairs any drift a
+  // pathological race could leave behind.
   KeyLeg k;
   k.ekey = &ekey;
   Placement& p = k.place;
@@ -419,6 +421,7 @@ Status BlobClient::mutation_leg(const std::string& ekey,
     locks.reserve(sorted.size());
     for (std::uint32_t n : sorted) locks.push_back(store_->server(n).lock_key(ekey));
 
+    if (store_->placement_current(p)) break;
     const Placement fresh = store_->placement_of(ekey);
     if (fresh.replicas == p.replicas && fresh.pending == p.pending) break;
     flush_stale_placement(ekey, pass < 2);
@@ -765,9 +768,10 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   // key replicated OR dual-targeted there: the same lexicographic
   // (node, stripe) global order as mutation_leg's lock_key rounds and
   // transaction commits, so the three paths cannot deadlock — this is the
-  // "single striped-lock acquisition round". Placements are re-resolved
-  // under the held stripes (the rebalancer flips migration state under the
-  // same stripes), retrying the round when a cutover moved a key in between.
+  // "single striped-lock acquisition round". Placements that may have moved
+  // (BlobStore::placement_current) are re-resolved under the held stripes
+  // (the rebalancer flips migration state under the same stripes), retrying
+  // the round when a cutover moved a key in between.
   std::map<std::uint32_t, std::vector<std::string_view>> node_keys;
   std::vector<BlobServer::MultiKeyLock> locks;
   for (int pass = 0;; ++pass) {
@@ -783,8 +787,10 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
     for (auto& [n, keys] : node_keys) locks.push_back(store_->server(n).lock_keys(keys));
     bool stable = true;
     for (std::size_t i = 0; i < subs.size() && stable; ++i) {
+      const Placement& held = st[i].place;
+      if (store_->placement_current(held)) continue;
       const Placement p = store_->placement_of(subs[i]->ekey);
-      stable = p.replicas == st[i].place.replicas && p.pending == st[i].place.pending;
+      stable = p.replicas == held.replicas && p.pending == held.pending;
     }
     if (stable || pass >= 2) break;
     counters_.stale_epoch_retries.inc();

@@ -63,6 +63,16 @@ class BlobStore {
   /// every migration-window cutover).
   [[nodiscard]] std::uint64_t ring_epoch() const noexcept { return ring_.epoch(); }
 
+  /// True when `p` is certainly still its key's placement: no window is
+  /// open, the ring is at p's epoch and p has no dual-write targets. Only
+  /// windows and membership changes move placements, and a cutover bumps
+  /// the epoch before it clears the open-window flag, so reading the flag
+  /// first cannot pair "no window" with a pre-cutover epoch. False means
+  /// "unknown": re-resolve with placement_of.
+  [[nodiscard]] bool placement_current(const Placement& p) const noexcept {
+    return !rebalance_active() && ring_epoch() == p.epoch && p.pending.empty();
+  }
+
   // --- failure injection & recovery ---
   /// Mark a server down: reads fail over to the next replica, mutations
   /// proceed degraded (the down replica misses updates until resync).

@@ -188,33 +188,55 @@ std::byte payload_byte(std::uint64_t seed, std::uint64_t off) noexcept {
   return static_cast<std::byte>((word >> ((off & 7) * 8)) & 0xff);
 }
 
-Bytes make_payload(std::uint64_t seed, std::uint64_t offset, std::size_t len) {
-  // Unaligned head and tail bytes go one at a time; every whole word in
-  // between costs one mix and one 8-byte store.
-  Bytes out(len);
-  std::size_t i = 0;
-  for (; i < len && ((offset + i) & 7) != 0; ++i) out[i] = payload_byte(seed, offset + i);
-  for (; i + 8 <= len; i += 8) {
-    const std::uint64_t word = payload_word(seed, (offset + i) >> 3);
-    std::memcpy(out.data() + i, &word, 8);
+// The word loop below is plain C++; the clones only let the compiler widen
+// it (AVX-512DQ has a 64-bit vector multiply, AVX2 emulates one). GCC's
+// resolver picks a clone once, at load time, from the host's CPU features.
+// ThreadSanitizer instruments that resolver, which then runs before its
+// runtime is up and crashes the program at load, so TSan builds keep the
+// one plain version.
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
+    !defined(__SANITIZE_THREAD__)
+__attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#endif
+void fill_payload(std::uint64_t seed, std::uint64_t offset, MutableByteView out) noexcept {
+  // A partial word at either end copies its bytes out of the whole word;
+  // every whole word in between costs one mix and one 8-byte store.
+  std::byte* dst = out.data();
+  std::size_t len = out.size();
+  std::uint64_t index = offset >> 3;
+  if (const std::size_t skip = offset & 7; skip != 0 && len != 0) {
+    const std::uint64_t word = payload_word(seed, index++);
+    const std::size_t n = std::min(len, 8 - skip);
+    std::memcpy(dst, reinterpret_cast<const std::byte*>(&word) + skip, n);
+    dst += n;
+    len -= n;
   }
-  for (; i < len; ++i) out[i] = payload_byte(seed, offset + i);
+  const std::size_t words = len >> 3;
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t word = payload_word(seed, index + w);
+    std::memcpy(dst + 8 * w, &word, 8);
+  }
+  if (const std::size_t rest = len & 7; rest != 0) {
+    const std::uint64_t word = payload_word(seed, index + words);
+    std::memcpy(dst + 8 * words, &word, rest);
+  }
+}
+
+Bytes make_payload(std::uint64_t seed, std::uint64_t offset, std::size_t len) {
+  Bytes out(len);
+  fill_payload(seed, offset, out);
   return out;
 }
 
 bool check_payload(std::uint64_t seed, std::uint64_t offset, ByteView data) noexcept {
-  const std::size_t len = data.size();
-  std::size_t i = 0;
-  for (; i < len && ((offset + i) & 7) != 0; ++i) {
-    if (data[i] != payload_byte(seed, offset + i)) return false;
-  }
-  for (; i + 8 <= len; i += 8) {
-    std::uint64_t word;
-    std::memcpy(&word, data.data() + i, 8);
-    if (word != payload_word(seed, (offset + i) >> 3)) return false;
-  }
-  for (; i < len; ++i) {
-    if (data[i] != payload_byte(seed, offset + i)) return false;
+  // Generate the expected stream a block at a time and compare.
+  constexpr std::size_t kBlock = 4096;
+  std::byte want[kBlock];
+  for (std::size_t done = 0; done < data.size();) {
+    const std::size_t n = std::min(kBlock, data.size() - done);
+    fill_payload(seed, offset + done, {want, n});
+    if (std::memcmp(want, data.data() + done, n) != 0) return false;
+    done += n;
   }
   return true;
 }

@@ -115,7 +115,14 @@ class Zipf {
 
 /// Deterministic payload: the byte at absolute offset `off` of stream `seed`.
 /// Lets tests verify multi-gigabyte-scale reads without storing expected data.
+/// This is the reference definition; fill_payload must agree with it.
 [[nodiscard]] std::byte payload_byte(std::uint64_t seed, std::uint64_t off) noexcept;
+
+/// Overwrite `out` with [offset, offset + out.size()) of the payload stream.
+/// The one generation kernel: make_payload and check_payload go through it,
+/// and the app write loops fill one reused buffer with it per request. GCC
+/// x86-64 builds compile it once per ISA level and pick one at load time.
+void fill_payload(std::uint64_t seed, std::uint64_t offset, MutableByteView out) noexcept;
 
 /// Materialize [offset, offset+len) of the deterministic payload stream.
 [[nodiscard]] Bytes make_payload(std::uint64_t seed, std::uint64_t offset, std::size_t len);

@@ -114,13 +114,15 @@ CallCounts warm_counts(std::string_view path) {
 }
 
 // Pins, from the tree that introduced this test. A fresh BlobClient per call
-// made 14.00 and 12.00 for "/f" and 19.00 and 15.00 for "/census/out".
+// made 14.00 and 12.00 for "/f" and 19.00 and 15.00 for "/census/out". The
+// write pins went 7 -> 6 and 9 -> 8 when a write with a current placement
+// stopped re-resolving it under the held stripes.
 // Lower a pin when a change removes an allocation; never raise one to make a
 // change pass.
 TEST(AllocCounts, WarmSmallCallsShortKey) {
   // "d!/f!00000000" fits in a std::string's inline buffer.
   const CallCounts c = warm_counts("/f");
-  EXPECT_LE(c.per_write, 7.00);
+  EXPECT_LE(c.per_write, 6.00);
   EXPECT_LE(c.per_read, 6.00);
 }
 
@@ -128,7 +130,7 @@ TEST(AllocCounts, WarmSmallCallsHeapKey) {
   // "d!/census/out!00000000" does not: each copy of the key allocates, as
   // for the census's own paths.
   const CallCounts c = warm_counts("/census/out");
-  EXPECT_LE(c.per_write, 9.00);
+  EXPECT_LE(c.per_write, 8.00);
   EXPECT_LE(c.per_read, 8.00);
 }
 

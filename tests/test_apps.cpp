@@ -6,9 +6,11 @@
 #include "apps/app_spec.hpp"
 #include "apps/hpc_apps.hpp"
 #include "apps/spark_apps.hpp"
+#include "common/rng.hpp"
 #include "hdfs/hdfs.hpp"
 #include "pfs/pfs.hpp"
 #include "trace/report.hpp"
+#include "vfs/helpers.hpp"
 
 namespace bsc::apps {
 namespace {
@@ -86,6 +88,30 @@ TEST(HpcApps, RayTracingBalanced) {
                     static_cast<double>(r.census.census.bytes_written);
   EXPECT_NEAR(rw, 0.94, 0.1);  // Table I: 0.94 -> Balanced
   EXPECT_EQ(trace::classify_profile(rw), "Balanced");
+}
+
+TEST(HpcApps, StagedInputAndWrittenOutputArePayloadStreams) {
+  // Staging and the write loops generate each call's bytes into one reused
+  // buffer; a staged RT frame (two 1 MiB-bounded staging calls) and a frame
+  // the run wrote (2 KiB calls) must read back as their payload streams.
+  sim::Cluster cluster;
+  pfs::LustreLikeFs fs(cluster);
+  HpcRunOptions opts;
+  opts.ranks = 1;
+  const auto r = run_hpc_app(HpcAppKind::raytracing, fs, cluster, opts);
+  ASSERT_TRUE(r.ok) << r.error;
+  const vfs::IoCtx ctx{nullptr, 500, 500};
+  const auto spec = raytracing_spec();
+  constexpr std::uint32_t kFrames = 48;  // stage_raytracing's frame count
+  const auto in = vfs::read_file(fs, ctx, "/data/rt/frames/frame-0005.raw");
+  ASSERT_TRUE(in.ok());
+  ASSERT_EQ(in.value().size(), spec.read_total / kFrames);
+  ASSERT_GT(in.value().size(), 1u << 20);
+  EXPECT_TRUE(check_payload(opts.seed ^ 5, 0, as_view(in.value())));
+  const auto out = vfs::read_file(fs, ctx, "/out/rt/frame-0005.out");
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out.value().size(), spec.write_total / kFrames);
+  EXPECT_TRUE(check_payload(opts.seed ^ (5 * 7), 0, as_view(out.value())));
 }
 
 TEST(HpcApps, RunsUnmodifiedOnBlobFs) {

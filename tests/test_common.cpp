@@ -2,8 +2,10 @@
 // thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <string>
 #include <utility>
@@ -251,6 +253,59 @@ TEST(Payload, CheckRejectsOneFlippedByteInHeadBodyAndTail) {
     Bytes bad = good;
     bad[pos] ^= std::byte{0x01};
     EXPECT_FALSE(check_payload(3, off, as_view(bad))) << "pos=" << pos;
+  }
+}
+
+// fill_payload writes in place, so it starts from dirty memory: every head
+// offset and every length up to 1100 (each remainder of any vector width the
+// word loop may be widened to), into destinations at every misalignment,
+// must give exactly the payload_byte stream and leave the bytes around the
+// destination alone.
+TEST(Payload, FillMatchesBytewiseDefinitionInDirtyMisalignedBuffers) {
+  constexpr std::uint64_t kSeed = 0x5eed;
+  constexpr std::size_t kMaxLen = 1100;
+  constexpr std::size_t kGuard = 16;
+  const std::byte dirty{0xA5};
+  Bytes buf(kGuard + 8 + kMaxLen + kGuard);
+  for (std::uint64_t head = 0; head < 8; ++head) {
+    const std::uint64_t off = (1ULL << 40) + head;
+    Bytes want(kMaxLen);
+    for (std::size_t i = 0; i < kMaxLen; ++i) want[i] = payload_byte(kSeed, off + i);
+    for (std::size_t mis = 0; mis < 8; ++mis) {
+      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        std::fill(buf.begin(), buf.end(), dirty);
+        std::byte* dst = buf.data() + kGuard + mis;
+        fill_payload(kSeed, off, {dst, len});
+        ASSERT_TRUE(len == 0 || std::memcmp(dst, want.data(), len) == 0)
+            << "head=" << head << " mis=" << mis << " len=" << len;
+        const auto untouched = [&](std::size_t from, std::size_t to) {
+          return std::all_of(buf.begin() + static_cast<std::ptrdiff_t>(from),
+                             buf.begin() + static_cast<std::ptrdiff_t>(to),
+                             [&](std::byte b) { return b == dirty; });
+        };
+        ASSERT_TRUE(untouched(0, kGuard + mis) &&
+                    untouched(kGuard + mis + len, buf.size()))
+            << "wrote outside the destination: head=" << head << " mis=" << mis
+            << " len=" << len;
+      }
+    }
+  }
+}
+
+TEST(Payload, CheckRejectsOneFlippedByteInVectorBodyAndRemainder) {
+  // From offset 3 a 1100-byte range is a 5-byte head, 136 whole words
+  // [5, 1093) and a 7-byte remainder; 9000 bytes also span three of
+  // check_payload's generated blocks.
+  for (const std::size_t len : {std::size_t{1100}, std::size_t{9000}}) {
+    const std::uint64_t off = 3;
+    const Bytes good = make_payload(21, off, len);
+    ASSERT_TRUE(check_payload(21, off, as_view(good)));
+    for (const std::size_t pos : {std::size_t{500}, len - 4, len - 1, std::size_t{4100}}) {
+      if (pos >= len) continue;
+      Bytes bad = good;
+      bad[pos] ^= std::byte{0x80};
+      EXPECT_FALSE(check_payload(21, off, as_view(bad))) << "len=" << len << " pos=" << pos;
+    }
   }
 }
 
