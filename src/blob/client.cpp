@@ -6,21 +6,19 @@
 #include <thread>
 
 #include "common/hash.hpp"
+#include "rpc/envelope.hpp"
 #include "rpc/wire.hpp"
 #include "trace/taxonomy.hpp"
 
 namespace bsc::blob {
 
 namespace {
-/// Wire envelope overhead of a request/response (header, op code, status).
-constexpr std::uint64_t kEnvelope = 32;
-
-/// Wire size of a version-probe request/response (stat of one key).
-constexpr std::uint64_t kProbeReq = 64;
-constexpr std::uint64_t kProbeResp = kEnvelope + 24;
+using rpc::kBlobEnvelope;
+using rpc::kProbeReply;
+using rpc::kProbeRequest;
 
 std::uint64_t req_bytes(std::string_view key, std::uint64_t payload = 0) {
-  return kEnvelope + key.size() + payload;
+  return kBlobEnvelope + key.size() + payload;
 }
 
 /// Exact wire bytes of one batch sub-op header (payload excluded). Coalesced
@@ -356,14 +354,11 @@ BlobClient::LegDelivery BlobClient::try_deliver(BlobServer& srv, SimMicros start
     }
     const SimMicros attempt_deadline = attempt_deadline_at(t);
     if (attempt_deadline < rp.attempt_deadline_us) counters_.deadline_clamped.inc();
-    const rpc::Transport::Attempt p = store_->transport().plan_attempt(
-        srv.node(), t, request_bytes, attempt_deadline, batch_subs);
+    const LegDelivery p = store_->transport().plan_attempt(srv.node(), t, request_bytes,
+                                                           attempt_deadline, batch_subs);
     if (p.delivered) {
       settle_attempt(node, true, 0, refill, false);
-      out.ok = true;
-      out.attempt_start = t;
-      out.extra_latency_us = p.extra_latency_us;
-      return out;
+      return p;
     }
     if (p.err == Errc::overloaded) counters_.sheds_observed.inc();
     const bool want_token = bucket_on && a + 1 < attempts;
@@ -426,7 +421,7 @@ Status BlobClient::mutation_leg(const std::string& ekey,
     if (fresh.replicas == p.replicas && fresh.pending == p.pending) break;
     flush_stale_placement(ekey, pass < 2);
     if (pass >= 2) break;
-    start += 2 * store_->cluster().net().transfer_us(kProbeReq);
+    start += store_->transport().round_trip_us(kProbeRequest);
   }
   const std::vector<std::uint32_t>& replicas = p.replicas;
   read_metas(k);
@@ -477,14 +472,13 @@ Status BlobClient::mutation_leg(const std::string& ekey,
   }
   k.ends_removed = !exists;
 
-  const auto& net = store_->cluster().net();
+  const rpc::Transport& tp = store_->transport();
   const std::uint64_t req = req_bytes(ekey, payload);
 
   if (!precheck.ok()) {
     // Pay the failed round-trip to the primary (the rejection itself is a
     // tiny, delivered reply — a faulted leg would surface below anyway).
-    const SimMicros done = primary.node().serve(start + net.transfer_us(req), 3);
-    *completion = done + net.transfer_us(kEnvelope);
+    *completion = tp.leg(primary.node(), start, req, kBlobEnvelope, 3).completion;
     return precheck;
   }
 
@@ -499,18 +493,16 @@ Status BlobClient::mutation_leg(const std::string& ekey,
   // Coordinator leg: the acting primary must ack, with retries. Nothing has
   // been applied anywhere if this fails — the mutation is atomically absent.
   LegDelivery prim = try_deliver(primary, start, req);
-  if (!prim.ok) {
+  if (!prim.delivered) {
     *completion = prim.failed_at;
     return {prim.err, "primary unreachable: " + ekey};
   }
   SimMicros svc0 = 0;
   Status st = primary.apply_ops(refs.data(), refs.size(), &svc0);
   if (st.ok()) k.lift(primary);
-  const SimMicros prim_arrival =
-      prim.attempt_start + net.transfer_us(req) + prim.extra_latency_us;
-  const SimMicros prim_done = primary.node().serve(prim_arrival, svc0);
-  SimMicros done =
-      prim_done + net.transfer_us(kEnvelope) + prim.extra_latency_us;
+  const rpc::CallCost pc = tp.leg(primary.node(), prim, req, kBlobEnvelope, svc0);
+  const SimMicros prim_done = pc.served;
+  SimMicros done = pc.completion;
   if (!st.ok()) {
     *completion = done;
     return st;
@@ -543,7 +535,7 @@ Status BlobClient::mutation_leg(const std::string& ekey,
       continue;
     }
     LegDelivery d = try_deliver(rep, prim_done, req);
-    if (!d.ok) {
+    if (!d.delivered) {
       k.missed.push_back(rid);
       miss_err = d.err;
       done = std::max(done, d.failed_at);
@@ -557,10 +549,8 @@ Status BlobClient::mutation_leg(const std::string& ekey,
     }
     k.lift(rep);
     ++k.acks;
-    const SimMicros arr = prim_done + net.transfer_us(req) + d.extra_latency_us;
-    done = std::max(done,
-                    rep.node().serve(arr, svc) + net.transfer_us(kEnvelope) +
-                        d.extra_latency_us);
+    done = std::max(done, tp.leg(rep.node(), prim_done, req, kBlobEnvelope, svc,
+                                 d.extra_latency_us).completion);
   }
   if (!st.ok()) {
     *completion = done;
@@ -616,7 +606,7 @@ void BlobClient::plan_versions(std::uint32_t acting, std::uint64_t nops, KeyLeg&
 void BlobClient::mirror_pending(BlobServer& primary, const KeyLeg& k,
                                 const BlobServer::OpRef* ops, std::size_t count,
                                 std::uint64_t req, SimMicros launch, SimMicros* done) {
-  const auto& net = store_->cluster().net();
+  const rpc::Transport& tp = store_->transport();
   for (std::uint32_t tid : k.place.pending) {
     if (store_->is_down(tid)) {
       if (primary.add_hint(tid, *k.ekey)) counters_.hints_written.inc();
@@ -625,7 +615,7 @@ void BlobClient::mirror_pending(BlobServer& primary, const KeyLeg& k,
     BlobServer& tgt = store_->server(tid);
     if (k.meta_on(tid).version != k.pre_version) continue;  // copy not landed yet
     LegDelivery dd = try_deliver(tgt, launch, req);
-    if (!dd.ok) {
+    if (!dd.delivered) {
       if (primary.add_hint(tid, *k.ekey)) counters_.hints_written.inc();
       *done = std::max(*done, dd.failed_at);
       continue;
@@ -635,9 +625,8 @@ void BlobClient::mirror_pending(BlobServer& primary, const KeyLeg& k,
     k.lift(tgt);
     counters_.dual_writes.inc();
     if (k.place.windows >= 2) counters_.chain_dual_writes.inc();
-    const SimMicros arr = launch + net.transfer_us(req) + dd.extra_latency_us;
-    *done = std::max(*done, tgt.node().serve(arr, dsvc) + net.transfer_us(kEnvelope) +
-                                dd.extra_latency_us);
+    *done = std::max(*done, tp.leg(tgt.node(), launch, req, kBlobEnvelope, dsvc,
+                                   dd.extra_latency_us).completion);
   }
 }
 
@@ -758,7 +747,7 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
                                       std::uint32_t primary_id, SimMicros start,
                                       SimMicros* completion) {
   *completion = start;
-  const auto& net = store_->cluster().net();
+  const rpc::Transport& tp = store_->transport();
   BlobServer& primary = store_->server(primary_id);
 
   std::vector<KeyLeg> st(subs.size());
@@ -820,9 +809,8 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
     if (!exists && sub.op.kind != BlobServer::TxnOp::Kind::write) {
       if (sub.tolerate_not_found) continue;
       // Pay one failed round trip, as mutation_leg's precheck does.
-      const SimMicros done =
-          primary.node().serve(start + net.transfer_us(req_bytes(sub.ekey)), 3);
-      *completion = done + net.transfer_us(kEnvelope);
+      *completion =
+          tp.leg(primary.node(), start, req_bytes(sub.ekey), kBlobEnvelope, 3).completion;
       return {Errc::not_found, sub.ekey};
     }
     st[i].ends_removed = sub.op.kind == BlobServer::TxnOp::Kind::remove;
@@ -836,7 +824,7 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   // legs would — a vectored run is scattered at the NIC, so it is charged
   // at the largest single chunk, not the run's sum; what coalescing saves
   // is header bytes and per-sub fixed costs.
-  std::uint64_t req_meta = kEnvelope;
+  std::uint64_t req_meta = kBlobEnvelope;
   std::uint64_t max_payload = 0;
   {
     std::size_t r = 0;
@@ -859,7 +847,7 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   }
   const std::uint64_t req = req_meta + max_payload;
   const std::uint64_t reply_meta =
-      kEnvelope + run_idx.size() * batch_substatus_bytes();
+      kBlobEnvelope + run_idx.size() * batch_substatus_bytes();
   counters_.batch_envelopes.inc();
   client_metrics().batch_size.add(run_idx.size());
 
@@ -868,7 +856,7 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   // group is atomically absent.
   LegDelivery prim =
       try_deliver(primary, start, req, static_cast<std::uint32_t>(run_idx.size()));
-  if (!prim.ok) {
+  if (!prim.delivered) {
     // One whole-envelope re-send after a fresh backoff before giving up: a
     // batch envelope represents many legs, so it earns one extra attempt
     // beyond the per-attempt retry policy (ROADMAP "batch-envelope retry
@@ -878,7 +866,7 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
     prim = try_deliver(primary, prim.failed_at + next_backoff(&prev), req,
                        static_cast<std::uint32_t>(run_idx.size()));
   }
-  if (!prim.ok) {
+  if (!prim.delivered) {
     *completion = prim.failed_at;
     return {prim.err, "primary unreachable: " + subs.front()->ekey};
   }
@@ -888,16 +876,12 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   SimMicros svc0 = 0;
   std::vector<SimMicros> marks(run_idx.size(), 0);
   Status ast = primary.apply_ops(refs.data(), refs.size(), &svc0, marks.data());
-  if (ast.ok()) {
-    for (std::size_t i : run_idx) st[i].lift(primary);
-  }
-  const SimMicros prim_arrival =
-      prim.attempt_start + net.transfer_us(req) + prim.extra_latency_us;
   if (!ast.ok()) {
-    const SimMicros pd = primary.node().serve(prim_arrival, svc0);
-    *completion = pd + net.transfer_us(reply_meta) + prim.extra_latency_us;
+    *completion = tp.leg(primary.node(), prim, req, reply_meta, svc0).completion;
     return ast;
   }
+  for (std::size_t i : run_idx) st[i].lift(primary);
+  const SimMicros prim_arrival = tp.hop(prim.start, req, prim.extra_latency_us);
   // The batch is ONE queueing trip, but sub-ops stream out of the primary as
   // their slice of the service completes: sub j finishes at serve-start +
   // marks[j] and its replica forwards launch right then — the pipelining
@@ -914,7 +898,7 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
       prev = marks[j];
     }
   }
-  SimMicros done = prim_done + net.transfer_us(reply_meta) + prim.extra_latency_us;
+  SimMicros done = tp.hop(prim_done, reply_meta, prim.extra_latency_us);
 
   // Forward to the remaining replicas: one envelope per distinct node,
   // pipelined off the primary's apply, with the per-key freshness gate.
@@ -957,7 +941,7 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
     // FIRST forwarded sub streams out of the primary.
     LegDelivery d = try_deliver(rep, prim_sub_done[fwd.front()], req,
                                 static_cast<std::uint32_t>(fwd.size()));
-    if (!d.ok) {
+    if (!d.delivered) {
       for (std::size_t j : fwd) st[run_idx[j]].missed.push_back(rid);
       miss_err = d.err;
       done = std::max(done, d.failed_at);
@@ -989,15 +973,12 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
       std::uint64_t sub_req =
           batch_header_bytes(sub.ekey, to_wire_kind(sub.op.kind), 1) +
           sub.op.data.size();
-      if (k == 0) sub_req += kEnvelope;
-      const SimMicros launch = std::max(d.attempt_start, prim_sub_done[j]);
-      const SimMicros arr =
-          launch + net.transfer_us(sub_req) + d.extra_latency_us;
-      rep_done = rep.node().serve(arr, fmarks[k] - prev);
+      if (k == 0) sub_req += kBlobEnvelope;
+      const SimMicros launch = std::max(d.start, prim_sub_done[j]);
+      rep_done = rep.node().serve(tp.hop(launch, sub_req, d.extra_latency_us), fmarks[k] - prev);
       prev = fmarks[k];
     }
-    done = std::max(done, rep_done + net.transfer_us(reply_meta) +
-                              d.extra_latency_us);
+    done = std::max(done, tp.hop(rep_done, reply_meta, d.extra_latency_us));
   }
   if (!fail.ok()) {
     *completion = done;
@@ -1072,7 +1053,7 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
                                   const std::vector<std::uint32_t>& candidates,
                                   SimMicros start, SimMicros* completion) {
   *completion = start;
-  const auto& net = store_->cluster().net();
+  const rpc::Transport& tp = store_->transport();
   const StoreConfig& cfg = store_->config();
   // Quorum candidates voted: the group's tuple holds the first R live
   // replicas (fewer when some are down).
@@ -1081,10 +1062,10 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
   // Request descriptor bytes: one header per coalesced run (stat subs never
   // coalesce). The same descriptor layout goes to every quorum candidate;
   // payload-vs-digest reply mode rides in the envelope flags byte, which is
-  // part of the kEnvelope overhead.
+  // part of the kBlobEnvelope overhead.
   auto envelope_bytes = [](const std::vector<ReadSub*>& list,
                            std::uint32_t* coalesced) {
-    std::uint64_t req = kEnvelope;
+    std::uint64_t req = kBlobEnvelope;
     *coalesced = 0;
     std::size_t r = 0;
     while (r < list.size()) {
@@ -1131,13 +1112,13 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
     counters_.coalesced_ops.add(ncoal);
     LegDelivery d =
         try_deliver(srv, at, reqb, static_cast<std::uint32_t>(list.size()));
-    if (!d.ok) {
+    if (!d.delivered) {
       counters_.batch_retries.inc();
       SimMicros prev = cfg.retry.backoff_base_us;
       d = try_deliver(srv, d.failed_at + next_backoff(&prev), reqb,
                       static_cast<std::uint32_t>(list.size()));
     }
-    if (!d.ok) {
+    if (!d.delivered) {
       run.err = d.err;
       run.failed_at = d.failed_at;
       return run;
@@ -1171,20 +1152,20 @@ Status BlobClient::read_group_leg(std::vector<ReadSub*>& subs,
     // FCFS busy-until identical to one serve(total) but count each sub as a
     // request, the unit of the node's queue-depth shedding estimate (same
     // pipelining argument as mutation_group_leg).
-    std::uint64_t reply = kEnvelope + run.results.size() * batch_substatus_bytes();
+    std::uint64_t reply = kBlobEnvelope + run.results.size() * batch_substatus_bytes();
     if (!digest_mode) {
       std::uint64_t max_chunk = 0;
       for (const auto& res : run.results) max_chunk = std::max(max_chunk, res.data_len);
       reply += max_chunk;
     }
-    const SimMicros arr = d.attempt_start + net.transfer_us(reqb) + d.extra_latency_us;
+    const SimMicros arr = tp.hop(d.start, reqb, d.extra_latency_us);
     SimMicros node_done = arr;
     SimMicros prev_mark = 0;
     for (const SimMicros mark : marks) {
       node_done = srv.node().serve(arr, mark - prev_mark);
       prev_mark = mark;
     }
-    run.comp = node_done + net.transfer_us(reply) + d.extra_latency_us;
+    run.comp = tp.hop(node_done, reply, d.extra_latency_us);
     return run;
   };
 
@@ -1511,7 +1492,7 @@ Result<Bytes> BlobClient::batched_striped_read(std::string_view key,
 BlobClient::ProbeRound BlobClient::quorum_probe(const std::string& ekey,
                                                 const std::vector<std::uint32_t>& lives,
                                                 SimMicros start) {
-  const auto& net = store_->cluster().net();
+  const rpc::Transport& tp = store_->transport();
   const std::uint32_t quorum = std::min<std::uint32_t>(
       store_->config().read_quorum(), static_cast<std::uint32_t>(lives.size()));
   ProbeRound out;
@@ -1528,17 +1509,15 @@ BlobClient::ProbeRound BlobClient::quorum_probe(const std::string& ekey,
   for (std::uint32_t rid : lives) {
     if (got.size() >= quorum) break;
     BlobServer& srv = store_->server(rid);
-    LegDelivery d = try_deliver(srv, start, kProbeReq);
-    if (!d.ok) {
+    LegDelivery d = try_deliver(srv, start, kProbeRequest);
+    if (!d.delivered) {
       slowest = std::max(slowest, d.failed_at);
       last_err = d.err;
       continue;
     }
     SimMicros svc = 0;
     auto s = srv.stat(ekey, &svc);
-    const SimMicros arr = d.attempt_start + net.transfer_us(kProbeReq) + d.extra_latency_us;
-    const SimMicros pdone =
-        srv.node().serve(arr, svc) + net.transfer_us(kProbeResp) + d.extra_latency_us;
+    const SimMicros pdone = tp.leg(srv.node(), d, kProbeRequest, kProbeReply, svc).completion;
     got.push_back({rid, s.ok() ? s.value().version : 0, pdone,
                    s.ok() ? s.value() : BlobStat{ekey, 0, 0}, s.ok()});
   }
@@ -1570,7 +1549,7 @@ Result<ReadOutcome> BlobClient::read_leg(const std::string& ekey, std::uint64_t 
                                          std::uint64_t len, SimMicros start,
                                          SimMicros* completion) {
   *completion = start;
-  const auto& net = store_->cluster().net();
+  const rpc::Transport& tp = store_->transport();
   const std::uint64_t req = req_bytes(ekey);
   const std::uint32_t R = store_->config().read_quorum();
 
@@ -1619,17 +1598,15 @@ Result<ReadOutcome> BlobClient::read_leg(const std::string& ekey, std::uint64_t 
       if (i > 0) counters_.failovers.inc();
       BlobServer& srv = store_->server(candidates[i]);
       LegDelivery d = try_deliver(srv, t, req);
-      if (!d.ok) {
+      if (!d.delivered) {
         t = d.failed_at;
         last = d.err;
         continue;
       }
       SimMicros svc = 0;
       auto r = srv.read(ekey, off, len, &svc);
-      const std::uint64_t resp = kEnvelope + (r.ok() ? r.value().data.size() : 0);
-      const SimMicros arr = d.attempt_start + net.transfer_us(req) + d.extra_latency_us;
-      const SimMicros comp =
-          srv.node().serve(arr, svc) + net.transfer_us(resp) + d.extra_latency_us;
+      const std::uint64_t resp = kBlobEnvelope + (r.ok() ? r.value().data.size() : 0);
+      const SimMicros comp = tp.leg(srv.node(), d, req, resp, svc).completion;
 
       // Stale-epoch stamp check, before the reply is trusted: the replica
       // answered, but from a membership the client no longer shares.
@@ -1639,7 +1616,7 @@ Result<ReadOutcome> BlobClient::read_leg(const std::string& ekey, std::uint64_t 
         stale = true;
         break;
       }
-      health_on_success(srv.node().id(), comp - d.attempt_start);
+      health_on_success(srv.node().id(), comp - d.start);
       *completion = comp;
       return r;  // a delivered reply is authoritative, not_found included
     }
@@ -1653,7 +1630,7 @@ Result<BlobStat> BlobClient::stat_leg(const std::string& ekey, SimMicros start,
                                       SimMicros* completion) {
   *completion = start;
   const std::uint32_t R = store_->config().read_quorum();
-  const auto& net = store_->cluster().net();
+  const rpc::Transport& tp = store_->transport();
 
   // Same stale-epoch retry loop as read_leg (see there for the argument).
   for (int pass = 0;; ++pass) {
@@ -1686,18 +1663,15 @@ Result<BlobStat> BlobClient::stat_leg(const std::string& ekey, SimMicros start,
     for (std::size_t i = 0; i < lives.size(); ++i) {
       if (i > 0) counters_.failovers.inc();
       BlobServer& srv = store_->server(lives[i]);
-      LegDelivery d = try_deliver(srv, t, kProbeReq);
-      if (!d.ok) {
+      LegDelivery d = try_deliver(srv, t, kProbeRequest);
+      if (!d.delivered) {
         t = d.failed_at;
         last = d.err;
         continue;
       }
       SimMicros svc = 0;
       auto s = srv.stat(ekey, &svc);
-      const SimMicros arr =
-          d.attempt_start + net.transfer_us(kProbeReq) + d.extra_latency_us;
-      *completion =
-          srv.node().serve(arr, svc) + net.transfer_us(kProbeResp) + d.extra_latency_us;
+      *completion = tp.leg(srv.node(), d, kProbeRequest, kProbeReply, svc).completion;
       if (srv.ring_epoch() > p.epoch && pass < 2) {
         flush_stale_placement(ekey, true);
         start = *completion;
@@ -1938,7 +1912,7 @@ Status BlobClient::truncate(std::string_view key, std::uint64_t new_size) {
 
 Result<std::vector<BlobStat>> BlobClient::scan(std::string_view prefix) {
   PrimCall call(*this, counters_.scans, client_metrics().scan, prefix);
-  const auto& net = store_->cluster().net();
+  const rpc::Transport& tp = store_->transport();
   const SimMicros start = agent_ ? agent_->now() : 0;
   const std::string pfx{prefix};
 
@@ -1956,11 +1930,9 @@ Result<std::vector<BlobStat>> BlobClient::scan(std::string_view prefix) {
     BlobServer& s = store_->server(i);
     SimMicros svc = 0;
     auto part = s.scan(pfx, &svc);
-    const SimMicros arr = start + net.transfer_us(req_bytes(prefix));
-    std::uint64_t resp = kEnvelope;
+    std::uint64_t resp = kBlobEnvelope;
     for (auto& bs : part) resp += bs.key.size() + 16;
-    const SimMicros fin = s.node().serve(arr, svc) + net.transfer_us(resp);
-    done = std::max(done, fin);
+    done = std::max(done, tp.leg(s.node(), start, req_bytes(prefix), resp, svc).completion);
     for (auto& bs : part) {
       if (is_chunk_key(bs.key)) continue;
       auto [it, inserted] = merged.try_emplace(bs.key, bs);
@@ -2041,19 +2013,21 @@ Status BlobTransaction::commit() {
   locks.reserve(involved.size());
   for (std::uint32_t n : involved) locks.push_back(store.server(n).lock_exclusive());
 
-  const auto& net = store.cluster().net();
+  const rpc::Transport& tp = store.transport();
   sim::SimAgent* agent = c.agent();
   const SimMicros start = agent ? agent->now() : 0;
 
-  // Prepare round: small validation message to every involved server.
+  // Prepare round: small validation message to every involved server. The
+  // commit round leaves when the last one has prepared; one reply reaches
+  // the client, after the prepare round if refused, else after the commit.
   SimMicros prepare_done = start;
   for (std::uint32_t n : involved) {
-    const SimMicros arr = start + net.transfer_us(64);
-    prepare_done = std::max(prepare_done, store.server(n).node().serve(arr, 3));
+    prepare_done = std::max(prepare_done, tp.leg(store.server(n).node(), start, rpc::kTxnRequest,
+                                                 rpc::kTxnReply, 3).served);
   }
   // A refused commit ends with the rejection reply to the prepare round.
   auto abort = [&](Status refused) {
-    if (agent) agent->advance_to(prepare_done + net.transfer_us(32));
+    if (agent) agent->advance_to(tp.hop(prepare_done, rpc::kTxnReply));
     return refused;
   };
 
@@ -2178,10 +2152,11 @@ Status BlobTransaction::commit() {
         }
       }
     }
-    const SimMicros arr = prepare_done + net.transfer_us(64 + payload);
-    commit_done = std::max(commit_done, store.server(n).node().serve(arr, svc));
+    commit_done = std::max(commit_done, tp.leg(store.server(n).node(), prepare_done,
+                                               rpc::kTxnRequest + payload, rpc::kTxnReply,
+                                               svc).served);
   }
-  if (agent) agent->advance_to(commit_done + net.transfer_us(32));
+  if (agent) agent->advance_to(tp.hop(commit_done, rpc::kTxnReply));
   return failure;
 }
 

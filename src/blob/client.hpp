@@ -223,16 +223,10 @@ class BlobClient {
   /// attempt, planned from the leg's own fork time), retrying per
   /// RetryPolicy with backoff. `batch_subs` > 0 marks a multi-op batch
   /// envelope: one fault verdict for the whole envelope. On success
-  /// `attempt_start` is the (possibly backed-off) send time of the delivered
+  /// `start` is the (possibly backed-off) send time of the delivered
   /// attempt; on failure `failed_at` is when the last attempt's failure was
   /// detected.
-  struct LegDelivery {
-    bool ok = false;
-    SimMicros attempt_start = 0;
-    SimMicros extra_latency_us = 0;
-    SimMicros failed_at = 0;
-    Errc err = Errc::ok;
-  };
+  using LegDelivery = rpc::Transport::Attempt;
   LegDelivery try_deliver(BlobServer& srv, SimMicros start, std::uint64_t request_bytes,
                           std::uint32_t batch_subs = 0);
 

@@ -6,11 +6,15 @@
 #include "blob/store.hpp"
 #include "common/hash.hpp"
 #include "obs/metrics.hpp"
+#include "rpc/envelope.hpp"
 #include "rpc/wire.hpp"
 
 namespace bsc::blob {
 
 namespace {
+using rpc::kBlobEnvelope;
+using rpc::kDigestReply;
+using rpc::kMaintEnvelope;
 
 /// Registry series for the rebalance subsystem. `rebalance.dual_writes` and
 /// `rebalance.chain_dual_writes` are incremented by the client's mutation
@@ -75,8 +79,6 @@ std::uint64_t copy_wire_bytes(const std::string& key, std::uint64_t payload) {
   const std::uint64_t header = rpc::wire_size(op);  // data view empty: header only
   return header + payload;
 }
-
-constexpr std::uint64_t kEnvelopeBytes = 32;  ///< batch header + framing
 
 }  // namespace
 
@@ -313,27 +315,16 @@ Status Rebalancer::step(sim::SimAgent* agent) {
   // shape: one queueing trip per server regardless of sub-op count).
   SimMicros batch_done = batch_start;
   for (const auto& [n, c] : charges) {
-    if (c.subs == 0 && c.wire_bytes == 0) {
-      // Pure source read service: charge the node without an envelope.
-      if (agent) {
-        st.transport_.call_reliable(*agent, st.servers_[n]->node(), 64, 64,
-                                    c.service_us);
-        batch_done = std::max(batch_done, agent->now());
-      } else {
-        st.servers_[n]->node().serve(0, c.service_us);
-      }
-      continue;
-    }
-    const std::uint64_t req = kEnvelopeBytes + c.wire_bytes;
+    // Pure source read service is a maintenance read, not a batch envelope.
+    const bool batch = c.subs != 0 || c.wire_bytes != 0;
+    const std::uint64_t req = batch ? kBlobEnvelope + c.wire_bytes : kMaintEnvelope;
     const std::uint64_t resp =
-        kEnvelopeBytes + c.subs * rpc::wire_size(rpc::BatchSubStatus{});
-    if (agent) {
-      st.transport_.call_reliable(*agent, st.servers_[n]->node(), req, resp,
-                                  c.service_us);
-      batch_done = std::max(batch_done, agent->now());
-    } else {
-      st.servers_[n]->node().serve(0, c.service_us);
-    }
+        batch ? kBlobEnvelope + c.subs * rpc::wire_size(rpc::BatchSubStatus{}) : kMaintEnvelope;
+    batch_done = std::max(
+        batch_done,
+        st.transport_.call_reliable(agent, st.servers_[n]->node(), req, resp, c.service_us)
+            .completion);
+    if (!batch) continue;
     {
       std::scoped_lock plk(prog_mu_);
       ++prog_.batches;
@@ -443,7 +434,7 @@ Status Rebalancer::finalize(sim::SimAgent* agent) {
           ++prog_.digests_checked;
         }
         if (agent) {
-          st.transport_.call_reliable(*agent, dst.node(), 64, 72, dsvc);
+          st.transport_.call_reliable(agent, dst.node(), kMaintEnvelope, kDigestReply, dsvc);
         }
         recopy = !match;
       }
@@ -452,12 +443,8 @@ Status Rebalancer::finalize(sim::SimAgent* agent) {
         auto ist = dst.install_copy_locked(key, as_view(data.value().data),
                                            size.value(), best->version, &put_svc);
         if (!ist.ok()) return ist;
-        if (agent) {
-          st.transport_.call_reliable(*agent, dst.node(), size.value() + 64, 64,
-                                      put_svc);
-        } else {
-          dst.node().serve(0, put_svc);
-        }
+        st.transport_.call_reliable(agent, dst.node(), size.value() + kMaintEnvelope,
+                                    kMaintEnvelope, put_svc);
         {
           std::scoped_lock plk(prog_mu_);
           ++prog_.verify_recopies;
@@ -552,12 +539,8 @@ Status Rebalancer::finalize(sim::SimAgent* agent) {
       if (!holder.stat(key, &peek_svc).ok()) continue;
       SimMicros rm_svc = 0;
       (void)holder.remove(key, &rm_svc);
-      if (agent) {
-        st.transport_.call_reliable(*agent, holder.node(), 64, 64,
-                                    peek_svc + rm_svc);
-      } else {
-        holder.node().serve(0, peek_svc + rm_svc);
-      }
+      st.transport_.call_reliable(agent, holder.node(), kMaintEnvelope, kMaintEnvelope,
+                                  peek_svc + rm_svc);
       std::scoped_lock plk(prog_mu_);
       ++prog_.copies_dropped;
     }
@@ -633,12 +616,8 @@ Status Rebalancer::abort(sim::SimAgent* agent) {
       if (!holder.stat(key, &peek_svc).ok()) continue;
       SimMicros rm_svc = 0;
       (void)holder.remove(key, &rm_svc);
-      if (agent) {
-        st.transport_.call_reliable(*agent, holder.node(), 64, 64,
-                                    peek_svc + rm_svc);
-      } else {
-        holder.node().serve(0, peek_svc + rm_svc);
-      }
+      st.transport_.call_reliable(agent, holder.node(), kMaintEnvelope, kMaintEnvelope,
+                                  peek_svc + rm_svc);
       std::scoped_lock plk(prog_mu_);
       ++prog_.copies_dropped;
     }

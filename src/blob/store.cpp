@@ -7,8 +7,11 @@
 #include "common/hash.hpp"
 #include "obs/metrics.hpp"
 #include "persist/checkpoint.hpp"
+#include "rpc/envelope.hpp"
 
 namespace bsc::blob {
+
+using rpc::kMaintEnvelope;
 
 BlobStore::BlobStore(sim::Cluster& cluster, StoreConfig cfg)
     : cluster_(&cluster), cfg_(cfg), transport_(cluster), ring_(cfg.vnodes_per_node) {
@@ -264,11 +267,7 @@ void BlobStore::drain_hints(std::uint32_t index, sim::SimAgent* agent,
         svc += rm_svc;
         if (stats) ++stats->removed;
       }
-      if (agent) {
-        transport_.call_reliable(*agent, target.node(), 64, 64, svc);
-      } else {
-        target.node().serve(0, svc);
-      }
+      transport_.call_reliable(agent, target.node(), kMaintEnvelope, kMaintEnvelope, svc);
       continue;
     }
     if (target.peek_version(key).value_or(0) >= best->version) {
@@ -286,11 +285,8 @@ void BlobStore::drain_hints(std::uint32_t index, sim::SimAgent* agent,
              .ok()) {
       continue;
     }
-    if (agent) {
-      transport_.call_reliable(*agent, target.node(), size + 64, 64, svc + put_svc);
-    } else {
-      target.node().serve(0, svc + put_svc);
-    }
+    transport_.call_reliable(agent, target.node(), size + kMaintEnvelope, kMaintEnvelope,
+                             svc + put_svc);
     if (stats) ++stats->drained;
   }
 }
@@ -417,6 +413,7 @@ std::uint64_t BlobStore::resync_server(std::uint32_t index, sim::SimAgent* agent
       if (any_healthy_peer && !held_by_peer) {
         SimMicros rm_svc = 0;
         (void)target.remove(stat.key, &rm_svc);
+        // Charged as service only, outside any envelope (not yet a message).
         target.node().serve(agent ? agent->now() : 0, rm_svc);
         ++repaired;
         if (stats) ++stats->deleted;
@@ -463,11 +460,7 @@ std::uint64_t BlobStore::resync_server(std::uint32_t index, sim::SimAgent* agent
             (void)target.force_version(key, src_version);
           }
           if (stats) ++stats->skipped_identical;
-          if (agent) {
-            transport_.call_reliable(*agent, target.node(), 64, 64, tsvc);
-          } else {
-            target.node().serve(0, tsvc);
-          }
+          transport_.call_reliable(agent, target.node(), kMaintEnvelope, kMaintEnvelope, tsvc);
           continue;
         }
       }
@@ -484,11 +477,7 @@ std::uint64_t BlobStore::resync_server(std::uint32_t index, sim::SimAgent* agent
       }
       svc += put_svc;
     }
-    if (agent) {
-      transport_.call_reliable(*agent, target.node(), size + 64, 64, svc);
-    } else {
-      target.node().serve(0, svc);
-    }
+    transport_.call_reliable(agent, target.node(), size + kMaintEnvelope, kMaintEnvelope, svc);
     ++repaired;
     if (stats) {
       ++stats->copied;
@@ -732,7 +721,7 @@ BlobStore::ScrubReport BlobStore::scrub(bool repair, sim::SimAgent* agent) {
       const bool sum_ok = srv.verify_key(key).ok();
       if (!sum_ok) ++report.checksum_errors;
       // Charge the scrub read (sequential sweep) to the maintenance agent.
-      if (agent) transport_.call_reliable(*agent, srv.node(), 64, st.value().size, svc);
+      if (agent) transport_.call_reliable(agent, srv.node(), kMaintEnvelope, st.value().size, svc);
       const std::uint64_t fp = content_checksum(as_view(data.value().data));
       copies.push_back({r, std::move(data.value().data), fp, sum_ok, st.value().version});
     }
@@ -763,8 +752,8 @@ BlobStore::ScrubReport BlobStore::scrub(bool repair, sim::SimAgent* agent) {
               .ok()) {
         ++report.repaired;
         if (agent) {
-          transport_.call_reliable(*agent, target.node(), good->data.size() + 64, 64,
-                                   svc);
+          transport_.call_reliable(agent, target.node(), good->data.size() + kMaintEnvelope,
+                                   kMaintEnvelope, svc);
         }
       }
     }

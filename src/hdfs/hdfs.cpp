@@ -4,15 +4,16 @@
 #include <mutex>
 
 #include "common/strings.hpp"
+#include "rpc/envelope.hpp"
 
 namespace bsc::hdfs {
 
-namespace {
-constexpr std::uint64_t kRpcEnvelope = 48;
-}
+using rpc::kHdfsEnvelope;
+using rpc::kHdfsMetaReply;
+using rpc::kHdfsMetaRequest;
 
 HdfsLikeFs::HdfsLikeFs(sim::Cluster& cluster, HdfsConfig cfg)
-    : cluster_(&cluster), cfg_(cfg), transport_(cluster) {
+    : cfg_(cfg), transport_(cluster) {
   namenode_ = std::make_unique<Namenode>(
       cluster.metadata_node(), static_cast<std::uint32_t>(cluster.storage_count()),
       cfg.replication, cfg.block_bytes);
@@ -22,20 +23,12 @@ HdfsLikeFs::HdfsLikeFs(sim::Cluster& cluster, HdfsConfig cfg)
   }
 }
 
-void HdfsLikeFs::charge_nn_rpc(const vfs::IoCtx& ctx, SimMicros service_us,
-                               std::uint64_t req, std::uint64_t resp) {
-  if (ctx.agent) {
-    transport_.call_reliable(*ctx.agent, namenode_->node(), req, resp, service_us);
-  } else {
-    namenode_->node().serve(0, service_us);
-  }
-}
-
 Result<vfs::FileHandle> HdfsLikeFs::open(const vfs::IoCtx& ctx, std::string_view path,
                                          vfs::OpenFlags flags, vfs::Mode mode) {
   if (!flags.read && !flags.write) return {Errc::invalid_argument, "open without r/w"};
   OpenFile of;
   of.path = normalize_path(path);
+  const std::uint64_t req = kHdfsEnvelope + path.size();
   if (flags.write) {
     of.writing = true;
     SimMicros svc = 0;
@@ -45,7 +38,7 @@ Result<vfs::FileHandle> HdfsLikeFs::open(const vfs::IoCtx& ctx, std::string_view
       if (st.code() == Errc::not_found) {
         st = namenode_->create_file(of.path, mode, ctx.uid, ctx.gid, &svc);
       }
-      charge_nn_rpc(ctx, svc, kRpcEnvelope + path.size());
+      transport_.call_reliable(ctx.agent, namenode_->node(), req, kHdfsMetaReply, svc);
       if (!st.ok()) return st.error();
       SimMicros svc2 = 0;
       auto info = namenode_->stat(of.path, ctx.uid, ctx.gid, &svc2);
@@ -62,7 +55,7 @@ Result<vfs::FileHandle> HdfsLikeFs::open(const vfs::IoCtx& ctx, std::string_view
       // WORM: plain write-open creates a fresh file; an existing path fails
       // (truncate-in-place does not exist in this world).
       auto st = namenode_->create_file(of.path, mode, ctx.uid, ctx.gid, &svc);
-      charge_nn_rpc(ctx, svc, kRpcEnvelope + path.size());
+      transport_.call_reliable(ctx.agent, namenode_->node(), req, kHdfsMetaReply, svc);
       if (!st.ok()) {
         if (st.code() == Errc::already_exists) {
           return {Errc::read_only, "write-once: " + of.path};
@@ -73,9 +66,8 @@ Result<vfs::FileHandle> HdfsLikeFs::open(const vfs::IoCtx& ctx, std::string_view
   } else {
     SimMicros svc = 0;
     auto blocks = namenode_->block_locations(of.path, ctx.uid, ctx.gid, &svc);
-    const std::uint64_t resp =
-        kRpcEnvelope + (blocks.ok() ? blocks.value().size() * 24 : 0);
-    charge_nn_rpc(ctx, svc, kRpcEnvelope + path.size(), resp);
+    const std::uint64_t resp = kHdfsEnvelope + (blocks.ok() ? blocks.value().size() * 24 : 0);
+    transport_.call_reliable(ctx.agent, namenode_->node(), req, resp, svc);
     if (!blocks.ok()) return blocks.error();
     of.read_blocks = std::move(blocks).take();
     for (const auto& b : of.read_blocks) of.read_size += b.length;
@@ -92,18 +84,18 @@ Status HdfsLikeFs::pipeline_append(const vfs::IoCtx& ctx, const BlockInfo& block
                                    ByteView data) {
   // Chain replication: client -> dn0 -> dn1 -> dn2; the ack returns along
   // the chain, so the client sees the sum of the pipeline stages (HDFS
-  // overlaps packets, so we charge one traversal, not per-packet).
-  const auto& net = cluster_->net();
+  // overlaps packets, so we charge one traversal, not per-packet). Each hop
+  // is one reliable leg; only the last hop's ack travels back to the client.
   SimMicros t = ctx.now();
   for (std::uint32_t dn : block.datanodes) {
     Datanode& d = *datanodes_[dn];
     SimMicros svc = 0;
     auto st = d.append(block.id, data, &svc);
     if (!st.ok()) return st;
-    const SimMicros arrival = t + net.transfer_us(data.size() + kRpcEnvelope);
-    t = d.node().serve(arrival, svc);
+    t = transport_.call_reliable_at(d.node(), t, data.size() + kHdfsEnvelope, kHdfsEnvelope,
+                                    svc).served;
   }
-  if (ctx.agent) ctx.agent->advance_to(t + net.transfer_us(kRpcEnvelope));
+  if (ctx.agent) ctx.agent->advance_to(transport_.hop(t, kHdfsEnvelope));
   return Status::success();
 }
 
@@ -125,7 +117,8 @@ Result<std::uint64_t> HdfsLikeFs::write(const vfs::IoCtx& ctx, vfs::FileHandle f
     if (!of->has_block || of->last_block_fill == cfg_.block_bytes) {
       SimMicros svc = 0;
       auto b = namenode_->allocate_block(of->path, &svc);
-      charge_nn_rpc(ctx, svc);
+      transport_.call_reliable(ctx.agent, namenode_->node(), kHdfsMetaRequest, kHdfsMetaReply,
+                               svc);
       if (!b.ok()) return b.error();
       of->current_block = b.value();
       of->has_block = true;
@@ -163,7 +156,6 @@ Result<Bytes> HdfsLikeFs::read(const vfs::IoCtx& ctx, vfs::FileHandle fh,
 
   Bytes out;
   out.reserve(len);
-  const auto& net = cluster_->net();
   const SimMicros start = ctx.now();
   SimMicros done = start;
   std::uint64_t block_start = 0;
@@ -176,9 +168,8 @@ Result<Bytes> HdfsLikeFs::read(const vfs::IoCtx& ctx, vfs::FileHandle fh,
       SimMicros svc = 0;
       auto piece = d.read(b.id, lo - block_start, hi - lo, &svc);
       if (!piece.ok()) return piece.error();
-      const SimMicros arr = start + net.transfer_us(kRpcEnvelope);
-      done = std::max(done,
-                      d.node().serve(arr, svc) + net.transfer_us((hi - lo) + kRpcEnvelope));
+      done = std::max(done, transport_.call_reliable_at(d.node(), start, kHdfsEnvelope,
+                                                        (hi - lo) + kHdfsEnvelope, svc).completion);
       bsc::append(out, as_view(piece.value()));
     }
     block_start = block_end;
@@ -196,13 +187,13 @@ Status HdfsLikeFs::sync(const vfs::IoCtx& ctx, vfs::FileHandle fh) {
     snapshot = it->second;
   }
   if (!snapshot.writing || !snapshot.has_block) return Status::success();
-  // hflush: push the pipeline acks for the open block.
-  const auto& net = cluster_->net();
+  // hflush: push the pipeline acks for the open block, one leg per hop.
   SimMicros t = ctx.now();
   for (std::uint32_t dn : snapshot.current_block.datanodes) {
-    t = datanodes_[dn]->node().serve(t + net.transfer_us(kRpcEnvelope), 10);
+    t = transport_.call_reliable_at(datanodes_[dn]->node(), t, kHdfsEnvelope, kHdfsEnvelope,
+                                    10).served;
   }
-  if (ctx.agent) ctx.agent->advance_to(t + net.transfer_us(kRpcEnvelope));
+  if (ctx.agent) ctx.agent->advance_to(transport_.hop(t, kHdfsEnvelope));
   return Status::success();
 }
 
@@ -218,7 +209,8 @@ Status HdfsLikeFs::close(const vfs::IoCtx& ctx, vfs::FileHandle fh) {
   if (of.writing) {
     SimMicros svc = 0;
     auto st = namenode_->complete_file(of.path, &svc);
-    charge_nn_rpc(ctx, svc);
+    transport_.call_reliable(ctx.agent, namenode_->node(), kHdfsMetaRequest, kHdfsMetaReply,
+                             svc);
     return st;
   }
   return Status::success();
@@ -227,14 +219,16 @@ Status HdfsLikeFs::close(const vfs::IoCtx& ctx, vfs::FileHandle fh) {
 Status HdfsLikeFs::truncate(const vfs::IoCtx& ctx, std::string_view path,
                             std::uint64_t new_size) {
   (void)new_size;
-  charge_nn_rpc(ctx, 5, kRpcEnvelope + path.size());
+  transport_.call_reliable(ctx.agent, namenode_->node(), kHdfsEnvelope + path.size(),
+                           kHdfsMetaReply, 5);
   return {Errc::unsupported, "HDFS does not support truncate"};
 }
 
 Status HdfsLikeFs::unlink(const vfs::IoCtx& ctx, std::string_view path) {
   SimMicros svc = 0;
   auto blocks = namenode_->unlink(path, ctx.uid, ctx.gid, &svc);
-  charge_nn_rpc(ctx, svc, kRpcEnvelope + path.size());
+  transport_.call_reliable(ctx.agent, namenode_->node(), kHdfsEnvelope + path.size(),
+                           kHdfsMetaReply, svc);
   if (!blocks.ok()) return blocks.error();
   // Replica deletion happens in the background (not on the client's clock).
   for (const BlockInfo& b : blocks.value()) {
@@ -250,14 +244,16 @@ Status HdfsLikeFs::unlink(const vfs::IoCtx& ctx, std::string_view path) {
 Status HdfsLikeFs::mkdir(const vfs::IoCtx& ctx, std::string_view path, vfs::Mode mode) {
   SimMicros svc = 0;
   auto st = namenode_->mkdir(path, mode, ctx.uid, ctx.gid, &svc);
-  charge_nn_rpc(ctx, svc, kRpcEnvelope + path.size());
+  transport_.call_reliable(ctx.agent, namenode_->node(), kHdfsEnvelope + path.size(),
+                           kHdfsMetaReply, svc);
   return st;
 }
 
 Status HdfsLikeFs::rmdir(const vfs::IoCtx& ctx, std::string_view path) {
   SimMicros svc = 0;
   auto st = namenode_->rmdir(path, ctx.uid, ctx.gid, &svc);
-  charge_nn_rpc(ctx, svc, kRpcEnvelope + path.size());
+  transport_.call_reliable(ctx.agent, namenode_->node(), kHdfsEnvelope + path.size(),
+                           kHdfsMetaReply, svc);
   return st;
 }
 
@@ -265,15 +261,16 @@ Result<std::vector<vfs::DirEntry>> HdfsLikeFs::readdir(const vfs::IoCtx& ctx,
                                                        std::string_view path) {
   SimMicros svc = 0;
   auto r = namenode_->readdir(path, ctx.uid, ctx.gid, &svc);
-  charge_nn_rpc(ctx, svc, kRpcEnvelope + path.size(),
-                kRpcEnvelope + (r.ok() ? r.value().size() * 32 : 0));
+  const std::uint64_t resp = kHdfsEnvelope + (r.ok() ? r.value().size() * 32 : 0);
+  transport_.call_reliable(ctx.agent, namenode_->node(), kHdfsEnvelope + path.size(), resp, svc);
   return r;
 }
 
 Result<vfs::FileInfo> HdfsLikeFs::stat(const vfs::IoCtx& ctx, std::string_view path) {
   SimMicros svc = 0;
   auto r = namenode_->stat(path, ctx.uid, ctx.gid, &svc);
-  charge_nn_rpc(ctx, svc, kRpcEnvelope + path.size(), kRpcEnvelope + 64);
+  transport_.call_reliable(ctx.agent, namenode_->node(), kHdfsEnvelope + path.size(),
+                           kHdfsEnvelope + 64, svc);
   return r;
 }
 
@@ -281,14 +278,16 @@ Status HdfsLikeFs::rename(const vfs::IoCtx& ctx, std::string_view from,
                           std::string_view to) {
   SimMicros svc = 0;
   auto st = namenode_->rename(from, to, ctx.uid, ctx.gid, &svc);
-  charge_nn_rpc(ctx, svc, kRpcEnvelope + from.size() + to.size());
+  transport_.call_reliable(ctx.agent, namenode_->node(), kHdfsEnvelope + from.size() + to.size(),
+                           kHdfsMetaReply, svc);
   return st;
 }
 
 Status HdfsLikeFs::chmod(const vfs::IoCtx& ctx, std::string_view path, vfs::Mode mode) {
   SimMicros svc = 0;
   auto st = namenode_->chmod(path, mode, ctx.uid, ctx.gid, &svc);
-  charge_nn_rpc(ctx, svc, kRpcEnvelope + path.size());
+  transport_.call_reliable(ctx.agent, namenode_->node(), kHdfsEnvelope + path.size(),
+                           kHdfsMetaReply, svc);
   return st;
 }
 
@@ -296,7 +295,8 @@ Result<std::string> HdfsLikeFs::getxattr(const vfs::IoCtx& ctx, std::string_view
                                          std::string_view name) {
   SimMicros svc = 0;
   auto r = namenode_->getxattr(path, name, &svc);
-  charge_nn_rpc(ctx, svc, kRpcEnvelope + path.size() + name.size());
+  transport_.call_reliable(ctx.agent, namenode_->node(), kHdfsEnvelope + path.size() + name.size(),
+                           kHdfsMetaReply, svc);
   return r;
 }
 
@@ -304,7 +304,8 @@ Status HdfsLikeFs::setxattr(const vfs::IoCtx& ctx, std::string_view path,
                             std::string_view name, std::string_view value) {
   SimMicros svc = 0;
   auto st = namenode_->setxattr(path, name, value, &svc);
-  charge_nn_rpc(ctx, svc, kRpcEnvelope + path.size() + name.size() + value.size());
+  const std::uint64_t req = kHdfsEnvelope + path.size() + name.size() + value.size();
+  transport_.call_reliable(ctx.agent, namenode_->node(), req, kHdfsMetaReply, svc);
   return st;
 }
 

@@ -76,12 +76,9 @@ class HdfsLikeFs final : public vfs::FileSystem {
     std::uint64_t read_size = 0;
   };
 
-  void charge_nn_rpc(const vfs::IoCtx& ctx, SimMicros service_us,
-                     std::uint64_t req = 96, std::uint64_t resp = 64);
   /// Append one ≤block-remainder chunk through the replica pipeline.
   Status pipeline_append(const vfs::IoCtx& ctx, const BlockInfo& block, ByteView data);
 
-  sim::Cluster* cluster_;
   HdfsConfig cfg_;
   rpc::Transport transport_;
   std::unique_ptr<Namenode> namenode_;

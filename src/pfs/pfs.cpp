@@ -5,15 +5,16 @@
 #include <algorithm>
 
 #include "common/strings.hpp"
+#include "rpc/envelope.hpp"
 
 namespace bsc::pfs {
 
-namespace {
-constexpr std::uint64_t kRpcEnvelope = 48;
-}
+using rpc::kPfsEnvelope;
+using rpc::kPfsMetaReply;
+using rpc::kPfsMetaRequest;
 
 LustreLikeFs::LustreLikeFs(sim::Cluster& cluster, PfsConfig cfg)
-    : cluster_(&cluster), cfg_(cfg), transport_(cluster) {
+    : cfg_(cfg), transport_(cluster) {
   mds_ = std::make_unique<MetadataServer>(cluster.metadata_node());
   locks_ = std::make_unique<LockManager>(cluster.metadata_node(), cfg_.stripe_size);
   osts_.reserve(cluster.storage_count());
@@ -58,54 +59,39 @@ Result<LustreLikeFs::OpenFile> LustreLikeFs::lookup_handle(vfs::FileHandle fh) {
   return it->second;
 }
 
-void LustreLikeFs::charge_mds_rpc(const vfs::IoCtx& ctx, SimMicros service_us,
-                                  std::uint64_t req_bytes, std::uint64_t resp_bytes) {
-  if (ctx.agent) {
-    transport_.call_reliable(*ctx.agent, mds_->node(), req_bytes, resp_bytes, service_us);
-  } else {
-    mds_->node().serve(0, service_us);
-  }
-}
-
 Result<vfs::FileHandle> LustreLikeFs::open(const vfs::IoCtx& ctx, std::string_view path,
                                            vfs::OpenFlags flags, vfs::Mode mode) {
   if (!flags.read && !flags.write) return {Errc::invalid_argument, "open without r/w"};
+  // One metadata round trip carrying the path, whatever the outcome: create
+  // or resolve (the permission re-check of a pre-existing file is done
+  // inside create_file), then register the handle.
   SimMicros svc = 0;
-  InodeId ino = 0;
-  if (flags.write && flags.create) {
-    auto r = mds_->create_file(path, mode, ctx.uid, ctx.gid, flags.exclusive, &svc);
-    if (!r.ok()) {
-      charge_mds_rpc(ctx, svc, kRpcEnvelope + path.size());
-      return r.error();
+  Result<InodeId> opened = [&]() -> Result<InodeId> {
+    if (flags.write && flags.create) {
+      return mds_->create_file(path, mode, ctx.uid, ctx.gid, flags.exclusive, &svc);
     }
-    ino = r.value();
-  } else {
     const std::uint32_t want = (flags.read ? 4u : 0u) | (flags.write ? 2u : 0u);
     auto r = mds_->resolve_checked(path, ctx.uid, ctx.gid, want, &svc);
-    if (!r.ok()) {
-      charge_mds_rpc(ctx, svc, kRpcEnvelope + path.size());
-      return r.error();
-    }
+    if (!r.ok()) return r.error();
     SimMicros svc2 = 0;
     auto info = mds_->stat_inode(r.value().ino, &svc2);
     svc += svc2;
-    if (!info.ok()) {
-      charge_mds_rpc(ctx, svc, kRpcEnvelope + path.size());
-      return info.error();
-    }
+    if (!info.ok()) return info.error();
     if (info.value().type == vfs::FileType::directory && flags.write) {
-      charge_mds_rpc(ctx, svc, kRpcEnvelope + path.size());
       return {Errc::is_a_directory, std::string{path}};
     }
-    ino = r.value().ino;
+    return r.value().ino;
+  }();
+  if (opened.ok()) {
+    SimMicros svc3 = 0;
+    auto hs = mds_->handle_opened(opened.value(), &svc3);
+    svc += svc3;
+    if (!hs.ok()) opened = hs.error();
   }
-  // Permission re-check for create path when the file pre-existed is done
-  // inside create_file; register the handle in the same metadata round-trip.
-  SimMicros svc3 = 0;
-  auto hs = mds_->handle_opened(ino, &svc3);
-  svc += svc3;
-  charge_mds_rpc(ctx, svc, kRpcEnvelope + path.size());
-  if (!hs.ok()) return hs.error();
+  transport_.call_reliable(ctx.agent, mds_->node(), kPfsEnvelope + path.size(), kPfsMetaReply,
+                           svc);
+  if (!opened.ok()) return opened.error();
+  const InodeId ino = opened.value();
 
   const vfs::FileHandle fh = next_handle_.fetch_add(1, std::memory_order_relaxed);
   {
@@ -131,7 +117,7 @@ Status LustreLikeFs::close(const vfs::IoCtx& ctx, vfs::FileHandle fh) {
   SimMicros svc = 0;
   bool reclaim = false;
   auto st = mds_->handle_closed(of.ino, &reclaim, &svc);
-  charge_mds_rpc(ctx, svc);
+  transport_.call_reliable(ctx.agent, mds_->node(), kPfsMetaRequest, kPfsMetaReply, svc);
   if (reclaim) reclaim_inode(ctx, of.ino);
   return st;
 }
@@ -148,13 +134,10 @@ Result<Bytes> LustreLikeFs::read(const vfs::IoCtx& ctx, vfs::FileHandle fh,
   auto size_r = mds_->get_size(ino, &size_svc);
   if (!size_r.ok()) return size_r.error();
   const std::uint64_t fsize = size_r.value();
-  if (cfg_.strict_locking) {
-    charge_mds_rpc(ctx, size_svc + LockManager::grant_service_us());
-    if (ctx.agent) {
-      ctx.agent->advance_to(locks_->acquire_shared(ino, offset, len, ctx.agent->now()));
-    }
-  } else {
-    charge_mds_rpc(ctx, size_svc);
+  if (cfg_.strict_locking) size_svc += LockManager::grant_service_us();
+  transport_.call_reliable(ctx.agent, mds_->node(), kPfsMetaRequest, kPfsMetaReply, size_svc);
+  if (cfg_.strict_locking && ctx.agent) {
+    ctx.agent->advance_to(locks_->acquire_shared(ino, offset, len, ctx.agent->now()));
   }
 
   if (offset >= fsize || len == 0) return Bytes{};
@@ -169,9 +152,8 @@ Result<Bytes> LustreLikeFs::read(const vfs::IoCtx& ctx, vfs::FileHandle fh,
     SimMicros svc = 0;
     auto piece = t.read(ino, p.ost, p.obj_off, p.len, &svc);
     if (!piece.ok()) return piece.error();
-    const auto& net = cluster_->net();
-    const SimMicros arr = start + net.transfer_us(kRpcEnvelope);
-    done = std::max(done, t.node().serve(arr, svc) + net.transfer_us(p.len + kRpcEnvelope));
+    done = std::max(done, transport_.call_reliable_at(t.node(), start, kPfsEnvelope,
+                                                      p.len + kPfsEnvelope, svc).completion);
     // Short stripe reads are holes: they stay zero in the output.
     std::copy(piece.value().begin(), piece.value().end(),
               out.begin() + static_cast<std::ptrdiff_t>(p.log_off - offset));
@@ -191,7 +173,7 @@ Result<std::uint64_t> LustreLikeFs::write(const vfs::IoCtx& ctx, vfs::FileHandle
     SimMicros svc = 0;
     auto size_r = mds_->get_size(ino, &svc);
     if (!size_r.ok()) return size_r.error();
-    charge_mds_rpc(ctx, svc);
+    transport_.call_reliable(ctx.agent, mds_->node(), kPfsMetaRequest, kPfsMetaReply, svc);
     offset = size_r.value();
   }
 
@@ -204,7 +186,8 @@ Result<std::uint64_t> LustreLikeFs::write(const vfs::IoCtx& ctx, vfs::FileHandle
     for (const StripePiece& p : pieces) {
       hold = std::max(hold, osts_[p.ost]->node().disk().service_us(p.len, false));
     }
-    charge_mds_rpc(ctx, LockManager::grant_service_us());
+    transport_.call_reliable(ctx.agent, mds_->node(), kPfsMetaRequest, kPfsMetaReply,
+                             LockManager::grant_service_us());
     if (ctx.agent) {
       const SimMicros grant =
           locks_->acquire_exclusive(ino, offset, data.size(), ctx.agent->now(), hold);
@@ -220,9 +203,8 @@ Result<std::uint64_t> LustreLikeFs::write(const vfs::IoCtx& ctx, vfs::FileHandle
     SimMicros svc = 0;
     auto st = t.write(ino, p.ost, p.obj_off, subview(data, p.log_off - offset, p.len), &svc);
     if (!st.ok()) return st.error();
-    const auto& net = cluster_->net();
-    const SimMicros arr = start + net.transfer_us(p.len + kRpcEnvelope);
-    done = std::max(done, t.node().serve(arr, svc) + net.transfer_us(kRpcEnvelope));
+    done = std::max(done, transport_.call_reliable_at(t.node(), start, p.len + kPfsEnvelope,
+                                                      kPfsEnvelope, svc).completion);
   }
   if (ctx.agent) ctx.agent->advance_to(done);
 
@@ -232,7 +214,9 @@ Result<std::uint64_t> LustreLikeFs::write(const vfs::IoCtx& ctx, vfs::FileHandle
   SimMicros svc = 0;
   auto es = mds_->extend_size(ino, offset + data.size(), &svc);
   if (!es.ok()) return es.error();
-  if (cfg_.strict_locking) charge_mds_rpc(ctx, svc);
+  if (cfg_.strict_locking) {
+    transport_.call_reliable(ctx.agent, mds_->node(), kPfsMetaRequest, kPfsMetaReply, svc);
+  }
   return data.size();
 }
 
@@ -244,9 +228,8 @@ Status LustreLikeFs::sync(const vfs::IoCtx& ctx, vfs::FileHandle fh) {
   SimMicros done = start;
   for (std::uint32_t i = 0; i < width_of(); ++i) {
     ObjectStorageTarget& t = *osts_[i];
-    const auto& net = cluster_->net();
-    const SimMicros arr = start + net.transfer_us(kRpcEnvelope);
-    done = std::max(done, t.node().serve(arr, t.sync_cost()) + net.transfer_us(kRpcEnvelope));
+    done = std::max(done, transport_.call_reliable_at(t.node(), start, kPfsEnvelope,
+                                                      kPfsEnvelope, t.sync_cost()).completion);
   }
   if (ctx.agent) ctx.agent->advance_to(done);
   return Status::success();
@@ -274,14 +257,13 @@ Status LustreLikeFs::truncate_resolved(const vfs::IoCtx& ctx, InodeId ino,
     SimMicros svc = 0;
     auto st = t.truncate(ino, i, obj_len, &svc);
     if (!st.ok()) return st;
-    const auto& net = cluster_->net();
-    const SimMicros arr = start + net.transfer_us(kRpcEnvelope);
-    done = std::max(done, t.node().serve(arr, svc) + net.transfer_us(kRpcEnvelope));
+    done = std::max(done, transport_.call_reliable_at(t.node(), start, kPfsEnvelope,
+                                                      kPfsEnvelope, svc).completion);
   }
   if (ctx.agent) ctx.agent->advance_to(done);
   SimMicros svc = 0;
   auto st = mds_->set_size(ino, new_size, &svc);
-  charge_mds_rpc(ctx, svc);
+  transport_.call_reliable(ctx.agent, mds_->node(), kPfsMetaRequest, kPfsMetaReply, svc);
   return st;
 }
 
@@ -289,12 +271,14 @@ Status LustreLikeFs::truncate(const vfs::IoCtx& ctx, std::string_view path,
                               std::uint64_t new_size) {
   SimMicros svc = 0;
   auto r = mds_->resolve_checked(path, ctx.uid, ctx.gid, 2, &svc);
-  charge_mds_rpc(ctx, svc, kRpcEnvelope + path.size());
+  transport_.call_reliable(ctx.agent, mds_->node(), kPfsEnvelope + path.size(), kPfsMetaReply, svc);
   if (!r.ok()) return r.error();
   return truncate_resolved(ctx, r.value().ino, new_size);
 }
 
 void LustreLikeFs::reclaim_inode(const vfs::IoCtx& ctx, InodeId ino) {
+  // Object destroys are charged as OST service only: the model sends no
+  // message for them (no envelope, no transfer).
   const SimMicros start = ctx.now();
   SimMicros done = start;
   for (auto& t : osts_) {
@@ -309,7 +293,7 @@ void LustreLikeFs::reclaim_inode(const vfs::IoCtx& ctx, InodeId ino) {
 Status LustreLikeFs::unlink(const vfs::IoCtx& ctx, std::string_view path) {
   SimMicros svc = 0;
   auto r = mds_->unlink(path, ctx.uid, ctx.gid, &svc);
-  charge_mds_rpc(ctx, svc, kRpcEnvelope + path.size());
+  transport_.call_reliable(ctx.agent, mds_->node(), kPfsEnvelope + path.size(), kPfsMetaReply, svc);
   if (!r.ok()) return r.error();
   if (r.value().reclaim_now) reclaim_inode(ctx, r.value().ino);
   return Status::success();
@@ -318,14 +302,14 @@ Status LustreLikeFs::unlink(const vfs::IoCtx& ctx, std::string_view path) {
 Status LustreLikeFs::mkdir(const vfs::IoCtx& ctx, std::string_view path, vfs::Mode mode) {
   SimMicros svc = 0;
   auto st = mds_->mkdir(path, mode, ctx.uid, ctx.gid, &svc);
-  charge_mds_rpc(ctx, svc, kRpcEnvelope + path.size());
+  transport_.call_reliable(ctx.agent, mds_->node(), kPfsEnvelope + path.size(), kPfsMetaReply, svc);
   return st;
 }
 
 Status LustreLikeFs::rmdir(const vfs::IoCtx& ctx, std::string_view path) {
   SimMicros svc = 0;
   auto st = mds_->rmdir(path, ctx.uid, ctx.gid, &svc);
-  charge_mds_rpc(ctx, svc, kRpcEnvelope + path.size());
+  transport_.call_reliable(ctx.agent, mds_->node(), kPfsEnvelope + path.size(), kPfsMetaReply, svc);
   return st;
 }
 
@@ -333,16 +317,16 @@ Result<std::vector<vfs::DirEntry>> LustreLikeFs::readdir(const vfs::IoCtx& ctx,
                                                          std::string_view path) {
   SimMicros svc = 0;
   auto r = mds_->readdir(path, ctx.uid, ctx.gid, &svc);
-  const std::uint64_t resp =
-      kRpcEnvelope + (r.ok() ? r.value().size() * 32 : 0);
-  charge_mds_rpc(ctx, svc, kRpcEnvelope + path.size(), resp);
+  const std::uint64_t resp = kPfsEnvelope + (r.ok() ? r.value().size() * 32 : 0);
+  transport_.call_reliable(ctx.agent, mds_->node(), kPfsEnvelope + path.size(), resp, svc);
   return r;
 }
 
 Result<vfs::FileInfo> LustreLikeFs::stat(const vfs::IoCtx& ctx, std::string_view path) {
   SimMicros svc = 0;
   auto r = mds_->stat(path, ctx.uid, ctx.gid, &svc);
-  charge_mds_rpc(ctx, svc, kRpcEnvelope + path.size(), kRpcEnvelope + 64);
+  transport_.call_reliable(ctx.agent, mds_->node(), kPfsEnvelope + path.size(),
+                           kPfsEnvelope + 64, svc);
   return r;
 }
 
@@ -350,14 +334,15 @@ Status LustreLikeFs::rename(const vfs::IoCtx& ctx, std::string_view from,
                             std::string_view to) {
   SimMicros svc = 0;
   auto st = mds_->rename(from, to, ctx.uid, ctx.gid, &svc);
-  charge_mds_rpc(ctx, svc, kRpcEnvelope + from.size() + to.size());
+  transport_.call_reliable(ctx.agent, mds_->node(), kPfsEnvelope + from.size() + to.size(),
+                           kPfsMetaReply, svc);
   return st;
 }
 
 Status LustreLikeFs::chmod(const vfs::IoCtx& ctx, std::string_view path, vfs::Mode mode) {
   SimMicros svc = 0;
   auto st = mds_->chmod(path, mode, ctx.uid, ctx.gid, &svc);
-  charge_mds_rpc(ctx, svc, kRpcEnvelope + path.size());
+  transport_.call_reliable(ctx.agent, mds_->node(), kPfsEnvelope + path.size(), kPfsMetaReply, svc);
   return st;
 }
 
@@ -365,7 +350,8 @@ Result<std::string> LustreLikeFs::getxattr(const vfs::IoCtx& ctx, std::string_vi
                                            std::string_view name) {
   SimMicros svc = 0;
   auto r = mds_->getxattr(path, name, ctx.uid, ctx.gid, &svc);
-  charge_mds_rpc(ctx, svc, kRpcEnvelope + path.size() + name.size());
+  transport_.call_reliable(ctx.agent, mds_->node(), kPfsEnvelope + path.size() + name.size(),
+                           kPfsMetaReply, svc);
   return r;
 }
 
@@ -373,7 +359,8 @@ Status LustreLikeFs::setxattr(const vfs::IoCtx& ctx, std::string_view path,
                               std::string_view name, std::string_view value) {
   SimMicros svc = 0;
   auto st = mds_->setxattr(path, name, value, ctx.uid, ctx.gid, &svc);
-  charge_mds_rpc(ctx, svc, kRpcEnvelope + path.size() + name.size() + value.size());
+  const std::uint64_t req = kPfsEnvelope + path.size() + name.size() + value.size();
+  transport_.call_reliable(ctx.agent, mds_->node(), req, kPfsMetaReply, svc);
   return st;
 }
 

@@ -98,14 +98,9 @@ class LustreLikeFs final : public vfs::FileSystem {
                                                       std::uint64_t len) const;
   Result<OpenFile> lookup_handle(vfs::FileHandle fh);
 
-  /// Charge one metadata RPC to the caller.
-  void charge_mds_rpc(const vfs::IoCtx& ctx, SimMicros service_us,
-                      std::uint64_t req_bytes = 96, std::uint64_t resp_bytes = 64);
-
   Status truncate_resolved(const vfs::IoCtx& ctx, InodeId ino, std::uint64_t new_size);
   void reclaim_inode(const vfs::IoCtx& ctx, InodeId ino);
 
-  sim::Cluster* cluster_;
   PfsConfig cfg_;
   rpc::Transport transport_;
   std::unique_ptr<MetadataServer> mds_;

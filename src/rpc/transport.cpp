@@ -54,26 +54,33 @@ Result<CallCost> Transport::call(sim::SimAgent& agent, sim::SimNode& server,
     agent.advance_to(a.failed_at);
     return Error{a.err, "rpc attempt failed"};
   }
-  const SimMicros arrival = start + net().transfer_us(request_bytes) + a.extra_latency_us;
-  const SimMicros served = server.serve(arrival, server_service_us);
-  const SimMicros completion =
-      served + net().transfer_us(response_bytes) + a.extra_latency_us;
-  agent.advance_to(completion);
-  transport_metrics().call_latency_us.add(completion - start);
-  return CallCost{.start = start, .completion = completion};
+  const CallCost c = leg(server, a, request_bytes, response_bytes, server_service_us);
+  agent.advance_to(c.completion);
+  transport_metrics().call_latency_us.add(c.completion - start);
+  return c;
 }
 
-CallCost Transport::call_reliable(sim::SimAgent& agent, sim::SimNode& server,
+CallCost Transport::call_reliable(sim::SimAgent* agent, sim::SimNode& server,
                                   std::uint64_t request_bytes, std::uint64_t response_bytes,
                                   SimMicros server_service_us) {
-  const SimMicros start = agent.now();
-  const SimMicros arrival = start + net().transfer_us(request_bytes);
-  const SimMicros served = server.serve(arrival, server_service_us);
-  const SimMicros completion = served + net().transfer_us(response_bytes);
-  agent.advance_to(completion);
+  if (agent == nullptr) {
+    const SimMicros served = server.serve(0, server_service_us);
+    return {.start = 0, .served = served, .completion = served};
+  }
+  const CallCost c =
+      call_reliable_at(server, agent->now(), request_bytes, response_bytes, server_service_us);
+  agent->advance_to(c.completion);
+  return c;
+}
+
+CallCost Transport::call_reliable_at(sim::SimNode& server, SimMicros start,
+                                     std::uint64_t request_bytes,
+                                     std::uint64_t response_bytes,
+                                     SimMicros server_service_us) {
+  const CallCost c = leg(server, start, request_bytes, response_bytes, server_service_us);
   transport_metrics().reliable_calls.inc();
-  transport_metrics().call_latency_us.add(completion - start);
-  return {.start = start, .completion = completion};
+  transport_metrics().call_latency_us.add(c.completion - start);
+  return c;
 }
 
 Transport::Attempt Transport::plan_attempt(sim::SimNode& server, SimMicros start,
@@ -100,6 +107,7 @@ Transport::Attempt Transport::plan_attempt(sim::SimNode& server, SimMicros start
   }
 
   Attempt a;
+  a.start = start;
   switch (v.kind) {
     case FaultVerdict::Kind::deliver:
       m.calls.inc();
@@ -117,20 +125,20 @@ Transport::Attempt Transport::plan_attempt(sim::SimNode& server, SimMicros start
       // The node answered, just unhelpfully: one round trip of the request
       // envelope (the error reply is tiny).
       m.errors.inc();
-      a.failed_at = start + 2 * net().transfer_us(request_bytes);
+      a.failed_at = start + round_trip_us(request_bytes);
       a.err = Errc::unavailable;
       break;
     case FaultVerdict::Kind::outage:
       // Connection refused: detected after a single send attempt.
       m.outages.inc();
-      a.failed_at = start + net().transfer_us(request_bytes);
+      a.failed_at = hop(start, request_bytes);
       a.err = Errc::unavailable;
       break;
     case FaultVerdict::Kind::shed:
       // Bounced before any work: one round trip of the request envelope — a
       // fast fail, the whole point of admission control vs. letting the
       // deadline burn.
-      a.failed_at = start + 2 * net().transfer_us(request_bytes);
+      a.failed_at = start + round_trip_us(request_bytes);
       a.err = Errc::overloaded;
       break;
   }

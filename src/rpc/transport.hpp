@@ -1,18 +1,15 @@
-// Cost-charging in-process transport.
-//
-// A Call describes one client→server→client exchange: the client's agent is
-// charged request transfer, then the server node queues the service time
-// (FCFS in simulated time), then the response transfer. The returned value
-// is the simulated completion time; the agent's clock is advanced to it.
+// Cost-charging in-process transport: the one wire model. Transport::leg
+// charges every simulated RPC leg of all three backends (request transfer,
+// FCFS service at the server node, response transfer), directly or through
+// `call`/`call_reliable`, which charge an agent. Framing: rpc/envelope.hpp.
 //
 // An optional FaultInjector makes individual calls fallible: a call may be
 // dropped (the client waits out its deadline and gets Errc::timeout),
 // rejected with a transient error or an outage refusal (Errc::unavailable
 // after a short round trip), or delivered late. plan_attempt is the one rule
 // for an attempt's fate; `call` and the blob data path both use it.
-// `call_reliable` bypasses the injector entirely — the store's maintenance
-// traffic (resync, scrub, rebalance) models an out-of-band repair channel
-// with retries baked in.
+// `call_reliable` bypasses the injector: store maintenance models an
+// out-of-band repair channel, and the PFS/HDFS baselines model no faults.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +23,7 @@ namespace bsc::rpc {
 
 struct CallCost {
   SimMicros start;       ///< simulated time the request left the client
+  SimMicros served;      ///< simulated time the server finished service
   SimMicros completion;  ///< simulated time the response arrived back
   [[nodiscard]] SimMicros latency() const noexcept { return completion - start; }
 };
@@ -48,6 +46,15 @@ class Transport {
  public:
   explicit Transport(sim::Cluster& cluster) : cluster_(&cluster) {}
 
+  /// Fate of one request attempt, planned from its own send time.
+  struct Attempt {
+    bool delivered = false;
+    SimMicros start = 0;             ///< send time of the attempt
+    SimMicros extra_latency_us = 0;  ///< added to each network half, when delivered
+    SimMicros failed_at = 0;         ///< failure-detection time, when not
+    Errc err = Errc::ok;
+  };
+
   /// Execute a simulated RPC against `server`, subject to the installed
   /// fault injector (if any). On success advances `agent` past the response
   /// arrival and returns the timing breakdown. On failure advances `agent`
@@ -56,26 +63,61 @@ class Transport {
                         std::uint64_t request_bytes, std::uint64_t response_bytes,
                         SimMicros server_service_us, CallOptions opts = {});
 
-  /// Execute a simulated RPC that cannot fail (pre-injector semantics).
-  /// Used by store maintenance paths whose failure handling lives above the
-  /// transport (down-flags checked by the caller).
-  CallCost call_reliable(sim::SimAgent& agent, sim::SimNode& server,
+  /// Execute a simulated RPC that cannot fail (pre-injector semantics) at
+  /// `agent`'s time and advance `agent` past the response: store
+  /// maintenance (failure handling lives above the transport) and PFS/HDFS
+  /// metadata. With no agent nobody waits: the server's queue is charged the
+  /// service at time 0 and nothing is counted.
+  CallCost call_reliable(sim::SimAgent* agent, sim::SimNode& server,
                          std::uint64_t request_bytes, std::uint64_t response_bytes,
                          SimMicros server_service_us);
 
-  /// Fate of one request attempt, planned from its own send time.
-  struct Attempt {
-    bool delivered = false;
-    SimMicros extra_latency_us = 0;  ///< added to each network leg, when delivered
-    SimMicros failed_at = 0;         ///< failure-detection time, when not
-    Errc err = Errc::ok;
-  };
+  /// One reliable leg sent at `start`, charging no agent (PFS/HDFS fan-out
+  /// and pipeline legs, joined by the caller). Counts rpc.reliable_calls and
+  /// rpc.call.latency_us, as `call_reliable` with an agent does.
+  CallCost call_reliable_at(sim::SimNode& server, SimMicros start,
+                            std::uint64_t request_bytes, std::uint64_t response_bytes,
+                            SimMicros server_service_us);
+
+  /// The wire-cost rule for one leg sent at `start`: the request arrives one
+  /// `hop` later, queues FCFS for `service_us`, and the response arrives one
+  /// `hop` after service; `extra_latency_us` lands on both hops. Charges no
+  /// agent and counts nothing (plan_attempt or call_reliable_at does).
+  CallCost leg(sim::SimNode& server, SimMicros start, std::uint64_t request_bytes,
+               std::uint64_t response_bytes, SimMicros service_us,
+               SimMicros extra_latency_us = 0) const noexcept {
+    const SimMicros served =
+        server.serve(hop(start, request_bytes, extra_latency_us), service_us);
+    return {.start = start,
+            .served = served,
+            .completion = hop(served, response_bytes, extra_latency_us)};
+  }
+
+  /// The leg of delivered attempt `a`: sent at its start, with its latency.
+  CallCost leg(sim::SimNode& server, const Attempt& a, std::uint64_t request_bytes,
+               std::uint64_t response_bytes, SimMicros service_us) const noexcept {
+    return leg(server, a.start, request_bytes, response_bytes, service_us, a.extra_latency_us);
+  }
+
+  /// One network half of a leg: a message of `bytes` sent at `sent` arrives
+  /// one transfer plus `extra_latency_us` later. Batched legs, which serve
+  /// their sub-ops as a chain, take both halves from here.
+  [[nodiscard]] SimMicros hop(SimMicros sent, std::uint64_t bytes,
+                              SimMicros extra_latency_us = 0) const noexcept {
+    return sent + net().transfer_us(bytes) + extra_latency_us;
+  }
+
+  /// A request of `bytes` and an equal-sized answer, with no service.
+  [[nodiscard]] SimMicros round_trip_us(std::uint64_t bytes) const noexcept {
+    return 2 * net().transfer_us(bytes);
+  }
 
   /// Plan one attempt to `server` sent at simulated `start`, without
   /// charging anyone: the blob data path forks legs from their own start
-  /// times and charges costs itself. The attempt draws one fault verdict
-  /// (one per whole envelope when `batch_subs` > 0: a multi-op batch is one
-  /// request on the wire, accounted as rpc.batches / rpc.batch.subops too).
+  /// times and charges each delivered one through `leg`. The attempt draws
+  /// one fault verdict (one per whole envelope when `batch_subs` > 0: a
+  /// multi-op batch is one request on the wire, accounted as rpc.batches /
+  /// rpc.batch.subops too).
   /// A request the injector would deliver is additionally checked against
   /// the server's bounded backlog (sim::OverloadConfig). A failed attempt is
   /// detected
@@ -93,7 +135,6 @@ class Transport {
   void set_fault_injector(FaultInjector* injector) noexcept { injector_ = injector; }
   [[nodiscard]] FaultInjector* fault_injector() const noexcept { return injector_; }
 
-  [[nodiscard]] sim::Cluster& cluster() noexcept { return *cluster_; }
   [[nodiscard]] const sim::NetModel& net() const noexcept { return cluster_->net(); }
 
   /// Fallback wait when a caller explicitly opted out of a deadline

@@ -22,9 +22,4 @@ SimMicros NetModel::transfer_us(std::uint64_t payload_bytes) const noexcept {
   return p_.rtt_us / 2 + wire + static_cast<SimMicros>(packets) * p_.per_packet_us;
 }
 
-SimMicros NetModel::rpc_us(std::uint64_t request_bytes,
-                           std::uint64_t response_bytes) const noexcept {
-  return transfer_us(request_bytes) + transfer_us(response_bytes);
-}
-
 }  // namespace bsc::sim

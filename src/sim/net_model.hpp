@@ -29,10 +29,6 @@ class NetModel {
   /// One-way transfer time for a message carrying `payload_bytes`.
   [[nodiscard]] SimMicros transfer_us(std::uint64_t payload_bytes) const noexcept;
 
-  /// Full RPC cost: request out, response back, payload on the larger leg.
-  [[nodiscard]] SimMicros rpc_us(std::uint64_t request_bytes,
-                                 std::uint64_t response_bytes) const noexcept;
-
   [[nodiscard]] const NetProfile& profile() const noexcept { return p_; }
 
  private:

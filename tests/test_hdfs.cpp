@@ -4,6 +4,7 @@
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "hdfs/hdfs.hpp"
+#include "obs/metrics.hpp"
 #include "vfs/helpers.hpp"
 
 namespace bsc::hdfs {
@@ -157,6 +158,35 @@ TEST_F(HdfsTest, PipelineChargesMoreThanSingleReplica) {
   ASSERT_TRUE(vfs::write_file(single, vfs::IoCtx{&a1, 0, 0}, "/f", as_view(data)).ok());
   ASSERT_TRUE(vfs::write_file(triple, vfs::IoCtx{&a3, 0, 0}, "/f", as_view(data)).ok());
   EXPECT_GT(a3.now(), a1.now());
+}
+
+// Every HDFS leg is charged through the transport's reliable entry point: an
+// append into the open block is one leg per pipeline hop (R of them), and
+// so is an hflush; the block allocation before the first append is one
+// namenode leg.
+TEST(HdfsLegs, AppendIsOneReliableLegPerPipelineHop) {
+  for (const std::uint32_t r : {1u, 3u}) {
+    sim::Cluster cluster;
+    HdfsLikeFs fs(cluster, HdfsConfig{.replication = r});
+    sim::SimAgent agent;
+    const vfs::IoCtx ctx{&agent, 0, 0};
+    auto h = fs.open(ctx, "/p", vfs::OpenFlags::wr());
+    ASSERT_TRUE(h.ok());
+    const Bytes data = make_payload(7, 0, 4096);
+    auto calls_for = [&](auto&& op) {
+      const auto before = obs::MetricsRegistry::global().snapshot();
+      op();
+      return obs::MetricsRegistry::global().snapshot().delta_since(before).counters.at(
+          "rpc.reliable_calls");
+    };
+    EXPECT_EQ(calls_for([&] { ASSERT_TRUE(fs.write(ctx, h.value(), 0, as_view(data)).ok()); }),
+              1u + r)
+        << "R=" << r;
+    EXPECT_EQ(
+        calls_for([&] { ASSERT_TRUE(fs.write(ctx, h.value(), 4096, as_view(data)).ok()); }), r)
+        << "R=" << r;
+    EXPECT_EQ(calls_for([&] { ASSERT_TRUE(fs.sync(ctx, h.value()).ok()); }), r) << "R=" << r;
+  }
 }
 
 // Parameterized over write granularity: block accounting must hold for any

@@ -5,6 +5,7 @@
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
+#include "obs/metrics.hpp"
 #include "pfs/pfs.hpp"
 #include "vfs/helpers.hpp"
 
@@ -182,6 +183,25 @@ TEST_F(PfsTest, StripingDistributesAcrossOsts) {
     if (fs_.ost(i).bytes_stored() > 0) ++osts_used;
   }
   EXPECT_EQ(osts_used, fs_.ost_count());  // 1 MiB over 8 OSTs touches all
+}
+
+// Every PFS leg is charged through the transport's reliable entry point, so
+// rpc.reliable_calls counts them: a read over three stripes is one MDS leg
+// (size glimpse + range lock) and one OST leg per stripe.
+TEST_F(PfsTest, ReadOverThreeStripesIsOneMdsLegPlusOneLegPerStripe) {
+  const std::uint64_t len = 3 * PfsConfig{}.stripe_size;
+  ASSERT_TRUE(vfs::write_file(fs_, ctx_, "/three", as_view(make_payload(6, 0, len))).ok());
+  auto h = fs_.open(ctx_, "/three", vfs::OpenFlags::rd());
+  ASSERT_TRUE(h.ok());
+  const auto before = obs::MetricsRegistry::global().snapshot();
+  const SimMicros t0 = agent_.now();
+  auto r = fs_.read(ctx_, h.value(), 0, len);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value().size(), len);
+  const auto d = obs::MetricsRegistry::global().snapshot().delta_since(before);
+  EXPECT_EQ(d.counters.at("rpc.reliable_calls"), 1u + 3u);
+  EXPECT_EQ(d.histogram_stats("rpc.call.latency_us").count, 1u + 3u);
+  EXPECT_GT(agent_.now(), t0);
 }
 
 TEST_F(PfsTest, LockManagerSeesTraffic) {

@@ -170,6 +170,75 @@ TEST_F(OnlineRebalanceTest, DecommissionDrainsWithDigestVerification) {
   }
 }
 
+// A write whose cached placement is current skips the re-resolve under the
+// stripes (BlobStore::placement_current: no window open, ring at the
+// placement's epoch, no dual-write targets). One client keeps its
+// placements cached and rewrites every key before a window opens, between
+// every migration batch, before finalize and after it, for an add and then
+// a decommission window. Every acked write must end on every replica of
+// the final topology, and nowhere be shadowed by an older copy.
+TEST_F(OnlineRebalanceTest, CachedPlacementWritesAcrossWindowOpenAndFinalize) {
+  sim::SimAgent agent;
+  BlobClient client(store_, &agent);
+  constexpr int kKeys = 60;
+  constexpr std::size_t kBytes = 1024;
+  std::map<std::string, std::uint64_t> acked;  // key -> seed of last acked write
+  std::uint64_t seed = 0;
+  auto write_all = [&] {
+    for (int i = 0; i < kKeys; ++i) {
+      const std::string key = strfmt("pc-%04d", i);
+      ++seed;
+      ASSERT_TRUE(client.write(key, 0, as_view(make_payload(seed, 0, kBytes))).ok()) << key;
+      acked[key] = seed;
+    }
+  };
+  write_all();
+  write_all();  // every placement now cached at the current epoch
+
+  // Two keys per batch, so rewrites land between partial migrations: some
+  // keys still pending, some already moved.
+  const RebalanceConfig rcfg{.batch_keys = 2};
+  auto run_window = [&](Rebalancer* rb) {
+    ASSERT_NE(rb, nullptr);
+    EXPECT_TRUE(store_.rebalance_active());
+    write_all();  // placements cached before the window opened
+    write_all();  // placements cached while it is open
+    int steps = 0;
+    while (!rb->done()) {
+      ASSERT_TRUE(rb->step(&agent).ok());
+      write_all();
+      ++steps;
+    }
+    EXPECT_GT(steps, 1);
+    ASSERT_TRUE(rb->finalize(&agent).ok());
+    EXPECT_FALSE(store_.rebalance_active());
+    write_all();  // placements cached before the cutover
+    write_all();
+  };
+  ASSERT_TRUE(store_.begin_add_server(cluster_.compute_node(0), rcfg).ok());
+  run_window(store_.rebalancer());
+  std::uint32_t victim = 0;
+  while (store_.server(victim).object_count() == 0) ++victim;
+  ASSERT_TRUE(store_.begin_decommission(victim, rcfg).ok());
+  run_window(store_.rebalancer());
+  EXPECT_EQ(store_.server(victim).object_count(), 0u);
+
+  sim::SimAgent ra;
+  BlobClient reader(store_, &ra);
+  for (const auto& [key, last] : acked) {
+    auto r = reader.read(key, 0, kBytes);
+    ASSERT_TRUE(r.ok()) << key;
+    EXPECT_TRUE(check_payload(last, 0, as_view(r.value()))) << key;
+    for (std::uint32_t n : store_.replicas_of(key)) {
+      SimMicros svc = 0;
+      auto copy = store_.server(n).read(key, 0, kBytes, &svc);
+      ASSERT_TRUE(copy.ok()) << key << " missing on server " << n;
+      EXPECT_TRUE(check_payload(last, 0, as_view(copy.value().data)))
+          << key << " stale on server " << n;
+    }
+  }
+}
+
 // A client that cached placements before a membership change must notice the
 // stale epoch stamped on server replies, refresh, and land on the new
 // topology — without the store telling it anything out of band.

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "rpc/transport.hpp"
 #include "rpc/wire.hpp"
 
@@ -86,7 +87,7 @@ TEST(Transport, ReliableCallMatchesFaultFreeCall) {
   sim::SimAgent a1;
   sim::SimAgent a2;
   auto fallible = t.call(a1, cluster.storage_node(0), 1000, 2000, 500);
-  CallCost reliable = t.call_reliable(a2, cluster.storage_node(1), 1000, 2000, 500);
+  CallCost reliable = t.call_reliable(&a2, cluster.storage_node(1), 1000, 2000, 500);
   ASSERT_TRUE(fallible.ok());
   EXPECT_EQ(fallible.value().latency(), reliable.latency());
 }
@@ -258,7 +259,7 @@ TEST(Transport, AddedLatencySlowsDeliveredCalls) {
   sim::Cluster cluster;
   Transport t(cluster);
   sim::SimAgent base_agent;
-  CallCost base = t.call_reliable(base_agent, cluster.storage_node(0), 100, 100, 50);
+  CallCost base = t.call_reliable(&base_agent, cluster.storage_node(0), 100, 100, 50);
 
   FaultInjector inj(/*seed=*/5);
   inj.set_plan(cluster.storage_node(1).id(), {.added_latency_us = 300});
@@ -298,6 +299,99 @@ TEST(Transport, UnplannedNodesAreUnaffected) {
   EXPECT_TRUE(t.call(agent, cluster.storage_node(1), 10, 10, 5).ok());
   inj.clear_all();
   EXPECT_TRUE(t.call(agent, cluster.storage_node(0), 10, 10, 5).ok());
+}
+
+std::uint64_t reliable_calls_since(const obs::MetricsSnapshot& before) {
+  const auto d = obs::MetricsRegistry::global().snapshot().delta_since(before);
+  const auto it = d.counters.find("rpc.reliable_calls");
+  return it == d.counters.end() ? 0 : it->second;
+}
+
+// The one wire-cost rule. A leg's injected extra latency lands on both of
+// its network halves, and the leg charges no agent and counts nothing (the
+// caller's plan_attempt or call_reliable_at does the counting).
+TEST(TransportLeg, ExtraLatencyLandsOnBothNetworkHalves) {
+  sim::Cluster cluster;
+  Transport t(cluster);
+  const auto& net = cluster.net();
+  const auto before = obs::MetricsRegistry::global().snapshot();
+
+  const CallCost plain = t.leg(cluster.storage_node(0), 1000, 1500, 3000, 40);
+  const CallCost slow = t.leg(cluster.storage_node(1), 1000, 1500, 3000, 40, 250);
+  EXPECT_EQ(plain.start, 1000);
+  EXPECT_EQ(plain.served, 1000 + net.transfer_us(1500) + 40);
+  EXPECT_EQ(plain.completion, plain.served + net.transfer_us(3000));
+  EXPECT_EQ(slow.served, plain.served + 250);          // request half
+  EXPECT_EQ(slow.completion, plain.completion + 500);  // and response half
+  EXPECT_EQ(t.hop(plain.served, 3000), plain.completion);
+  EXPECT_EQ(t.hop(slow.served, 3000, 250), slow.completion);
+
+  const auto d = obs::MetricsRegistry::global().snapshot().delta_since(before);
+  for (const auto& [name, v] : d.counters) {
+    if (name.rfind("rpc.", 0) == 0) {
+      EXPECT_EQ(v, 0u) << name;
+    }
+  }
+  EXPECT_EQ(d.histogram_stats("rpc.call.latency_us").count, 0u);
+}
+
+// The batched legs serve their sub-ops as a chain from one arrival, with
+// per-sub deltas of the cumulative service marks. The chain must leave the
+// node exactly as one serve of the total would (completion, busy-until,
+// busy time) while counting one request per sub, the unit of the node's
+// queue-depth estimate.
+TEST(TransportLeg, ChainedSubServesMatchOneServeOfTheTotal) {
+  sim::Cluster cluster;
+  Transport t(cluster);
+  sim::SimNode& chained = cluster.storage_node(0);
+  sim::SimNode& whole = cluster.storage_node(1);
+  // Both nodes already hold a backlog, so the chain queues behind it.
+  (void)chained.serve(0, 700);
+  (void)whole.serve(0, 700);
+
+  const SimMicros arrival = t.hop(100, 2000, 30);
+  const std::vector<SimMicros> marks = {30, 75, 75, 120};
+  SimMicros done = arrival;
+  SimMicros prev = 0;
+  for (const SimMicros mark : marks) {
+    done = chained.serve(arrival, mark - prev);
+    prev = mark;
+  }
+  const SimMicros once = whole.serve(arrival, marks.back());
+
+  EXPECT_EQ(done, once);
+  EXPECT_EQ(done, 700 + 120);
+  EXPECT_EQ(chained.queue_delay(0), whole.queue_delay(0));
+  EXPECT_EQ(chained.busy_total(), whole.busy_total());
+  EXPECT_EQ(chained.requests_served(), 1u + marks.size());
+  EXPECT_EQ(whole.requests_served(), 1u + 1u);
+  // A later request queues behind either the same way.
+  EXPECT_EQ(t.leg(chained, 0, 10, 10, 5).completion, t.leg(whole, 0, 10, 10, 5).completion);
+}
+
+// Without an agent nobody waits for the reply: call_reliable charges the
+// service at the tail of the server's queue and counts nothing.
+TEST(TransportLeg, ReliableCallWithoutAgentQueuesAtServerTail) {
+  sim::Cluster cluster;
+  Transport t(cluster);
+  sim::SimNode& node = cluster.metadata_node();
+  (void)node.serve(0, 500);
+  const auto before = obs::MetricsRegistry::global().snapshot();
+
+  const CallCost c = t.call_reliable(nullptr, node, 100, 100, 80);
+  EXPECT_EQ(c.served, 580);
+  EXPECT_EQ(c.completion, 580);
+  EXPECT_EQ(node.queue_delay(0), 580);
+  EXPECT_EQ(node.requests_served(), 2u);
+  EXPECT_EQ(reliable_calls_since(before), 0u);
+
+  // With an agent the same call is a counted leg from the agent's time.
+  sim::SimAgent agent(40);
+  const CallCost a = t.call_reliable(&agent, node, 100, 100, 80);
+  EXPECT_EQ(a.start, 40);
+  EXPECT_EQ(a.served, 580 + 80);
+  EXPECT_EQ(agent.now(), a.completion);
+  EXPECT_EQ(reliable_calls_since(before), 1u);
 }
 
 }  // namespace
