@@ -292,15 +292,6 @@ Status BlobFs::sync(const vfs::IoCtx& ctx, vfs::FileHandle fh) {
 Status BlobFs::remove_file_blobs(blob::BlobClient& client, std::string_view norm_path,
                                  std::uint64_t size) {
   const std::uint64_t chunks = (size + cfg_.chunk_bytes - 1) / cfg_.chunk_bytes;
-  if (cfg_.atomic_meta_updates) {
-    // One Týr transaction removes metadata and every chunk all-or-nothing.
-    auto txn = client.begin_transaction();
-    txn.remove(meta_key(norm_path));
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-      if (client.exists(chunk_key(norm_path, c))) txn.remove(chunk_key(norm_path, c));
-    }
-    return txn.commit();
-  }
   auto st = client.remove(meta_key(norm_path));
   if (!st.ok()) return st;
   for (std::uint64_t c = 0; c < chunks; ++c) {

@@ -40,7 +40,6 @@ namespace bsc::adapter {
 
 struct BlobFsConfig {
   std::uint64_t chunk_bytes = 256 * 1024;  ///< file striping unit
-  bool atomic_meta_updates = false;        ///< use Týr transactions for meta+data
 };
 
 class BlobFs final : public vfs::FileSystem {

@@ -549,8 +549,7 @@ Status BlobClient::mutation_leg(const std::string& ekey,
     }
     k.lift(rep);
     ++k.acks;
-    done = std::max(done, tp.leg(rep.node(), prim_done, req, kBlobEnvelope, svc,
-                                 d.extra_latency_us).completion);
+    done = std::max(done, tp.leg(rep.node(), d, req, kBlobEnvelope, svc).completion);
   }
   if (!st.ok()) {
     *completion = done;
@@ -625,8 +624,7 @@ void BlobClient::mirror_pending(BlobServer& primary, const KeyLeg& k,
     k.lift(tgt);
     counters_.dual_writes.inc();
     if (k.place.windows >= 2) counters_.chain_dual_writes.inc();
-    *done = std::max(*done, tp.leg(tgt.node(), launch, req, kBlobEnvelope, dsvc,
-                                   dd.extra_latency_us).completion);
+    *done = std::max(*done, tp.leg(tgt.node(), dd, req, kBlobEnvelope, dsvc).completion);
   }
 }
 

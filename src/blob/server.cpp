@@ -163,23 +163,6 @@ Status BlobServer::restart(persist::RecoveryReport* report) {
   return Status::success();
 }
 
-Result<std::uint64_t> BlobServer::checkpoint_now(SimMicros* service_us, bool prune_wal) {
-  std::unique_lock lk(mu_);
-  std::scoped_lock elk(engine_mu_);
-  // Checkpointing reads and rewrites every live byte sequentially, plus a
-  // journal barrier.
-  *service_us = node_->disk().service_us(engine_.live_bytes(), true) +
-                costs_.meta_journal_us;
-  return engine_.write_checkpoint(prune_wal);
-}
-
-Status BlobServer::sync_journal() {
-  std::unique_lock lk(mu_);
-  std::scoped_lock elk(engine_mu_);
-  if (!journal_) return Status::success();
-  return journal_->sync();
-}
-
 std::array<std::uint64_t, BlobServer::kLockStripes> BlobServer::stripe_acquisitions() const {
   std::array<std::uint64_t, kLockStripes> out{};
   for (std::size_t i = 0; i < kLockStripes; ++i) {

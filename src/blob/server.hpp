@@ -72,13 +72,6 @@ class BlobServer {
   /// checkpoint + WAL replay) and reattach the journal.
   Status restart(persist::RecoveryReport* report = nullptr);
 
-  /// Snapshot the engine into a checkpoint file; with `prune_wal`, reset
-  /// the log afterwards. Charges a sequential sweep of live bytes.
-  Result<std::uint64_t> checkpoint_now(SimMicros* service_us, bool prune_wal = false);
-
-  /// Flush + fsync any pending group-commit buffer.
-  Status sync_journal();
-
   // Request surface. Client mutations arrive through apply_ops (one envelope
   // of one or more ops); reads through read / read_batch / stat / scan;
   // repair through remove / install_copy(_locked) / read_locked. Each

@@ -761,12 +761,6 @@ BlobStore::ScrubReport BlobStore::scrub(bool repair, sim::SimAgent* agent) {
   return report;
 }
 
-std::uint64_t BlobStore::total_objects() {
-  std::uint64_t n = 0;
-  for (auto& s : servers_) n += s->object_count();
-  return n;
-}
-
 std::uint64_t BlobStore::total_live_bytes() {
   std::uint64_t n = 0;
   for (auto& s : servers_) n += s->live_bytes();

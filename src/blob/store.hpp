@@ -260,7 +260,6 @@ class BlobStore {
   ScrubReport scrub(bool repair, sim::SimAgent* agent = nullptr);
 
   // --- store-wide introspection for tests/benches ---
-  [[nodiscard]] std::uint64_t total_objects();
   [[nodiscard]] std::uint64_t total_live_bytes();
   [[nodiscard]] Status verify_all_integrity();
 

@@ -50,11 +50,6 @@ void Datanode::drop(std::uint64_t block_id, SimMicros* service_us) {
   *service_us = kCpuOpUs;
 }
 
-std::uint64_t Datanode::block_count() {
-  std::shared_lock lk(mu_);
-  return blocks_.size();
-}
-
 std::uint64_t Datanode::bytes_stored() {
   std::shared_lock lk(mu_);
   std::uint64_t n = 0;

@@ -28,7 +28,6 @@ class Datanode {
   /// Drop a block replica (file deletion).
   void drop(std::uint64_t block_id, SimMicros* service_us);
 
-  [[nodiscard]] std::uint64_t block_count();
   [[nodiscard]] std::uint64_t bytes_stored();
   [[nodiscard]] Result<std::uint64_t> block_length(std::uint64_t block_id);
 

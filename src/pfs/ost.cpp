@@ -87,11 +87,6 @@ SimMicros ObjectStorageTarget::sync_cost() const noexcept {
   return kCpuOpUs + node_->disk().params().controller_us * 2;
 }
 
-std::uint64_t ObjectStorageTarget::object_count() {
-  std::shared_lock lk(mu_);
-  return objects_.size();
-}
-
 std::uint64_t ObjectStorageTarget::bytes_stored() {
   std::shared_lock lk(mu_);
   std::uint64_t n = 0;

@@ -41,7 +41,6 @@ class ObjectStorageTarget {
   /// Flush dirty state (fsync); charged as a short sequential journal write.
   SimMicros sync_cost() const noexcept;
 
-  [[nodiscard]] std::uint64_t object_count();
   [[nodiscard]] std::uint64_t bytes_stored();
 
  private:

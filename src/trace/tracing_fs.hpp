@@ -8,7 +8,6 @@
 
 #include <memory>
 
-#include "trace/call_log.hpp"
 #include "trace/recorder.hpp"
 #include "vfs/file_system.hpp"
 
@@ -52,36 +51,17 @@ class TracingFs final : public vfs::FileSystem {
   [[nodiscard]] TraceRecorder& recorder() noexcept { return *recorder_; }
   [[nodiscard]] vfs::FileSystem& inner() noexcept { return *inner_; }
 
-  /// Optionally mirror every call into a per-call log (CSV-exportable).
-  /// The log is not owned and may be null (aggregation-only tracing).
-  void attach_log(CallLog* log) noexcept { log_ = log; }
-  [[nodiscard]] CallLog* log() noexcept { return log_; }
-
  private:
   [[nodiscard]] static SimMicros elapsed(const vfs::IoCtx& ctx, SimMicros start) noexcept {
     return ctx.agent ? ctx.now() - start : -1;
   }
 
-  /// Record into the aggregate recorder and, when attached, the call log.
-  void note(OpKind op, std::uint64_t bytes, const vfs::IoCtx& ctx, SimMicros t0, bool ok,
-            std::string_view path) {
-    const SimMicros lat = elapsed(ctx, t0);
-    recorder_->record(op, bytes, lat, ok);
-    if (log_) {
-      CallRecord rec;
-      rec.op = op;
-      rec.bytes = bytes;
-      rec.start_us = t0;
-      rec.latency_us = lat < 0 ? 0 : lat;
-      rec.ok = ok;
-      rec.set_path(path);
-      log_->record(rec);
-    }
+  void note(OpKind op, std::uint64_t bytes, const vfs::IoCtx& ctx, SimMicros t0, bool ok) {
+    recorder_->record(op, bytes, elapsed(ctx, t0), ok);
   }
 
   vfs::FileSystem* inner_;
   TraceRecorder* recorder_;
-  CallLog* log_ = nullptr;
 };
 
 }  // namespace bsc::trace

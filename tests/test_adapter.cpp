@@ -183,18 +183,23 @@ TEST_F(BlobFsTest, ReaddirCostScalesWithNamespaceSize) {
   EXPECT_GT(a2.now(), small_cost);
 }
 
-TEST_F(BlobFsTest, AtomicUnlinkViaTransaction) {
-  sim::Cluster cluster;
-  blob::BlobStore store(cluster);
-  BlobFs fs(store, BlobFsConfig{.atomic_meta_updates = true});
-  sim::SimAgent agent;
-  vfs::IoCtx ctx{&agent, 100, 100};
-  ASSERT_TRUE(vfs::write_file(fs, ctx, "/atomic", as_view(make_payload(6, 0, 600000))).ok());
-  ASSERT_TRUE(fs.unlink(ctx, "/atomic").ok());
+TEST_F(BlobFsTest, UnlinkRemovesEveryBlobAroundAHole) {
+  // Four chunks; chunk 1 is a hole and has no stored blob, so its remove
+  // answers not_found and the unlink must still go on to chunks 2 and 3.
+  const std::uint64_t cb = BlobFsConfig{}.chunk_bytes;
+  auto h = fs_.open(ctx_, "/holey", vfs::OpenFlags::wr());
+  ASSERT_TRUE(h.ok());
+  ASSERT_TRUE(fs_.write(ctx_, h.value(), 0, as_view(make_payload(6, 0, cb / 2))).ok());
+  ASSERT_TRUE(fs_.write(ctx_, h.value(), 2 * cb, as_view(make_payload(7, 0, cb + cb / 2))).ok());
+  ASSERT_TRUE(fs_.close(ctx_, h.value()).ok());
   sim::SimAgent a;
-  blob::BlobClient client(store, &a);
-  EXPECT_TRUE(client.scan("m!/atomic").value().empty());
-  EXPECT_TRUE(client.scan("d!/atomic").value().empty());
+  blob::BlobClient client(store_, &a);
+  ASSERT_FALSE(client.exists(BlobFs::chunk_key("/holey", 1)));
+  ASSERT_TRUE(client.exists(BlobFs::chunk_key("/holey", 3)));
+
+  ASSERT_TRUE(fs_.unlink(ctx_, "/holey").ok());
+  EXPECT_TRUE(client.scan("m!/holey").value().empty());
+  EXPECT_TRUE(client.scan("d!/holey").value().empty());
 }
 
 // --- One client per (BlobFs, thread) -------------------------------------
@@ -382,23 +387,29 @@ TEST(BlobFsClients, HealthIsPerCallWhileNativeClientsKeepIt) {
 TEST(BlobFsClients, MetadataCacheNeverHitsAcrossCalls) {
   // Each call starts with an empty metadata cache, as a new client did:
   // open, sync and truncate re-read the metadata blob every time. A cut
-  // into a chunk caches the chunk's size; a cache kept across calls would
-  // answer the atomic unlink's per-chunk exists() from it, for free.
+  // into a chunk caches the chunk's size. With 64 KiB store chunks, the
+  // next call's read of that (larger) chunk is a striped read, which
+  // consults the cache: one kept across calls would answer it for free.
   sim::Cluster cluster;
-  blob::BlobStore store(cluster);
-  BlobFs fs(store, BlobFsConfig{.atomic_meta_updates = true});
+  blob::StoreConfig small_chunks;
+  small_chunks.chunk_bytes = 64 * 1024;
+  blob::BlobStore store(cluster, small_chunks);
+  BlobFs fs(store);
   sim::SimAgent agent;
   vfs::IoCtx ctx{&agent, 100, 100};
+  const std::uint64_t part = small_chunks.chunk_bytes;
   const std::uint64_t hits = series("client.metacache.hits");
   for (int i = 0; i < 4; ++i) {
+    const std::uint64_t off = static_cast<std::uint64_t>(i) * part;
     auto h = fs.open(ctx, "/meta", vfs::OpenFlags::rw());
     ASSERT_TRUE(h.ok());
-    ASSERT_TRUE(fs.write(ctx, h.value(), static_cast<std::uint64_t>(i) * 2048,
-                         as_view(make_payload(static_cast<std::uint64_t>(i), 0, 2048)))
-                    .ok());
+    ASSERT_TRUE(
+        fs.write(ctx, h.value(), off, as_view(make_payload(static_cast<std::uint64_t>(i), 0, part)))
+            .ok());
     ASSERT_TRUE(fs.sync(ctx, h.value()).ok());
     ASSERT_TRUE(fs.close(ctx, h.value()).ok());
-    ASSERT_TRUE(fs.truncate(ctx, "/meta", static_cast<std::uint64_t>(i) * 2048 + 1024).ok());
+    ASSERT_TRUE(fs.truncate(ctx, "/meta", off + part / 2).ok());
+    ASSERT_EQ(vfs::read_file(fs, ctx, "/meta").value().size(), off + part / 2);
   }
   ASSERT_TRUE(fs.unlink(ctx, "/meta").ok());
   EXPECT_EQ(series("client.metacache.hits"), hits);

@@ -238,6 +238,83 @@ TEST_F(FailureTest, EveryInjectedAttemptIsOneCallOrOneCallFailure) {
   EXPECT_EQ(c.at("rpc.attempts"), c.at("rpc.calls") + c.at("rpc.call_failures"));
 }
 
+struct TimedWrite {
+  SimMicros completion = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t dual_writes = 0;
+};
+
+/// One 4 KiB write of `key` by a fresh client, with `server` behind an
+/// outage over [0, outage_until) (none when outage_until is 0).
+TimedWrite write_with_outage(BlobStore& store, const std::string& key,
+                             std::uint32_t server, SimMicros outage_until) {
+  sim::SimAgent agent;
+  BlobClient client(store, &agent);
+  rpc::FaultInjector inj(3);
+  if (outage_until > 0) {
+    rpc::FaultPlan plan;
+    plan.outages.push_back({0, outage_until});
+    inj.set_plan(store.server(server).node().id(), plan);
+    store.transport().set_fault_injector(&inj);
+  }
+  EXPECT_TRUE(client.write(key, 0, as_view(make_payload(5, 0, 4096))).ok());
+  store.transport().set_fault_injector(nullptr);
+  return {agent.now(), client.counters().retries.value(),
+          client.counters().dual_writes.value()};
+}
+
+/// `run(outage_until)` makes the same write on a fresh store. With an
+/// outage up to the clean write's completion, the first attempt of the leg
+/// to the outaged server is refused and a retry at least one backoff later
+/// is delivered: the write completes when that retry's leg does, not when a
+/// first-attempt leg would have.
+template <typename Run>
+void expect_retried_leg_delays_write(Run run) {
+  const TimedWrite clean = run(0);
+  ASSERT_EQ(clean.retries, 0u);
+  const TimedWrite faulted = run(clean.completion);
+  ASSERT_GT(faulted.retries, 0u);
+  EXPECT_GE(faulted.completion, clean.completion + StoreConfig{}.retry.backoff_base_us);
+}
+
+TEST(ForwardLegTest, RetriedForwardIsChargedFromItsDeliveredAttempt) {
+  expect_retried_leg_delays_write([](SimMicros outage_until) {
+    sim::Cluster cluster;
+    BlobStore store(cluster);
+    return write_with_outage(store, "fwd", store.replicas_of("fwd")[1], outage_until);
+  });
+}
+
+TEST(ForwardLegTest, RetriedMirrorIsChargedFromItsDeliveredAttempt) {
+  // The dual-write mirror leg of a migration window. The key is one the
+  // window moves to the joining server, removed inside the window so the
+  // write recreates it and the joining server, holding no copy yet, takes
+  // the mirror.
+  expect_retried_leg_delays_write([](SimMicros outage_until) {
+    sim::Cluster cluster;
+    BlobStore store(cluster);
+    sim::SimAgent setup_agent;
+    BlobClient setup(store, &setup_agent);
+    for (int i = 0; i < 40; ++i) {
+      EXPECT_TRUE(
+          setup.write(strfmt("mirror-%d", i), 0, as_view(make_payload(i, 0, 512))).ok());
+    }
+    const auto fresh = store.begin_add_server(cluster.compute_node(0));
+    EXPECT_TRUE(fresh.ok());
+    std::string key;
+    for (int i = 0; i < 40 && key.empty(); ++i) {
+      const std::string k = strfmt("mirror-%d", i);
+      const auto pending = store.placement_of(k).pending;
+      if (std::find(pending.begin(), pending.end(), fresh.value()) != pending.end()) key = k;
+    }
+    EXPECT_FALSE(key.empty());
+    EXPECT_TRUE(setup.remove(key).ok());
+    const TimedWrite w = write_with_outage(store, key, fresh.value(), outage_until);
+    EXPECT_EQ(w.dual_writes, 1u);
+    return w;
+  });
+}
+
 class QuorumTest : public ::testing::Test {
  protected:
   static StoreConfig quorum_config() {

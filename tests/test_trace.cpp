@@ -2,12 +2,10 @@
 // report rendering.
 #include <gtest/gtest.h>
 
-#include <iterator>
 #include <string>
 #include <vector>
 
 #include "pfs/pfs.hpp"
-#include "trace/call_log.hpp"
 #include "trace/report.hpp"
 #include "trace/tracing_fs.hpp"
 #include "vfs/helpers.hpp"
@@ -175,119 +173,6 @@ TEST(Report, Table1ContainsAllApps) {
   EXPECT_NE(t.find("Tokenizer"), std::string::npos);
   EXPECT_NE(t.find("Read-intensive"), std::string::npos);
   EXPECT_NE(t.find("Write-intensive"), std::string::npos);
-}
-
-/// Minimal RFC-4180 reader for the round-trip test: splits one CSV document
-/// into rows of fields, honoring quoted fields with embedded commas,
-/// newlines, and doubled quotes.
-std::vector<std::vector<std::string>> parse_csv(const std::string& text) {
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::string> row;
-  std::string field;
-  bool quoted = false;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        field += c;
-      }
-    } else if (c == '"') {
-      quoted = true;
-    } else if (c == ',') {
-      row.push_back(std::move(field));
-      field.clear();
-    } else if (c == '\n') {
-      row.push_back(std::move(field));
-      field.clear();
-      rows.push_back(std::move(row));
-      row.clear();
-    } else {
-      field += c;
-    }
-  }
-  if (!field.empty() || !row.empty()) {
-    row.push_back(std::move(field));
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-TEST(CallLogTest, CsvRoundTripsHostilePaths) {
-  // Paths are application-controlled: commas, quotes, and newlines must
-  // survive export without shifting columns or splitting rows. Before
-  // csv_field quoting, the comma path produced an 8-column row.
-  const char* paths[] = {
-      "/plain/file",
-      "/data/a,b,c.dat",
-      "/quo\"ted\"/f",
-      "/line\nbreak/f",
-      "/both,\"and\"\n/f",
-  };
-  CallLog log;
-  std::uint64_t bytes = 100;
-  for (const char* p : paths) {
-    CallRecord rec;
-    rec.op = OpKind::write;
-    rec.bytes = bytes++;
-    rec.start_us = 10;
-    rec.latency_us = 2;
-    rec.set_path(p);
-    log.record(rec);
-  }
-
-  const auto rows = parse_csv(log.to_csv());
-  ASSERT_EQ(rows.size(), 1 + std::size(paths));  // header + one row per record
-  ASSERT_EQ(rows[0].size(), 7u);
-  EXPECT_EQ(rows[0][2], "path");
-  for (std::size_t i = 0; i < std::size(paths); ++i) {
-    const auto& row = rows[i + 1];
-    ASSERT_EQ(row.size(), 7u) << "record " << i << " shifted columns";
-    EXPECT_EQ(row[0], "write");
-    EXPECT_EQ(row[1], "file_write");
-    EXPECT_EQ(row[2], paths[i]);
-    EXPECT_EQ(row[3], std::to_string(100 + i));
-    EXPECT_EQ(row[6], "1");
-  }
-}
-
-TEST(CallLogTest, SnapshotArrivalOrderAcrossWrap) {
-  CallLog log(4);
-  for (std::uint64_t i = 1; i <= 6; ++i) {
-    CallRecord rec;
-    rec.op = OpKind::read;
-    rec.bytes = i;  // arrival stamp
-    log.record(rec);
-  }
-  EXPECT_EQ(log.recorded(), 6u);
-  EXPECT_EQ(log.dropped(), 2u);
-  const auto snap = log.snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  // Oldest surviving record first: 1 and 2 were overwritten by 5 and 6.
-  for (std::uint64_t i = 0; i < snap.size(); ++i) {
-    EXPECT_EQ(snap[i].bytes, i + 3) << "position " << i;
-  }
-}
-
-TEST(CallLogTest, SnapshotBeforeWrapKeepsInsertionOrder) {
-  CallLog log(8);
-  for (std::uint64_t i = 1; i <= 3; ++i) {
-    CallRecord rec;
-    rec.bytes = i;
-    log.record(rec);
-  }
-  EXPECT_EQ(log.dropped(), 0u);
-  const auto snap = log.snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  for (std::uint64_t i = 0; i < snap.size(); ++i) {
-    EXPECT_EQ(snap[i].bytes, i + 1);
-  }
 }
 
 TEST(Report, Table2Renders) {
