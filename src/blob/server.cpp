@@ -189,7 +189,7 @@ Result<ReadOutcome> BlobServer::read(const std::string& key, std::uint64_t off,
 SimMicros BlobServer::svc_read(const std::string& key, std::uint64_t obj_size,
                                std::uint64_t data_len, std::uint32_t extents_touched) {
   server_metrics().read_bytes.add(data_len);
-  const SimMicros cpu = svc_bytes_cpu(data_len);
+  const SimMicros cpu = costs_.bytes_us(data_len);
   const bool cached = node_->cache().touch_read(fnv1a64(key), obj_size);
   if (cached || extents_touched == 0) {
     return cpu + 1;  // served from the page cache (or a pure hole): no disk access
@@ -366,7 +366,7 @@ Status BlobServer::apply_ops(const OpRef* ops, std::size_t count, SimMicros* ser
     if (op.kind == TxnOp::Kind::write) {
       // Log-structured append: sequential disk write; write-through cache.
       m.write_bytes.add(op.data.size());
-      op_us = svc_bytes_cpu(op.data.size()) + node_->disk().service_us(op.data.size(), true);
+      op_us = costs_.bytes_us(op.data.size()) + node_->disk().service_us(op.data.size(), true);
       node_->cache().touch_write(fnv1a64(*op.key), obj_size);
     }
     t += op_us;
@@ -431,7 +431,7 @@ Status BlobServer::install_copy_locked(const std::string& key, ByteView data,
     }
     return engine_.set_version(key, version);
   }();
-  SimMicros t = costs_.cpu_op_us + svc_bytes_cpu(data.size());
+  SimMicros t = costs_.cpu_op_us + costs_.bytes_us(data.size());
   if (st.ok()) {
     t += node_->disk().service_us(data.size(), /*sequential=*/true);
     node_->cache().touch_write(fnv1a64(key), logical_size);  // the copy's length

@@ -36,12 +36,18 @@
 
 namespace bsc::blob {
 
-/// CPU/journal cost constants of the server's request path.
+/// CPU/journal cost constants of the server's request path. The PFS OSTs
+/// and HDFS datanodes charge the default CPU costs too.
 struct ServerCosts {
   SimMicros cpu_op_us = 3;          ///< fixed request-handling CPU
   double cpu_byte_us = 0.0001;      ///< per-byte copy/checksum cost (~10 GB/s)
   SimMicros meta_journal_us = 40;   ///< sequential journal append for metadata ops
   double scan_per_obj_us = 0.2;     ///< index walk per object during scan
+
+  /// Per-byte CPU for `bytes`, in whole µs (rounded down).
+  [[nodiscard]] constexpr SimMicros bytes_us(std::uint64_t bytes) const noexcept {
+    return static_cast<SimMicros>(static_cast<double>(bytes) * cpu_byte_us);
+  }
 };
 
 class BlobServer {
@@ -309,9 +315,6 @@ class BlobServer {
  private:
   [[nodiscard]] SimMicros svc_metadata() const noexcept {
     return costs_.cpu_op_us + costs_.meta_journal_us;
-  }
-  [[nodiscard]] SimMicros svc_bytes_cpu(std::uint64_t bytes) const noexcept {
-    return static_cast<SimMicros>(static_cast<double>(bytes) * costs_.cpu_byte_us);
   }
   /// The read-cost rule, beyond the envelope's cpu_op_us: per-byte CPU, plus
   /// 1µs on a page-cache hit or a pure hole, else a random disk access and

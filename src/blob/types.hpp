@@ -126,4 +126,10 @@ inline bool is_chunk_key(std::string_view key) {
   return key.find(kChunkKeySep) != std::string_view::npos;
 }
 
+/// Engine key naming a numeric object (a PFS inode, an HDFS block): the id's
+/// 8 bytes, short enough for std::string's inline buffer.
+inline std::string id_key(std::uint64_t id) {
+  return {reinterpret_cast<const char*>(&id), sizeof id};
+}
+
 }  // namespace bsc::blob

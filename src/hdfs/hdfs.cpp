@@ -154,8 +154,7 @@ Result<Bytes> HdfsLikeFs::read(const vfs::IoCtx& ctx, vfs::FileHandle fh,
   if (offset >= snapshot.read_size || len == 0) return Bytes{};
   len = std::min(len, snapshot.read_size - offset);
 
-  Bytes out;
-  out.reserve(len);
+  Bytes out(len, std::byte{0});
   const SimMicros start = ctx.now();
   SimMicros done = start;
   std::uint64_t block_start = 0;
@@ -166,11 +165,11 @@ Result<Bytes> HdfsLikeFs::read(const vfs::IoCtx& ctx, vfs::FileHandle fh,
       const std::uint64_t hi = std::min(offset + len, block_end);
       Datanode& d = *datanodes_[b.datanodes.front()];
       SimMicros svc = 0;
-      auto piece = d.read(b.id, lo - block_start, hi - lo, &svc);
+      auto piece = d.read(b.id, lo - block_start,
+                          MutableByteView(out).subspan(lo - offset, hi - lo), &svc);
       if (!piece.ok()) return piece.error();
       done = std::max(done, transport_.call_reliable_at(d.node(), start, kHdfsEnvelope,
                                                         (hi - lo) + kHdfsEnvelope, svc).completion);
-      bsc::append(out, as_view(piece.value()));
     }
     block_start = block_end;
   }

@@ -7,13 +7,15 @@
 // census an always-on runtime artifact instead of an offline trace product.
 // Every storage layer (BlobClient, BlobServer, StorageEngine, page cache,
 // persist::Journal, rpc::Transport, trace::TraceRecorder) publishes into the
-// one global registry under a dotted naming scheme:
+// one global registry under a dotted naming scheme. The StorageEngine is the
+// object store under all three backends (blob servers, PFS OSTs, HDFS
+// datanodes), so engine.* counts the traffic of each:
 //
 //   client.<primitive>.{calls,latency_us,bytes}   blob API primitives (§III)
 //   client.category.<category>                    paper taxonomy roll-up
 //   server.<op>.{calls,service_us}                per-server service times
 //   server.stripe.{acquisitions,contended}        lock-stripe contention
-//   engine.op.<kind> / engine.bytes_*             storage-engine op counts
+//   engine.op.<kind> / engine.bytes_*             storage-engine op counts, all backends
 //   cache.{hits,misses,evictions}                 page-cache aggregate
 //   wal.{appends,fsyncs,append_us,fsync_us,...}   journal / group commit
 //   rpc.{attempts,drops,errors,outages,...}       transport fault verdicts

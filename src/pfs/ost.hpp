@@ -1,15 +1,18 @@
 // Object Storage Target: holds the striped data objects of the parallel
 // file system, one OST per simulated storage node.
 //
-// Unlike the blob engine (log-structured), OSTs write update-in-place —
-// random offsets pay a seek on the simulated disk, which is half of the
-// mechanical story behind the flat-namespace blob stack's advantage.
+// The bytes live in a blob::StorageEngine, the object store under all three
+// backends; the simulated model above it is the OST's own. OSTs charge
+// update-in-place — random offsets pay a seek on the simulated disk, which
+// is half of the mechanical story behind the flat-namespace blob stack's
+// advantage.
 #pragma once
 
 #include <cstdint>
 #include <shared_mutex>
 #include <unordered_map>
 
+#include "blob/storage_engine.hpp"
 #include "common/bytes.hpp"
 #include "common/result.hpp"
 #include "pfs/inode.hpp"
@@ -19,49 +22,42 @@ namespace bsc::pfs {
 
 class ObjectStorageTarget {
  public:
-  explicit ObjectStorageTarget(sim::SimNode& node) : node_(&node) {}
+  /// `index` is the OST's place in the file system's OST list, which is also
+  /// the stripe-object number of every object it stores: an OST holds at most
+  /// one object per inode.
+  ObjectStorageTarget(sim::SimNode& node, std::uint32_t index) : node_(&node), index_(index) {}
 
   [[nodiscard]] sim::SimNode& node() noexcept { return *node_; }
 
-  /// Write `data` at `offset` within the stripe object `(ino, obj)`.
-  Status write(InodeId ino, std::uint32_t obj, std::uint64_t offset, ByteView data,
-               SimMicros* service_us);
+  /// Write `data` at `offset` within the stripe object of `ino`.
+  Status write(InodeId ino, std::uint64_t offset, ByteView data, SimMicros* service_us);
 
-  /// Read up to `len` bytes; missing tail reads short, holes read as zero.
-  Result<Bytes> read(InodeId ino, std::uint32_t obj, std::uint64_t offset,
-                     std::uint64_t len, SimMicros* service_us);
+  /// Gather the object's bytes at [offset, offset + dst.size()) into `dst`,
+  /// which the caller zeroed: holes, the part past the object's end and a
+  /// never-written object read as zero. Returns the bytes within the object.
+  std::uint64_t read(InodeId ino, std::uint64_t offset, MutableByteView dst,
+                     SimMicros* service_us);
 
   /// Drop object data beyond `new_len` (file truncate fan-out).
-  Status truncate(InodeId ino, std::uint32_t obj, std::uint64_t new_len,
-                  SimMicros* service_us);
+  Status truncate(InodeId ino, std::uint64_t new_len, SimMicros* service_us);
 
-  /// Remove all objects of `ino` (unlink reclamation).
+  /// Remove the object of `ino` (unlink reclamation).
   void remove_inode(InodeId ino, SimMicros* service_us);
 
   /// Flush dirty state (fsync); charged as a short sequential journal write.
   SimMicros sync_cost() const noexcept;
 
-  [[nodiscard]] std::uint64_t bytes_stored();
+  /// The object store, keyed by blob::id_key(ino). Unlocked: for tests.
+  [[nodiscard]] const blob::StorageEngine& engine() const noexcept { return engine_; }
 
  private:
-  struct Key {
-    InodeId ino;
-    std::uint32_t obj;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      return std::hash<std::uint64_t>{}((k.ino << 20) ^ k.obj);
-    }
-  };
-  struct StripeObject {
-    Bytes data;
-    std::uint64_t last_write_end = 0;  ///< for sequentiality detection
-  };
-
   sim::SimNode* node_;
+  std::uint32_t index_;
   std::shared_mutex mu_;
-  std::unordered_map<Key, StripeObject, KeyHash> objects_;
+  blob::StorageEngine engine_;
+  /// Where each object's last write ended: a write starting there is
+  /// sequential on the disk model.
+  std::unordered_map<InodeId, std::uint64_t> write_end_;
 };
 
 }  // namespace bsc::pfs

@@ -19,7 +19,8 @@ LustreLikeFs::LustreLikeFs(sim::Cluster& cluster, PfsConfig cfg)
   locks_ = std::make_unique<LockManager>(cluster.metadata_node(), cfg_.stripe_size);
   osts_.reserve(cluster.storage_count());
   for (std::size_t i = 0; i < cluster.storage_count(); ++i) {
-    osts_.push_back(std::make_unique<ObjectStorageTarget>(cluster.storage_node(i)));
+    osts_.push_back(std::make_unique<ObjectStorageTarget>(cluster.storage_node(i),
+                                                          static_cast<std::uint32_t>(i)));
   }
 }
 
@@ -143,20 +144,17 @@ Result<Bytes> LustreLikeFs::read(const vfs::IoCtx& ctx, vfs::FileHandle fh,
   if (offset >= fsize || len == 0) return Bytes{};
   len = std::min(len, fsize - offset);
 
-  // Parallel stripe reads across the OSTs.
+  // Parallel stripe reads across the OSTs, each gathered straight into its
+  // slice of the output. Short stripe reads are holes: they stay zero.
   Bytes out(len, std::byte{0});
   const SimMicros start = ctx.now();
   SimMicros done = start;
   for (const StripePiece& p : stripe_range(ino, offset, len)) {
     ObjectStorageTarget& t = *osts_[p.ost];
     SimMicros svc = 0;
-    auto piece = t.read(ino, p.ost, p.obj_off, p.len, &svc);
-    if (!piece.ok()) return piece.error();
+    t.read(ino, p.obj_off, MutableByteView(out).subspan(p.log_off - offset, p.len), &svc);
     done = std::max(done, transport_.call_reliable_at(t.node(), start, kPfsEnvelope,
                                                       p.len + kPfsEnvelope, svc).completion);
-    // Short stripe reads are holes: they stay zero in the output.
-    std::copy(piece.value().begin(), piece.value().end(),
-              out.begin() + static_cast<std::ptrdiff_t>(p.log_off - offset));
   }
   if (ctx.agent) ctx.agent->advance_to(done);
   return out;
@@ -201,7 +199,7 @@ Result<std::uint64_t> LustreLikeFs::write(const vfs::IoCtx& ctx, vfs::FileHandle
   for (const StripePiece& p : pieces) {
     ObjectStorageTarget& t = *osts_[p.ost];
     SimMicros svc = 0;
-    auto st = t.write(ino, p.ost, p.obj_off, subview(data, p.log_off - offset, p.len), &svc);
+    auto st = t.write(ino, p.obj_off, subview(data, p.log_off - offset, p.len), &svc);
     if (!st.ok()) return st.error();
     done = std::max(done, transport_.call_reliable_at(t.node(), start, p.len + kPfsEnvelope,
                                                       kPfsEnvelope, svc).completion);
@@ -255,7 +253,7 @@ Status LustreLikeFs::truncate_resolved(const vfs::IoCtx& ctx, InodeId ino,
     }
     ObjectStorageTarget& t = *osts_[i];
     SimMicros svc = 0;
-    auto st = t.truncate(ino, i, obj_len, &svc);
+    auto st = t.truncate(ino, obj_len, &svc);
     if (!st.ok()) return st;
     done = std::max(done, transport_.call_reliable_at(t.node(), start, kPfsEnvelope,
                                                       kPfsEnvelope, svc).completion);

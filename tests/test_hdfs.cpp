@@ -79,7 +79,7 @@ TEST_F(HdfsTest, BlocksChunkedAndReplicated) {
     EXPECT_EQ(b.datanodes.size(), fs_.config().replication);
     // Every replica datanode holds the full block.
     for (std::uint32_t dn : b.datanodes) {
-      EXPECT_EQ(fs_.datanode(dn).block_length(b.id).value(), b.length);
+      EXPECT_EQ(fs_.datanode(dn).engine().size(blob::id_key(b.id)).value(), b.length);
     }
   }
 }
@@ -119,13 +119,13 @@ TEST_F(HdfsTest, UnlinkReleasesBlocks) {
   ASSERT_TRUE(vfs::write_file(fs_, ctx_, "/del", as_view(data)).ok());
   std::uint64_t before = 0;
   for (std::size_t i = 0; i < fs_.datanode_count(); ++i) {
-    before += fs_.datanode(i).bytes_stored();
+    before += fs_.datanode(i).engine().live_bytes();
   }
   EXPECT_GT(before, 0u);
   ASSERT_TRUE(fs_.unlink(ctx_, "/del").ok());
   std::uint64_t after = 0;
   for (std::size_t i = 0; i < fs_.datanode_count(); ++i) {
-    after += fs_.datanode(i).bytes_stored();
+    after += fs_.datanode(i).engine().live_bytes();
   }
   EXPECT_EQ(after, 0u);
   EXPECT_EQ(fs_.stat(ctx_, "/del").code(), Errc::not_found);
@@ -187,6 +187,97 @@ TEST(HdfsLegs, AppendIsOneReliableLegPerPipelineHop) {
         << "R=" << r;
     EXPECT_EQ(calls_for([&] { ASSERT_TRUE(fs.sync(ctx, h.value()).ok()); }), r) << "R=" << r;
   }
+}
+
+// Direct calls on one datanode pin its service-time rules: 3 µs of CPU per
+// op plus 0.0001 µs per byte, appends sequential on the disk model (30 µs
+// controller, 100 B/µs), reads 1 µs when page-cache resident.
+class DatanodeCharges : public HdfsTest {
+ protected:
+  struct Read {
+    Errc code = Errc::ok;
+    Bytes data;
+    SimMicros us = 0;
+  };
+
+  Datanode& dn() { return fs_.datanode(0); }
+
+  SimMicros append(std::uint64_t id, std::uint64_t off, std::uint64_t len) {
+    SimMicros us = 0;
+    EXPECT_TRUE(dn().append(id, as_view(make_payload(id, off, len)), &us).ok());
+    return us;
+  }
+  Read read(std::uint64_t id, std::uint64_t off, std::uint64_t len) {
+    Read r;
+    r.data.assign(len, std::byte{0});
+    auto got = dn().read(id, off, r.data, &r.us);
+    r.code = got.code();
+    r.data.resize(got.ok() ? got.value() : 0);
+    return r;
+  }
+  SimMicros drop(std::uint64_t id) {
+    SimMicros us = 0;
+    dn().drop(id, &us);
+    return us;
+  }
+  std::uint64_t stored() { return dn().engine().live_bytes(); }
+};
+
+TEST_F(DatanodeCharges, ZeroLengthAppendMakesAnEmptyBlock) {
+  EXPECT_EQ(append(501, 0, 0), 3 + 30);
+  const Read r = read(501, 0, 10);
+  EXPECT_EQ(r.code, Errc::ok);
+  EXPECT_TRUE(r.data.empty());
+  EXPECT_EQ(r.us, 3 + 1);
+}
+
+TEST_F(DatanodeCharges, AppendsAreSequentialAndReadsGatherAcrossThem) {
+  EXPECT_EQ(append(502, 0, 100000), 3 + 10 + 30 + 1000);
+  EXPECT_EQ(append(502, 100000, 100000), 1043);
+  const Read r = read(502, 150000, 100000);
+  EXPECT_TRUE(equal(as_view(r.data), as_view(make_payload(502, 150000, 50000))));
+  EXPECT_EQ(r.us, 3 + 5 + 1);
+}
+
+TEST_F(DatanodeCharges, ReadOfAMissingBlockIsNotFoundAtCpuCost) {
+  const Read r = read(503, 0, 10);
+  EXPECT_EQ(r.code, Errc::not_found);
+  EXPECT_EQ(r.us, 3);
+}
+
+TEST_F(DatanodeCharges, DropLowersTheStoredBytes) {
+  const std::uint64_t before = stored();
+  ASSERT_EQ(append(504, 0, 1000), 43);
+  ASSERT_EQ(append(505, 0, 3000), 3 + 30 + 30);
+  EXPECT_EQ(stored(), before + 4000);
+  EXPECT_EQ(drop(504), 3);
+  EXPECT_EQ(stored(), before + 3000);
+  EXPECT_EQ(read(504, 0, 10).code, Errc::not_found);
+  EXPECT_EQ(drop(504), 3);
+  EXPECT_EQ(stored(), before + 3000);
+}
+
+// Datanode blocks live in the blob StorageEngine, so HDFS traffic publishes
+// at the engine layer: an append at R = 3 is one engine write per replica,
+// and a read is one engine read at the first replica.
+TEST(HdfsEngine, AppendAtThreeReplicasIsThreeEngineWrites) {
+  sim::Cluster cluster;
+  HdfsLikeFs fs(cluster, HdfsConfig{.replication = 3});
+  sim::SimAgent agent;
+  const vfs::IoCtx ctx{&agent, 0, 0};
+  const Bytes data = make_payload(9, 0, 4096);
+  auto before = obs::MetricsRegistry::global().snapshot();
+  ASSERT_TRUE(vfs::write_file(fs, ctx, "/e", as_view(data)).ok());
+  auto d = obs::MetricsRegistry::global().snapshot().delta_since(before);
+  EXPECT_EQ(d.counters.at("engine.op.write"), 3u);
+  EXPECT_EQ(d.counters.at("engine.bytes_written"), 3u * 4096u);
+  before = obs::MetricsRegistry::global().snapshot();
+  auto back = vfs::read_file(fs, ctx, "/e");
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(equal(as_view(back.value()), as_view(data)));
+  d = obs::MetricsRegistry::global().snapshot().delta_since(before);
+  EXPECT_EQ(d.counters.at("engine.op.read"), 1u);
+  EXPECT_EQ(d.counters.at("engine.bytes_read"), 4096u);
 }
 
 // Parameterized over write granularity: block accounting must hold for any

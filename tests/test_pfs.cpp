@@ -2,6 +2,8 @@
 // permissions, striping, strict visibility, locking, unlink-while-open.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
@@ -180,7 +182,7 @@ TEST_F(PfsTest, StripingDistributesAcrossOsts) {
   ASSERT_TRUE(vfs::write_file(fs_, ctx_, "/striped", as_view(data)).ok());
   std::size_t osts_used = 0;
   for (std::size_t i = 0; i < fs_.ost_count(); ++i) {
-    if (fs_.ost(i).bytes_stored() > 0) ++osts_used;
+    if (fs_.ost(i).engine().live_bytes() > 0) ++osts_used;
   }
   EXPECT_EQ(osts_used, fs_.ost_count());  // 1 MiB over 8 OSTs touches all
 }
@@ -202,6 +204,27 @@ TEST_F(PfsTest, ReadOverThreeStripesIsOneMdsLegPlusOneLegPerStripe) {
   EXPECT_EQ(d.counters.at("rpc.reliable_calls"), 1u + 3u);
   EXPECT_EQ(d.histogram_stats("rpc.call.latency_us").count, 1u + 3u);
   EXPECT_GT(agent_.now(), t0);
+}
+
+// OST bytes live in the blob StorageEngine, so PFS traffic publishes at the
+// engine layer: one engine op per stripe object a write or read touches.
+TEST_F(PfsTest, ThreeStripeWriteIsThreeEngineWrites) {
+  const std::uint64_t len = 3 * PfsConfig{}.stripe_size;
+  const Bytes data = make_payload(8, 0, len);
+  auto h = fs_.open(ctx_, "/engine", vfs::OpenFlags::rw());
+  ASSERT_TRUE(h.ok());
+  auto before = obs::MetricsRegistry::global().snapshot();
+  ASSERT_TRUE(fs_.write(ctx_, h.value(), 0, as_view(data)).ok());
+  auto d = obs::MetricsRegistry::global().snapshot().delta_since(before);
+  EXPECT_EQ(d.counters.at("engine.op.write"), 3u);
+  EXPECT_EQ(d.counters.at("engine.bytes_written"), len);
+  before = obs::MetricsRegistry::global().snapshot();
+  auto back = fs_.read(ctx_, h.value(), 0, len);
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(equal(as_view(back.value()), as_view(data)));
+  d = obs::MetricsRegistry::global().snapshot().delta_since(before);
+  EXPECT_EQ(d.counters.at("engine.op.read"), 3u);
+  EXPECT_EQ(d.counters.at("engine.bytes_read"), len);
 }
 
 TEST_F(PfsTest, LockManagerSeesTraffic) {
@@ -270,6 +293,100 @@ TEST_F(PfsTest, ConcurrentDisjointFilesParallel) {
     EXPECT_TRUE(equal(as_view(back.value()), as_view(data)));
   });
   EXPECT_TRUE(fs_.mds().check_tree_invariants().ok());
+}
+
+// Direct calls on one OST pin its service-time rules: 3 µs of CPU per op
+// plus 0.0001 µs per byte, and the disk model's 30 µs controller, 8 500 +
+// 4 170 µs seek and rotation on a random access and 100 B/µs transfer. A
+// sequential write starts where the object's last write ended. The OST is
+// fs_.ost(0), which holds stripe object 0 of every inode it stores.
+class OstCharges : public PfsTest {
+ protected:
+  struct Read {
+    Bytes data;
+    SimMicros us = 0;
+  };
+
+  ObjectStorageTarget& ost() { return fs_.ost(0); }
+
+  SimMicros write(InodeId ino, std::uint64_t off, std::uint64_t len) {
+    SimMicros us = 0;
+    EXPECT_TRUE(ost().write(ino, off, as_view(make_payload(ino, off, len)), &us).ok());
+    return us;
+  }
+  Read read(InodeId ino, std::uint64_t off, std::uint64_t len) {
+    Read r;
+    r.data.assign(len, std::byte{0});
+    r.data.resize(ost().read(ino, off, r.data, &r.us));
+    return r;
+  }
+  SimMicros truncate(InodeId ino, std::uint64_t len) {
+    SimMicros us = 0;
+    EXPECT_TRUE(ost().truncate(ino, len, &us).ok());
+    return us;
+  }
+  SimMicros remove(InodeId ino) {
+    SimMicros us = 0;
+    ost().remove_inode(ino, &us);
+    return us;
+  }
+};
+
+TEST_F(OstCharges, FirstWriteIsSequential) {
+  EXPECT_EQ(write(1001, 0, 100000), 3 + 10 + 30 + 1000);
+}
+
+TEST_F(OstCharges, SequentialMeansAtTheLastWriteEndNotAtTheObjectEnd) {
+  EXPECT_EQ(write(1002, 0, 100000), 1043);
+  EXPECT_EQ(write(1002, 0, 1000), 3 + 30 + 8500 + 4170 + 10);  // back to the start
+  EXPECT_EQ(write(1002, 1000, 1000), 3 + 30 + 10);  // where the overwrite ended
+  EXPECT_EQ(read(1002, 0, 200000).data.size(), 100000u);
+}
+
+TEST_F(OstCharges, RandomWritePaysASeekAndLeavesAZeroHole) {
+  EXPECT_EQ(write(1003, 5000, 1000), 12713);
+  const Read r = read(1003, 0, 10000);
+  ASSERT_EQ(r.data.size(), 6000u);
+  EXPECT_TRUE(std::all_of(r.data.begin(), r.data.begin() + 5000,
+                          [](std::byte b) { return b == std::byte{0}; }));
+  EXPECT_TRUE(equal(subview(as_view(r.data), 5000, 1000), as_view(make_payload(1003, 5000, 1000))));
+}
+
+TEST_F(OstCharges, ReadOfANeverWrittenObjectIsEmptyAtCpuPlusController) {
+  const Read r = read(1004, 0, 100);
+  EXPECT_TRUE(r.data.empty());
+  EXPECT_EQ(r.us, 3 + 30);
+}
+
+TEST_F(OstCharges, ReadsClipAtTheObjectEnd) {
+  ASSERT_EQ(write(1005, 0, 1000), 43);
+  const Read past = read(1005, 5000, 100);
+  EXPECT_TRUE(past.data.empty());
+  EXPECT_EQ(past.us, 3 + 1);  // page-cache resident since the write
+  const Read tail = read(1005, 500, 1000);
+  EXPECT_TRUE(equal(as_view(tail.data), as_view(make_payload(1005, 500, 500))));
+  EXPECT_EQ(tail.us, 3 + 1);
+  ost().node().cache().clear();
+  EXPECT_EQ(read(1005, 0, 1000).us, 12713);  // cold: a random disk access
+}
+
+TEST_F(OstCharges, TruncateNeverGrowsAnObjectAndMovesTheWriteEnd) {
+  ASSERT_EQ(write(1006, 0, 1000), 43);
+  EXPECT_EQ(truncate(1006, 5000), 3 + 30);
+  EXPECT_EQ(read(1006, 0, 10000).data.size(), 1000u);
+  EXPECT_EQ(truncate(1006, 500), 33);
+  EXPECT_EQ(read(1006, 0, 10000).data.size(), 500u);
+  EXPECT_EQ(write(1006, 500, 1000), 43);  // sequential at the cut
+  EXPECT_EQ(read(1006, 0, 10000).data.size(), 1500u);
+  EXPECT_EQ(truncate(1007, 5000), 33);  // no object: none is made
+  EXPECT_EQ(read(1007, 0, 100).us, 33);
+}
+
+TEST_F(OstCharges, RemoveInodeChargesTwoPerObjectRemoved) {
+  ASSERT_EQ(write(1008, 0, 1000), 43);
+  EXPECT_EQ(remove(1008), 3 + 2);
+  EXPECT_EQ(remove(1008), 3);
+  EXPECT_EQ(read(1008, 0, 100).us, 33);  // gone
 }
 
 // Striping property sweep: read-back equality across stripe widths and
