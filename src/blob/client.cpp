@@ -718,8 +718,9 @@ void BlobClient::fan_out(std::size_t n, const std::function<void(std::size_t)>& 
   // way (every group forks from the same instant), so parallel and
   // sequential execution yield identical simulated traces; with a fault
   // injector installed, the sequential order keeps verdict draws
-  // deterministic.
-  const std::size_t hw = std::thread::hardware_concurrency();
+  // deterministic. glibc answers hardware_concurrency() by reading
+  // /sys/devices/system/cpu/online, so it is asked once per process.
+  static const std::size_t hw = std::thread::hardware_concurrency();
   if (n < 2 || store_->transport().fault_injector() != nullptr || hw < 2) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
@@ -747,6 +748,14 @@ Status BlobClient::mutation_group_leg(std::vector<BatchSub*>& subs,
   *completion = start;
   const rpc::Transport& tp = store_->transport();
   BlobServer& primary = store_->server(primary_id);
+
+  // Hash each write payload's sender checksum here, on the thread that
+  // carries this group, so the groups of a striped write hash in parallel.
+  for (BatchSub* sub : subs) {
+    if (sub->op.kind == BlobServer::TxnOp::Kind::write && sub->op.checksum == 0) {
+      sub->op.checksum = content_checksum(sub->op.data);
+    }
+  }
 
   std::vector<KeyLeg> st(subs.size());
   for (std::size_t i = 0; i < subs.size(); ++i) st[i].ekey = &subs[i]->ekey;
@@ -1845,8 +1854,9 @@ Result<std::uint64_t> BlobClient::write(std::string_view key, std::uint64_t offs
       BatchSub sub;
       sub.ekey = chunk_engine_key(key, c);
       sub.chunk = c;
-      sub.op = {BlobServer::TxnOp::Kind::write, nullptr, lo - c * cb, slice, 0,
-                content_checksum(slice)};
+      // Checksum 0 for now: mutation_group_leg hashes the slice on the
+      // fan-out thread that carries it, still before any server sees it.
+      sub.op = {BlobServer::TxnOp::Kind::write, nullptr, lo - c * cb, slice, 0, 0};
       subs.push_back(std::move(sub));
     }
     st = batched_mutation_wave(subs, start, &done);

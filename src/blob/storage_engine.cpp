@@ -34,6 +34,7 @@ struct EngineMetrics {
   obs::Counter& grows;
   obs::Counter& bytes_written;
   obs::Counter& bytes_read;
+  obs::Counter& bytes_streamed;  ///< written to segments by a streamed copy
   obs::Counter& compactions;
 };
 
@@ -44,7 +45,7 @@ EngineMetrics& engine_metrics() {
       reg.counter("engine.op.write"),     reg.counter("engine.op.read"),
       reg.counter("engine.op.truncate"),  reg.counter("engine.op.grow"),
       reg.counter("engine.bytes_written"), reg.counter("engine.bytes_read"),
-      reg.counter("engine.compactions")};
+      reg.counter("engine.bytes_streamed"), reg.counter("engine.compactions")};
   return m;
 }
 
@@ -233,7 +234,7 @@ std::pair<std::uint32_t, std::uint64_t> StorageEngine::append_to_log(ByteView da
   const std::uint64_t need = std::max<std::uint64_t>(cfg_.segment_bytes, data.size());
   if (seg.empty() && seg.capacity() < need) seg.open(need);
   const std::uint64_t seg_off = seg.size();
-  seg.append(data);
+  if (seg.append(data)) engine_metrics().bytes_streamed.add(data.size());
   seg_live_[active_] += data.size();
   return {active_, seg_off};
 }
@@ -316,9 +317,13 @@ Result<WriteOutcome> StorageEngine::write(const std::string& key, std::uint64_t 
       // so an exact match means no other extent touches the range — no
       // supersede or append churn, no dead-byte growth, and under
       // steady-state full-chunk overwrites (the striped-write pattern) the
-      // destination stays cache-warm instead of streaming into a fresh cold
-      // slot every round.
-      std::copy(data.begin(), data.end(), segments_[hit->segment].data() + hit->seg_off);
+      // same slot is reused round after round instead of a fresh one. It is
+      // cold by the next round all the same, so an overwrite of
+      // kStreamCopyMin bytes or more streams past the cache (stream_copy)
+      // instead of reading every destination line in first.
+      if (stream_copy(segments_[hit->segment].data() + hit->seg_off, data)) {
+        engine_metrics().bytes_streamed.add(data.size());
+      }
       hit->checksum = checksum != 0 ? checksum : content_checksum(data);
     } else {
       const auto pos = supersede_range(xs, hit, offset, data.size());

@@ -386,6 +386,58 @@ TEST(Engine, CheckpointAndWalRecoverSmallAppendLog) {
   expect_contents(r.value(), want);
 }
 
+TEST(Engine, StreamedCopiesKeepEveryByteThroughOverwriteCompactionAndRecovery) {
+  // Payloads of kStreamCopyMin bytes or more reach segment memory through
+  // stream_copy's streaming body: an append, an in-place overwrite of it,
+  // and writes larger than segment_bytes, each opening a segment at its
+  // own size. The 1000-byte object written first leaves the 1 MiB copies'
+  // destination unaligned, and 5 MiB + 123 bytes leaves a partial tail.
+  constexpr std::uint64_t kMiB = 1 << 20;
+  const EngineConfig cfg{.segment_bytes = 2 * kMiB, .compact_dead_ratio = 0.3};
+  const obs::Counter& streamed =
+      obs::MetricsRegistry::global().counter("engine.bytes_streamed");
+  const auto expect_streamed = [&](std::uint64_t from, std::uint64_t n) {
+    EXPECT_EQ(streamed.value() - from, kStreamCopyStreams ? n : 0);
+  };
+  const std::uint64_t written = 2 * kMiB + (5 * kMiB + 123) + 3 * kMiB;
+  persist::TempDir dir;
+  ExpectedObjects want;
+  {
+    auto j = persist::Journal::open(dir.path(), {.fsync = persist::FsyncPolicy::none});
+    ASSERT_TRUE(j.ok());
+    auto journal = std::move(j).take();
+    StorageEngine e(cfg);
+    e.attach_journal(journal.get());
+    const std::uint64_t before = streamed.value();
+    write_both(e, want, "small", 3, make_payload(3, 3, 1000));  // below: cached
+    write_both(e, want, "a", 0, make_payload(1, 0, kMiB));
+    write_both(e, want, "a", 0, make_payload(2, 0, kMiB));  // exact extent: in place
+    EXPECT_EQ(e.dead_bytes(), 0u);
+    EXPECT_EQ(e.segments_total(), 1u);
+    write_both(e, want, "big", 5, make_payload(4, 5, 5 * kMiB + 123));
+    EXPECT_EQ(e.segments_total(), 2u);
+    // Supersede the middle of "big": its left and right slices stay live.
+    write_both(e, want, "big", 5 + kMiB, make_payload(5, 5 + kMiB, 3 * kMiB));
+    EXPECT_EQ(e.segments_total(), 3u);
+    expect_streamed(before, written);
+    expect_contents(e, want);
+
+    // Compaction re-appends every live extent; all but "small" stream.
+    ASSERT_TRUE(e.needs_compaction());
+    const std::uint64_t before_compact = streamed.value();
+    EXPECT_EQ(e.compact(), 3 * kMiB);
+    expect_streamed(before_compact, e.live_bytes() - 1000);
+    expect_contents(e, want);
+    e.attach_journal(nullptr);
+  }
+  // WAL replay runs the same writes, the in-place overwrite included.
+  const std::uint64_t before_recover = streamed.value();
+  auto r = StorageEngine::recover(dir.path(), cfg);
+  ASSERT_TRUE(r.ok()) << r.error().message();
+  expect_streamed(before_recover, written);
+  expect_contents(r.value(), want);
+}
+
 TEST(LogSegment, ReleasedBufferServesTheNextSegmentOfItsSize) {
   // A capacity no engine uses, so the pool holds no other buffer of it.
   constexpr std::uint64_t n = 3 * 4096 + 17;

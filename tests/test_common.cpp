@@ -16,6 +16,7 @@
 #include "common/result.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "common/stream_copy.hpp"
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
@@ -305,6 +306,54 @@ TEST(Payload, CheckRejectsOneFlippedByteInVectorBodyAndRemainder) {
       Bytes bad = good;
       bad[pos] ^= std::byte{0x80};
       EXPECT_FALSE(check_payload(21, off, as_view(bad))) << "len=" << len << " pos=" << pos;
+    }
+  }
+}
+
+// stream_copy must equal memcpy for every length and both alignments, and
+// write nothing in the 64 bytes on either side of the destination: every
+// length 0..300 at every source and destination offset mod 64, every length
+// within 200 bytes of kStreamCopyMin (where it starts streaming) at one
+// offset pair each, and both ends of that range at 64 more pairs. Only
+// lengths of kStreamCopyMin and more report a stream.
+TEST(StreamCopy, MatchesMemcpyAndStaysInsideTheDestination) {
+  constexpr std::size_t kGuard = 64;
+  constexpr std::size_t kMaxLen = kStreamCopyMin + 200;
+  const std::byte dirty{0xA5};
+  const Bytes src = make_payload(0x5c, 0, 64 + kMaxLen);
+  Bytes dst(kGuard + 64 + kMaxLen + kGuard, dirty);
+  const auto check = [&](std::size_t src_off, std::size_t dst_off, std::size_t len) {
+    std::byte* to = dst.data() + kGuard + dst_off;
+    const bool streamed = stream_copy(to, subview(as_view(src), src_off, len));
+    EXPECT_EQ(streamed, kStreamCopyStreams && len >= kStreamCopyMin) << "len=" << len;
+    const bool exact = len == 0 || std::memcmp(to, src.data() + src_off, len) == 0;
+    const std::size_t end = kGuard + dst_off + len;
+    const bool contained =
+        std::all_of(dst.begin(), dst.begin() + static_cast<std::ptrdiff_t>(kGuard + dst_off),
+                    [&](std::byte b) { return b == dirty; }) &&
+        std::all_of(dst.begin() + static_cast<std::ptrdiff_t>(end),
+                    dst.begin() + static_cast<std::ptrdiff_t>(end + kGuard),
+                    [&](std::byte b) { return b == dirty; });
+    std::fill(dst.begin(), dst.begin() + static_cast<std::ptrdiff_t>(end), dirty);
+    return exact && contained;
+  };
+  for (std::size_t len = 0; len <= 300; ++len) {
+    for (std::size_t src_off = 0; src_off < 64; ++src_off) {
+      for (std::size_t dst_off = 0; dst_off < 64; ++dst_off) {
+        ASSERT_TRUE(check(src_off, dst_off, len))
+            << "len=" << len << " src_off=" << src_off << " dst_off=" << dst_off;
+      }
+    }
+  }
+  for (std::size_t len = kStreamCopyMin - 200; len <= kMaxLen; ++len) {
+    const std::size_t src_off = len % 64;
+    const std::size_t dst_off = (len * 37) % 64;
+    ASSERT_TRUE(check(src_off, dst_off, len))
+        << "len=" << len << " src_off=" << src_off << " dst_off=" << dst_off;
+  }
+  for (const std::size_t len : {kStreamCopyMin, kMaxLen}) {
+    for (std::size_t off = 0; off < 64; ++off) {
+      ASSERT_TRUE(check(off, 63 - off, len)) << "len=" << len << " src_off=" << off;
     }
   }
 }
