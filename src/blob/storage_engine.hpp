@@ -132,22 +132,19 @@ class LogSegment {
   void release() noexcept;
 
   /// Copy `data` to the end with stream_copy and return whether it streamed.
-  /// The caller keeps size() + data.size() within capacity(). After a cached
-  /// copy, prefetch, for writing, the next min(data.size(), kPrefetchMax)
-  /// bytes of the tail: a reused mapping's pages have long left the cache,
-  /// and the next append of a similar size finds its lines warm instead of
-  /// stalling on each one. A streamed copy reads no destination line, so
-  /// the next one, likely as large, has nothing to gain from a prefetch.
+  /// The caller keeps size() + data.size() within capacity(). Then prefetch,
+  /// for writing, the next min(data.size(), kPrefetchMax) bytes of the tail:
+  /// a reused mapping's pages have long left the cache, and the next append
+  /// of a similar size finds its lines warm instead of stalling on each one.
   bool append(ByteView data) noexcept {
     const bool streamed = stream_copy(data_ + size_, data);
     size_ += data.size();
-    if (streamed) return true;
     const std::uint64_t ahead = std::min<std::uint64_t>(
         std::min<std::uint64_t>(data.size(), kPrefetchMax), capacity_ - size_);
     for (std::uint64_t i = 0; i < ahead; i += kCacheLine) {
       __builtin_prefetch(data_ + size_ + i, 1, 3);
     }
-    return false;
+    return streamed;
   }
 
   [[nodiscard]] std::byte* data() noexcept { return data_; }

@@ -1,15 +1,13 @@
 #include "common/stream_copy.hpp"
 
-#include <cstdint>
-
 #if defined(__SSE2__)
 #include <emmintrin.h>
-#endif
+
+#include <cstdint>
 
 namespace bsc::detail {
 
 void stream_copy_large(std::byte* dst, ByteView src) noexcept {
-#if defined(__SSE2__)
   // memcpy brings dst up to a cache-line boundary; the body then writes
   // whole lines, four 16-byte streaming stores each, so every line leaves
   // the write-combining buffer complete; memcpy copies the tail.
@@ -38,9 +36,7 @@ void stream_copy_large(std::byte* dst, ByteView src) noexcept {
   // after the copy could become visible before the bytes.
   _mm_sfence();
   std::memcpy(dst + body, s + body, n - body);
-#else
-  std::memcpy(dst, src.data(), src.size());
-#endif
 }
 
 }  // namespace bsc::detail
+#endif

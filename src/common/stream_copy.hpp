@@ -25,6 +25,7 @@ inline constexpr bool kStreamCopyStreams =
 
 namespace detail {
 /// The streaming body: src.size() >= kStreamCopyMin, kStreamCopyStreams.
+/// Defined on SSE2 targets only; elsewhere no call to it is compiled.
 void stream_copy_large(std::byte* dst, ByteView src) noexcept;
 }  // namespace detail
 
@@ -36,9 +37,11 @@ void stream_copy_large(std::byte* dst, ByteView src) noexcept;
 /// thread that later acquires a lock the caller releases. Returns whether
 /// the body streamed.
 inline bool stream_copy(std::byte* dst, ByteView src) noexcept {
-  if (kStreamCopyStreams && src.size() >= kStreamCopyMin) {
-    detail::stream_copy_large(dst, src);
-    return true;
+  if constexpr (kStreamCopyStreams) {
+    if (src.size() >= kStreamCopyMin) {
+      detail::stream_copy_large(dst, src);
+      return true;
+    }
   }
   if (!src.empty()) std::memcpy(dst, src.data(), src.size());
   return false;
